@@ -6,7 +6,12 @@
 #                      0 disables) so a hung worker/shutdown regression
 #                      fails with thread tracebacks instead of wedging
 #                      the job — see tests/conftest.py
-#   make bench       — the current PR's perf micro-benchmarks; writes
+#   make suite       — the benchmark suite (BENCHMARK.json): all six
+#                      named workloads, untraced (end-to-end metrics),
+#                      through benchmarks/suite/run.py; add --trace 1
+#                      by hand for the per-layer numbers. This is the
+#                      perf check; see benchmarks/suite/README.md
+#   make bench       — the PR-10 perf micro-benchmarks; writes
 #                      BENCH_PR10.json at the repo root (network
 #                      serving tier: repeat traffic over the socket
 #                      wire protocol gated on the server's counters —
@@ -47,12 +52,20 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-quick examples serve \
+SUITE_WORKLOADS = chain7_params_memory chain5_params_sqlite \
+	zipf_hits_local zipf_hits_remote rw_durable_service params_pool_remote
+
+.PHONY: test suite bench bench-quick examples serve \
 	bench-pr1 bench-pr2 bench-pr3 bench-pr4 bench-pr5 bench-pr6 \
 	bench-pr7 bench-pr8 bench-pr9 bench-pr10
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+suite:
+	@set -e; for workload in $(SUITE_WORKLOADS); do \
+		$(PYTHON) benchmarks/suite/run.py --workload $$workload --trace 0; \
+	done
 
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_pr10.py

@@ -177,6 +177,9 @@ def _demo_database():
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
     from .net import serve
 
     if args.data:
@@ -191,6 +194,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         db = _demo_database()
     config = EngineConfig(backend="sqlite" if args.sqlite else "memory")
+    # Ctrl-C and `kill <pid>` unwind alike — close the server, which
+    # stops the workers and unlinks their segments. The handlers only
+    # set a flag, so a signal is safe at any point, boot included.
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
     server = serve(
         db,
         config,
@@ -201,15 +210,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         processes=args.processes,
         result_cache_size=args.result_cache_size,
     )
-    print(f"serving {server.url}  (backend={config.backend}, "
-          f"pool={server.pool.stats()})", flush=True)
-    if server.metrics_port is not None:
-        print(
-            f"metrics http://{server.host}:{server.metrics_port}/metrics",
-            flush=True,
-        )
     try:
-        server.serve_forever()
+        print(f"serving {server.url}  (backend={config.backend}, "
+              f"pool={server.pool.stats()})", flush=True)
+        if server.metrics_port is not None:
+            print(
+                f"metrics http://{server.host}:{server.metrics_port}"
+                "/metrics",
+                flush=True,
+            )
+        stop.wait()
     finally:
         server.close()
     return 0

@@ -84,6 +84,10 @@ class ResultCache:
 
     @staticmethod
     def _snapshot(result, cached: bool):
+        if isinstance(result, bytes):
+            # an encoded result body (the server's wire cache): already
+            # immutable, so it is shared, not copied
+            return result
         return dataclasses.replace(
             result, scores=dict(result.scores), cached=cached
         )

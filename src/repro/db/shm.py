@@ -59,17 +59,28 @@ __all__ = [
     "SnapshotDatabase",
     "SnapshotTable",
     "attach_snapshot",
+    "column_views",
     "seed_cache",
 ]
 
-_FLOAT64 = 8
-_INT64 = 8
+_WORD = 8  # bytes per int64 column slot and per float64 score
 
 
-def _numpy():
+def column_views(buffer, rows: int, arity: int):
+    """``(int64 columns, float64 scores)`` as views over ``buffer``.
+
+    The one pack/unpack helper for the ``[col0 | col1 | ... | scores]``
+    layout (little-endian words): writable over a segment or
+    ``bytearray`` (fill to pack), read-only over ``bytes`` (the wire
+    codec's result block).
+    """
     import numpy as np
 
-    return np
+    views = [
+        np.ndarray((rows,), dtype, buffer=buffer, offset=index * rows * _WORD)
+        for index, dtype in enumerate(["<i8"] * arity + ["<f8"])
+    ]
+    return tuple(views[:-1]), views[-1]
 
 
 def _segment_name() -> str:
@@ -119,12 +130,11 @@ class SharedSnapshotManager:
 
     # ------------------------------------------------------------------
     def _encode_table(self, name: str):
-        np = _numpy()
         table = self.db.table(name)
         rows = table.rows
         n = len(rows)
         arity = table.arity
-        nbytes = max(1, n * (arity * _INT64 + _FLOAT64))
+        nbytes = max(1, n * (arity + 1) * _WORD)
         segment = shared_memory.SharedMemory(
             create=True, size=nbytes, name=_segment_name()
         )
@@ -133,11 +143,8 @@ class SharedSnapshotManager:
         # attachers use _attach_segment and never register at all.
         code_of = self._code_of
         values = self._values
-        offset = 0
-        for index in range(arity):
-            column = np.ndarray(
-                (n,), dtype=np.int64, buffer=segment.buf, offset=offset
-            )
+        columns, scores = column_views(segment.buf, n, arity)
+        for index, column in enumerate(columns):
             at = 0
             for row in rows:
                 v = row[index]
@@ -148,12 +155,7 @@ class SharedSnapshotManager:
                     values.append(v)
                 column[at] = code
                 at += 1
-            offset += n * _INT64
-        scores = np.ndarray(
-            (n,), dtype=np.float64, buffer=segment.buf, offset=offset
-        )
-        if n:
-            scores[:] = np.fromiter(rows.values(), dtype=np.float64, count=n)
+        scores[:] = list(rows.values())
         entry = {
             "segment": segment.name,
             "rows": n,
@@ -336,7 +338,6 @@ class SnapshotDatabase:
         self.reattach(meta)
 
     def reattach(self, meta: Mapping) -> None:
-        np = _numpy()
         old = self._tables
         tables: dict[str, SnapshotTable] = {}
         for name, entry in meta["tables"].items():
@@ -346,26 +347,11 @@ class SnapshotDatabase:
                 tables[name] = previous
                 continue
             segment = _attach_segment(entry["segment"])
-            n = entry["rows"]
             arity = entry["arity"]
-            columns = []
-            offset = 0
-            for _ in range(arity):
-                columns.append(
-                    np.ndarray(
-                        (n,),
-                        dtype=np.int64,
-                        buffer=segment.buf,
-                        offset=offset,
-                    )
-                )
-                offset += n * _INT64
-            scores = np.ndarray(
-                (n,), dtype=np.float64, buffer=segment.buf, offset=offset
-            )
+            columns, scores = column_views(segment.buf, entry["rows"], arity)
             tables[name] = SnapshotTable(
                 _schema_from_meta(name, arity, entry["schema"]),
-                tuple(columns),
+                columns,
                 scores,
                 segment,
                 epoch,

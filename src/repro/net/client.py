@@ -11,9 +11,8 @@ The client does the canonicalization the server never has to:
 ``evaluate`` parses the query text locally and ships
 ``(canonical key, relations, opts, config digest)`` next to the text,
 so repeat traffic resolves in the server's wire cache *before* the
-text is ever parsed there. Scores cross back as JSON shortest
-round-trip floats, bit-identical to a local
-:class:`~repro.api.Session` evaluation.
+text is ever parsed there. Scores cross back as raw float64 columns,
+bit-identical to a local :class:`~repro.api.Session` evaluation.
 
 Failures are typed end to end:
 
@@ -54,6 +53,7 @@ from ..core.parser import parse_query
 from ..core.query import ConjunctiveQuery
 from ..core.safety import UnsafeQueryError
 from ..engine import EvaluationResult, Optimizations
+from ..obs import StatsLRU
 from ..service import (
     RequestTimeout,
     RetryPolicy,
@@ -248,6 +248,10 @@ class RemoteSession:
         self.protocol_errors: list[dict] = []
         self.reconnects = 0
         self._digest = None if config is None else config_digest(config)
+        # Decode memo, keyed by body bytes: a repeat arrives as the very
+        # bytes the server cached, so its answer tuples and floats are
+        # decoded once and shared; each caller still gets its own dict.
+        self._decoded = StatsLRU(128)
         self._connect()
 
     # ------------------------------------------------------------------
@@ -299,6 +303,7 @@ class RemoteSession:
         self._fail_pending(
             ServiceClosed(f"connection to {self.url} lost"), sock
         )
+        sock.close()
 
     def _deliver(self, payload) -> None:
         if not isinstance(payload, dict):
@@ -421,9 +426,9 @@ class RemoteSession:
             payload["timeout"] = timeout
         return payload
 
-    @staticmethod
-    def _unpack_result(response: dict) -> EvaluationResult:
-        result = result_from_wire(response["result"])
+    def _unpack_result(self, response: dict) -> EvaluationResult:
+        result = result_from_wire(response["result"], self._decoded)
+        result.cached = response["cached"]  # the body is shared by both
         if result.trace_id is None:
             result.trace_id = response.get("trace")
         return result

@@ -33,6 +33,7 @@ A worker that dies mid-task fails its in-flight futures with
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
 import traceback
 from concurrent.futures import Future
@@ -88,6 +89,10 @@ def _reseed(engine: DissociationEngine, snapshot) -> None:
 
 def _worker_main(conn, meta, config) -> None:
     """Evaluator process body: attach, seed, serve the pipe FIFO."""
+    # the parent stops workers over the pipe: a group-wide Ctrl-C must
+    # not kill them mid-task, and its SIGTERM handler is not theirs
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     registry = MetricsRegistry()
     snapshot = attach_snapshot(meta)
     engine = DissociationEngine(snapshot, config)

@@ -1,17 +1,26 @@
-"""The canonical-key wire protocol: framing, checksums, JSON codecs.
+"""The canonical-key wire protocol: framing, checksums, codecs.
 
 Frame layout (all integers big-endian)::
 
     0        2      4        8        12
-    +--------+------+--------+--------+----------------------+
-    | magic  | ver  | length |  crc32 |  payload (JSON utf-8)|
-    | "RP"   | 0x01 | uint32 | uint32 |  <length> bytes      |
-    +--------+------+--------+--------+----------------------+
+    +--------+------+--------+--------+------------------+-------------+
+    | magic  | ver  | length |  crc32 | head (JSON utf-8)| "\\n" + body |
+    | "RP"   | 0x02 | uint32 | uint32 |                  |  (optional) |
+    +--------+------+--------+--------+------------------+-------------+
 
-``length`` counts payload bytes only; ``crc32`` covers the payload.
-Every payload is one JSON object. Requests carry ``{"id", "op", ...}``;
-responses ``{"id", "ok", "trace", ...}`` — the server assigns ``trace``
-(its trace id) to *every* response, success or failure.
+``length`` counts every payload byte after the header and ``crc32``
+covers all of them. The head is one JSON object. Requests carry
+``{"id", "op", ...}``; responses ``{"id", "ok", "trace", ...}`` — the
+server assigns ``trace`` (its trace id) to *every* response, success or
+failure. Compact JSON holds no raw newline, so the first ``\\n`` ends
+the head; what follows is the payload's ``"result"``: a pre-encoded
+result body (:func:`result_to_wire`) shipped verbatim.
+
+A result body is ``meta JSON + "\\n" + block``, the block laid out like
+a :mod:`repro.db.shm` segment: ``[col0 | col1 | ... | scores]``, int64
+per answer column, then the float64 scores (column kinds: README.md).
+It is built once per evaluation and immutable: the server caches the
+bytes, and a repeat costs a lookup plus one concatenation.
 
 The evaluate request deliberately ships the **canonical query key**
 (:func:`repro.core.canonical.query_key`, serialized by
@@ -27,19 +36,18 @@ Error taxonomy (all subclass :class:`ProtocolError`):
   (a torn length prefix). Only raised by the one-shot
   :func:`decode_frame`; the incremental :class:`FrameDecoder` simply
   waits for more bytes.
-* :class:`BadMagic` — the stream is not speaking this protocol (or lost
-  alignment); unrecoverable, close the connection.
+* :class:`BadMagic` — the stream is not speaking this protocol version
+  (or lost alignment); unrecoverable, close the connection.
 * :class:`FrameTooLarge` — the declared length exceeds
   ``max_frame_bytes``. The decoder *skips* the oversized payload and
   stays aligned, so the connection survives.
-* :class:`ChecksumMismatch` — payload bytes corrupt in flight. The
-  frame is dropped; the stream stays aligned and the connection
-  survives.
+* :class:`ChecksumMismatch` — payload bytes (head or block) corrupt in
+  flight. The frame is dropped; the stream stays aligned and the
+  connection survives.
 
-Floats cross the wire as JSON numbers. Python's ``json`` emits
-``repr``-style shortest round-trip representations, so every score
-deserializes to the bit-identical ``float`` — the ≤1e-12 client/server
-differential holds with zero tolerance consumed by transport.
+Scores cross the wire as raw IEEE-754 doubles, so every one arrives
+bit-identical — the ≤1e-12 client/server differential holds with zero
+tolerance consumed by transport.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from dataclasses import fields as dataclass_fields
 
 from ..core.canonical import query_key
 from ..core.query import ConjunctiveQuery
+from ..db.shm import column_views
 from ..engine import EvaluationResult, Optimizations
 
 __all__ = [
@@ -65,8 +74,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "FrameDecoder",
-    "read_frame",
-    "write_frame",
     "wire_query_key",
     "wire_optimizations",
     "optimizations_from_wire",
@@ -79,7 +86,7 @@ __all__ = [
 ]
 
 #: Protocol revision; bumped on incompatible frame/payload changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _MAGIC = b"RP"
 _HEADER = struct.Struct(">2sHII")  # magic, version, length, crc32
@@ -114,12 +121,36 @@ class ChecksumMismatch(ProtocolError):
 # framing
 # ----------------------------------------------------------------------
 def encode_frame(payload: object) -> bytes:
-    """One JSON payload as a checksummed length-prefixed frame."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return (
-        _HEADER.pack(_MAGIC, PROTOCOL_VERSION, len(body), zlib.crc32(body))
-        + body
+    """One payload as a checksummed length-prefixed frame.
+
+    A ``bytes`` value under ``"result"`` (a :func:`result_to_wire`
+    body) is appended after the JSON head as is, never re-encoded.
+    """
+    tail = payload.get("result") if isinstance(payload, dict) else None
+    if isinstance(tail, bytes):
+        payload = {**payload, "result": None}
+    else:
+        tail = b""
+    head = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if tail:
+        head += b"\n"
+    crc = zlib.crc32(tail, zlib.crc32(head))
+    header = _HEADER.pack(
+        _MAGIC, PROTOCOL_VERSION, len(head) + len(tail), crc
     )
+    return b"".join((header, head, tail))
+
+
+def _decode_payload(data: bytes, crc: int) -> object:
+    if zlib.crc32(data) != crc:
+        raise ChecksumMismatch(
+            f"payload CRC mismatch on a {len(data)}-byte frame"
+        )
+    head, _, body = data.partition(b"\n")
+    payload = json.loads(head)
+    if body:
+        payload["result"] = body
+    return payload
 
 
 def decode_frame(
@@ -150,12 +181,7 @@ def decode_frame(
     end = _HEADER.size + length
     if len(buffer) < end:
         raise TruncatedFrame(f"need {end} bytes, have {len(buffer)}")
-    body = bytes(buffer[_HEADER.size:end])
-    if zlib.crc32(body) != crc:
-        raise ChecksumMismatch(
-            f"payload CRC mismatch on a {length}-byte frame"
-        )
-    return json.loads(body.decode("utf-8")), end
+    return _decode_payload(bytes(buffer[_HEADER.size:end]), crc), end
 
 
 class FrameDecoder:
@@ -220,61 +246,16 @@ class FrameDecoder:
             end = _HEADER.size + length
             if len(self._buffer) < end:
                 break
-            body = bytes(self._buffer[_HEADER.size:end])
+            data = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
-            if zlib.crc32(body) != crc:
-                error = ChecksumMismatch(
-                    f"payload CRC mismatch on a {length}-byte frame"
-                )
-                break
-            decoded.append(json.loads(body.decode("utf-8")))
+            try:
+                decoded.append(_decode_payload(data, crc))
+            except ChecksumMismatch as exc:
+                error = exc
         if error is not None:
             error.decoded = decoded  # type: ignore[attr-defined]
             raise error
         return decoded
-
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
-
-def write_frame(sock, payload: object) -> None:
-    """Send one frame over a blocking socket."""
-    sock.sendall(encode_frame(payload))
-
-
-def read_frame(
-    sock, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> object | None:
-    """Read exactly one frame from a blocking socket (``None`` on EOF
-    at a frame boundary; :class:`TruncatedFrame` on EOF mid-frame)."""
-    header = _read_exact(sock, _HEADER.size, at_boundary=True)
-    if header is None:
-        return None
-    magic, version, length, crc = _HEADER.unpack(header)
-    if magic != _MAGIC or version != PROTOCOL_VERSION:
-        raise BadMagic(f"bad frame magic/version {magic!r}/{version}")
-    if length > max_frame_bytes:
-        raise FrameTooLarge(
-            f"frame declares {length} payload bytes (limit {max_frame_bytes})"
-        )
-    body = _read_exact(sock, length, at_boundary=False)
-    if zlib.crc32(body) != crc:
-        raise ChecksumMismatch(f"payload CRC mismatch on a {length}-byte frame")
-    return json.loads(body.decode("utf-8"))
-
-
-def _read_exact(sock, n: int, at_boundary: bool):
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
-        if not chunk:
-            if at_boundary and not chunks:
-                return None
-            raise TruncatedFrame(
-                f"connection closed {len(chunks)}/{n} bytes into a frame"
-            )
-        chunks.extend(chunk)
-    return bytes(chunks)
 
 
 # ----------------------------------------------------------------------
@@ -338,41 +319,92 @@ def epoch_from_wire(data) -> tuple | None:
     )
 
 
-def result_to_wire(result: EvaluationResult) -> dict:
-    """An :class:`~repro.engine.EvaluationResult` as a JSON object.
+def _pack_scores(scores: dict) -> tuple[list, list, bytes]:
+    """A scores dict as ``(column kinds, interned values, block)``."""
+    columns = list(zip(*scores))
+    block = bytearray(len(scores) * (len(columns) + 1) * 8)
+    arrays, floats = column_views(block, len(scores), len(columns))
+    floats[:] = list(scores.values())
+    kinds, values, code_of = [], [], {}
+    for column, array in zip(columns, arrays):
+        types = set(map(type, column))
+        if types == {int}:
+            try:
+                array[:] = column
+                kinds.append("int")
+                continue
+            except OverflowError:  # outside int64: intern instead
+                pass
+        # 1 / True / 1.0 and 0.0 / -0.0 are equal as dict keys; only
+        # same-type strings are safe to intern by value
+        keys = column
+        if types != {str}:
+            keys = [(type(v), repr(v)) for v in column]
+        for key, value in dict(zip(keys, column)).items():
+            if key not in code_of:
+                code_of[key] = len(values)
+                values.append(_value_to_wire(value))
+        array[:] = [code_of[key] for key in keys]
+        kinds.append("code")
+    return kinds, values, bytes(block)
 
-    Scores serialize as ``[[answer, value], ...]`` pairs; JSON's
-    shortest-round-trip float text keeps every value bit-identical.
+
+def result_to_wire(result: EvaluationResult) -> bytes:
+    """An :class:`~repro.engine.EvaluationResult` as one immutable
+    body, ``meta JSON + "\\n" + block``: encoded once, cached by the
+    server as bytes, appended to responses by :func:`encode_frame`.
     """
-    return {
-        "scores": [
-            [_value_to_wire(list(answer)), value]
-            for answer, value in result.scores.items()
-        ],
+    kinds, values, block = _pack_scores(result.scores)
+    meta = {
+        "rows": len(result.scores),
+        "columns": kinds,
+        "values": values,
         "plan_count": result.plan_count,
         "optimizations": wire_optimizations(result.optimizations),
         "backend": result.backend,
         "seconds": result.seconds,
         "sql": result.sql,
         "epoch": epoch_to_wire(result.epoch),
-        "cached": result.cached,
+        "trace_id": result.trace_id,
     }
+    head = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    return head + b"\n" + block
 
 
-def result_from_wire(data: dict) -> EvaluationResult:
+def result_from_wire(body: bytes, memo=None) -> EvaluationResult:
+    """Inverse of :func:`result_to_wire`; ``scores`` is a fresh dict.
+
+    ``memo`` (a ``get``/``put`` cache keyed by the body) lets a repeat
+    of the same bytes share its decoded answer tuples and floats, so
+    only the dict is rebuilt.
+    """
+    decoded = None if memo is None else memo.get(body)
+    if decoded is None:
+        head, _, block = body.partition(b"\n")
+        data = json.loads(head)
+        kinds = data["columns"]
+        arrays, floats = column_views(block, data["rows"], len(kinds))
+        values = [_value_from_wire(v) for v in data.pop("values")]
+        columns = [
+            array.tolist()
+            if kind == "int"
+            else list(map(values.__getitem__, array.tolist()))
+            for kind, array in zip(kinds, arrays)
+        ]
+        answers = tuple(zip(*columns)) if columns else ((),) * data["rows"]
+        decoded = data, answers, tuple(floats.tolist())
+        if memo is not None:
+            memo.put(body, decoded)
+    data, answers, scores = decoded
     return EvaluationResult(
-        scores={
-            tuple(_value_from_wire(v) for v in answer): value
-            for answer, value in data["scores"]
-        },
+        scores=dict(zip(answers, scores)),
         plan_count=data["plan_count"],
         optimizations=optimizations_from_wire(data["optimizations"]),
         backend=data["backend"],
         seconds=data["seconds"],
-        sql=data.get("sql"),
-        epoch=epoch_from_wire(data.get("epoch")),
-        cached=data.get("cached", False),
-        trace_id=data.get("trace_id"),
+        sql=data["sql"],
+        epoch=epoch_from_wire(data["epoch"]),
+        trace_id=data["trace_id"],
     )
 
 

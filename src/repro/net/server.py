@@ -6,9 +6,10 @@ concurrent mode. Request frames (see :mod:`repro.net.protocol`) carry
 the **canonical query key**, the optimization flags, and the client's
 config digest; the server keys its wire-level
 :class:`~repro.api.cache.ResultCache` on ``(key, opts, digest, epoch
-vector)`` and answers repeats *without parsing the query text at all*
-— the ``net.parses`` counter plus the wire cache's hit counter prove
-it. Misses parse once and evaluate through the pool backend
+vector)``, holds each result as its encoded body, and answers repeats
+*without parsing the text or touching a row* — ``net.parses ==
+net.encodes == distinct queries`` plus the wire cache's hit counter
+prove it. Misses parse once and evaluate through the pool backend
 (:func:`repro.net.pool.choose_pool`): the in-process session, or
 forked workers over shared-memory snapshots.
 
@@ -135,10 +136,10 @@ class ReproServer:
         )
         self.max_frame_bytes = max_frame_bytes
         self._trace_ids = itertools.count(1)
+        self._connections: "set[asyncio.Task]" = set()
         self._mutate_lock: asyncio.Lock | None = None
         self._requests = 0
         self._closed = False
-        self._stopped = threading.Event()
         self.host = host
         self.port: int | None = None
         self.metrics_port: int | None = None
@@ -192,10 +193,21 @@ class ReproServer:
         self._closed = True
 
         async def _shutdown() -> None:
-            for server in (self._server, self._metrics_server):
-                if server is not None:
-                    server.close()
-                    await server.wait_closed()
+            servers = [
+                server
+                for server in (self._server, self._metrics_server)
+                if server is not None
+            ]
+            for server in servers:
+                server.close()
+            # live connections would otherwise die pending with the loop
+            for task in self._connections:
+                task.cancel()
+            await asyncio.gather(
+                *self._connections,
+                *(s.wait_closed() for s in servers),
+                return_exceptions=True,
+            )
 
         if self._loop.is_running():
             try:
@@ -209,15 +221,6 @@ class ReproServer:
         if self._loop.is_running():
             self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
-        self._stopped.set()
-
-    def serve_forever(self) -> None:
-        """Block the calling thread until :meth:`close` (or Ctrl-C)."""
-        try:
-            while not self._stopped.wait(0.2):
-                pass
-        except KeyboardInterrupt:
-            self.close()
 
     def __enter__(self) -> "ReproServer":
         return self
@@ -235,6 +238,9 @@ class ReproServer:
             else FrameDecoder()
         )
         self.observer.inc("net.connections")
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         # pipelined requests on one connection run concurrently — each
         # payload dispatches as its own task so a slow evaluation never
         # heads-of-line-blocks the ones queued behind it. Responses are
@@ -245,8 +251,7 @@ class ReproServer:
         async def respond(payload) -> None:
             response = await self._dispatch(payload)
             async with write_lock:
-                writer.write(encode_frame(response))
-                await writer.drain()
+                await self._write(writer, response)
 
         try:
             while True:
@@ -273,6 +278,11 @@ class ReproServer:
                     break
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
+        except asyncio.CancelledError:
+            # the server is closing; ending normally keeps the stream
+            # protocol's done-callback (3.11 reads .exception()) quiet
+            for task in inflight:
+                task.cancel()
         finally:
             if inflight:
                 await asyncio.gather(*inflight, return_exceptions=True)
@@ -282,22 +292,26 @@ class ReproServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
+    async def _write(self, writer, payload) -> None:
+        frame = encode_frame(payload)
+        self.observer.inc("net.bytes_out", len(frame))
+        writer.write(frame)
+        await writer.drain()
+
     async def _send_protocol_error(self, writer, exc: ProtocolError):
         self.observer.inc("net.protocol_errors")
-        writer.write(
-            encode_frame(
-                {
-                    "id": None,
-                    "ok": False,
-                    "trace": self._next_trace(),
-                    "error": {
-                        "kind": type(exc).__name__,
-                        "message": str(exc),
-                    },
-                }
-            )
+        await self._write(
+            writer,
+            {
+                "id": None,
+                "ok": False,
+                "trace": self._next_trace(),
+                "error": {
+                    "kind": type(exc).__name__,
+                    "message": str(exc),
+                },
+            },
         )
-        await writer.drain()
 
     def _next_trace(self) -> str:
         return f"srv-{next(self._trace_ids)}"
@@ -372,13 +386,10 @@ class ReproServer:
         relations = request.get("relations") or ()
         epoch = self.db.epoch_vector(relations)
         cache_key = ("wire", key_text, opts_wire, self.digest, epoch)
-        hit = self.wire_cache.get(cache_key)
-        if hit is not None:
-            # served before parse: the whole point of shipping the key
+        body = self.wire_cache.get(cache_key)
+        if body is not None:
+            # served before parse, and as the bytes encoded on the miss
             self.observer.inc("net.cache.hits")
-            body = result_to_wire(hit)
-            if hit.trace_id is not None:
-                body["trace_id"] = hit.trace_id
             return {"result": body, "cached": True}
         self.observer.inc("net.cache.misses")
         self.observer.inc("net.parses")
@@ -390,12 +401,11 @@ class ReproServer:
         # keyed under the epoch the evaluation actually ran against —
         # a racing mutation can only produce a *newer*, correct entry
         store_epoch = result.epoch if result.epoch is not None else epoch
-        self.wire_cache.put(
-            ("wire", key_text, opts_wire, self.digest, store_epoch), result
-        )
+        self.observer.inc("net.encodes")
         body = result_to_wire(result)
-        if result.trace_id is not None:
-            body["trace_id"] = result.trace_id
+        self.wire_cache.put(
+            ("wire", key_text, opts_wire, self.digest, store_epoch), body
+        )
         return {"result": body, "cached": False}
 
     async def _op_mutate(self, request) -> dict:
@@ -463,10 +473,16 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         pool_stats = self.pool.stats()
         session_stats = await loop.run_in_executor(None, self.session.stats)
+        snapshot = await loop.run_in_executor(None, self.observer.snapshot)
+        counters = snapshot["counters"]
         return {
             "stats": jsonable(
                 {
                     "requests": self._requests,
+                    "net": {
+                        name: counters.get(f"net.{name}", 0)
+                        for name in ("parses", "encodes", "bytes_out")
+                    },
                     "wire_cache": self.wire_cache.stats(),
                     "pool": pool_stats,
                     "session": session_stats,

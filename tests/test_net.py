@@ -3,13 +3,19 @@ shared-memory snapshots, and the multi-process pool."""
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
-import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro import (
@@ -146,15 +152,145 @@ class TestFraming:
         result = repro.DissociationEngine(db).evaluate(
             parse_query(QUERIES[1])
         )
-        back = result_from_wire(
-            __import__("json").loads(
-                __import__("json").dumps(result_to_wire(result))
-            )
-        )
+        frame = encode_frame({"id": 1, "result": result_to_wire(result)})
+        back = result_from_wire(decode_frame(frame)[0]["result"])
         assert back.scores == result.scores  # == is bit-exact on floats
         assert back.epoch == result.epoch
         assert back.optimizations == result.optimizations
         assert back.plan_count == result.plan_count
+
+
+    def test_v1_peer_gets_bad_magic(self):
+        frame = bytearray(encode_frame({"id": 1}))
+        frame[2:4] = (1).to_bytes(2, "big")  # a version-1 header
+        with pytest.raises(BadMagic):
+            decode_frame(bytes(frame))
+        with pytest.raises(BadMagic):
+            FrameDecoder().feed(bytes(frame))
+
+
+# ----------------------------------------------------------------------
+# codec properties (generated answer sets, fuzzed frames)
+# ----------------------------------------------------------------------
+def _bits(score: float) -> bytes:
+    return struct.pack(">d", score)
+
+
+def _as_result(scores: dict) -> repro.engine.EvaluationResult:
+    return repro.engine.EvaluationResult(
+        scores=scores,
+        plan_count=2,
+        optimizations=Optimizations(),
+        backend="memory",
+        seconds=0.25,
+        sql=None,
+        epoch=(("R", (1, 2)),),
+        cached=False,
+        trace_id="t-1",
+    )
+
+
+_scalars = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63) - 1),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0]),
+)
+_values = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=4
+)
+# a column is of one type or, every few columns, of all of them mixed
+_columns = st.sampled_from(
+    [
+        st.integers(-5, 5),
+        st.integers(-(2**63), 2**63 - 1),
+        st.text(max_size=4),
+        st.booleans(),
+        _values,
+    ]
+)
+_scores = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0]),
+)
+
+
+@st.composite
+def answer_sets(draw):
+    columns = draw(st.lists(_columns, max_size=4))
+    if not columns:  # the Boolean query: no answer, or the one () row
+        return draw(st.sampled_from([{}, {(): draw(_scores)}]))
+    rows = draw(st.lists(st.tuples(*columns), max_size=12))
+    return {row: draw(_scores) for row in rows}
+
+
+class TestCodecProperties:
+    @given(answer_sets())
+    @example({})
+    @example({(): 0.5})
+    @example({(True, 1): -0.0, (1, True): 5e-324, (0.0, -0.0): 1.0})
+    @example({(2**63,): 0.5, (-(2**63),): 0.25})
+    @settings(max_examples=300, deadline=None)
+    def test_result_round_trip_is_type_and_bit_exact(self, scores):
+        frame = encode_frame(
+            {"id": 1, "ok": True, "result": result_to_wire(_as_result(scores))}
+        )
+        payload, consumed = decode_frame(frame)
+        assert consumed == len(frame)
+        back = result_from_wire(payload["result"])
+        assert type(back.scores) is dict
+        # repr tells True from 1 from 1.0, and -0.0 from 0.0
+        assert repr(list(back.scores)) == repr(list(scores))
+        assert [_bits(v) for v in back.scores.values()] == [
+            _bits(v) for v in scores.values()
+        ]
+        assert back.epoch == (("R", (1, 2)),)
+        assert back.trace_id == "t-1" and back.cached is False
+
+    @given(answer_sets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flipped_payload_byte_drops_exactly_that_frame(self, scores, data):
+        frame = bytearray(
+            encode_frame({"id": 1, "result": result_to_wire(_as_result(scores))})
+        )
+        # anywhere behind the header: JSON head or binary block
+        at = data.draw(st.integers(_HEADER.size, len(frame) - 1))
+        frame[at] ^= data.draw(st.integers(1, 255))
+        before, after = encode_frame({"id": 0}), encode_frame({"id": 2})
+        decoder = FrameDecoder()
+        with pytest.raises(ChecksumMismatch) as info:
+            decoder.feed(before + bytes(frame) + after[:5])
+        assert info.value.decoded == [{"id": 0}]
+        assert decoder.feed(after[5:]) == [{"id": 2}]
+        with pytest.raises(ChecksumMismatch):
+            decode_frame(bytes(frame))
+
+    @given(answer_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_torn_and_oversized_frames_with_a_block(self, scores, data):
+        body = result_to_wire(_as_result(scores))
+        frame = encode_frame({"id": 1, "result": body})
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(frame)), max_size=6))
+        )
+        decoder, out = FrameDecoder(), []
+        for lo, hi in zip([0] + cuts, cuts + [len(frame)]):
+            if hi < len(frame):
+                assert out == []  # a torn prefix only ever waits
+            out += decoder.feed(frame[lo:hi])
+        assert out == [{"id": 1, "result": body}]
+        with pytest.raises(TruncatedFrame):
+            decode_frame(frame[:-1])
+        # refused by size: skipped byte for byte, also across feeds
+        small = FrameDecoder(max_frame_bytes=len(frame) - _HEADER.size - 1)
+        cut = data.draw(st.integers(_HEADER.size, len(frame)))
+        with pytest.raises(FrameTooLarge):
+            small.feed(frame[:cut])
+        assert small.feed(frame[cut:] + encode_frame({"id": 2})) == [{"id": 2}]
 
 
 # ----------------------------------------------------------------------
@@ -171,10 +307,15 @@ class TestDifferential:
             for opts in ALL_OPTIMIZATION_COMBOS:
                 for text in QUERIES:
                     mine = local.evaluate(text, opts)
-                    theirs = remote.evaluate(text, opts)
-                    assert theirs.scores.keys() == mine.scores.keys()
-                    for answer, score in mine.scores.items():
-                        assert abs(theirs.scores[answer] - score) <= 1e-12
+                    miss = remote.evaluate(text, opts)
+                    hit = remote.evaluate(text, opts)
+                    assert (miss.cached, hit.cached) == (False, True)
+                    for theirs in (miss, hit):
+                        assert type(theirs.scores) is dict
+                        assert theirs.scores == mine.scores
+                        assert list(map(_bits, theirs.scores.values())) == (
+                            list(map(_bits, mine.scores.values()))
+                        )
 
     def test_mid_stream_mutation_bumps_epochs_over_the_wire(self):
         db = sample_database()
@@ -196,6 +337,8 @@ class TestDifferential:
             local = Session(db, EngineConfig()).evaluate(QUERIES[1])
             assert after.scores == local.scores
             assert after.scores != before.scores
+            again = remote.evaluate(QUERIES[1])
+            assert again.cached and again.scores == local.scores
 
     def test_repeat_traffic_skips_the_parser(self):
         db = sample_database()
@@ -209,6 +352,31 @@ class TestDifferential:
             assert metrics.counter("net.parses") == 1
             assert metrics.counter("net.cache.hits") == repeats - 1
             assert metrics.counter("net.cache.misses") == 1
+
+    def test_repeat_traffic_encodes_once(self):
+        db = sample_database()
+        with serve(db, EngineConfig(), port=0) as server, RemoteSession(
+            server.url
+        ) as remote:
+            counter = server.observer.metrics.counter
+            for _ in range(4):
+                for text in QUERIES:
+                    remote.evaluate(text)
+            assert counter("net.encodes") == counter("net.parses") == 3
+            assert remote.stats()["net"]["encodes"] == 3
+            sent = counter("net.bytes_out")
+            assert remote.evaluate(QUERIES[0]).cached
+            assert counter("net.bytes_out") > sent
+            # only the bodies over the touched table are encoded again
+            remote.mutate(lambda d: d.update_probability("T", (1,), 0.5))
+            wire = server.wire_cache.stats()
+            assert (wire["size"], wire["evictions"]) == (1, 2)
+            cached = [remote.evaluate(text).cached for text in QUERIES]
+            assert cached == [False, True, False]  # QUERIES[1] has no T
+            assert counter("net.encodes") == counter("net.parses") == 5
+            text = remote.metrics_text()
+            assert "repro_net_encodes 5" in text
+            assert "repro_net_bytes_out" in text
 
     def test_submit_gather_and_evaluate_many(self):
         db = sample_database()
@@ -321,6 +489,46 @@ class TestLiveProtocolErrors:
                 sock.sendall(encode_frame({"id": 2, "op": "ping"}))
                 (pong,) = self._recv_frames(sock, 1)
                 assert pong["ok"] and pong["id"] == 2
+
+    def test_frames_with_a_block_corrupt_oversized_torn(self):
+        body = result_to_wire(_as_result({(1, "a"): 0.5, (2, "b"): 0.25}))
+        frame = encode_frame({"id": 1, "op": "ping", "result": body})
+        db = sample_database()
+        with serve(
+            db, EngineConfig(), port=0, max_frame_bytes=1024
+        ) as server, socket.create_connection(
+            ("127.0.0.1", server.port)
+        ) as sock:
+            for at in (_HEADER.size + 3, len(frame) - 5):  # head, block
+                corrupt = bytearray(frame)
+                corrupt[at] ^= 0x40
+                sock.sendall(bytes(corrupt))
+                (error,) = self._recv_frames(sock, 1)
+                assert error["error"]["kind"] == "ChecksumMismatch"
+            big = result_to_wire(_as_result({(i,): 0.5 for i in range(100)}))
+            sock.sendall(encode_frame({"id": 2, "op": "ping", "result": big}))
+            (error,) = self._recv_frames(sock, 1)
+            assert error["error"]["kind"] == "FrameTooLarge"
+            # the same connection still serves, even a torn frame
+            sock.sendall(frame[:-9])
+            time.sleep(0.05)
+            sock.sendall(frame[-9:])
+            (pong,) = self._recv_frames(sock, 1)
+            assert pong["ok"] and pong["pong"] and pong["id"] == 1
+
+    def test_version_1_peer_is_hung_up_on(self):
+        db = sample_database()
+        with serve(db, EngineConfig(), port=0) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port)
+            ) as sock:
+                frame = bytearray(encode_frame({"id": 1, "op": "ping"}))
+                frame[2:4] = (1).to_bytes(2, "big")
+                sock.sendall(bytes(frame))
+                (error,) = self._recv_frames(sock, 1)
+                assert error["error"]["kind"] == "BadMagic"
+                sock.settimeout(10.0)
+                assert sock.recv(65536) == b""  # server hung up
 
     def test_bad_magic_closes_the_connection(self):
         db = sample_database()
@@ -454,6 +662,55 @@ class TestProcessPool:
                 assert theirs.scores == mine.scores
             assert server.pool.stats()["generation"] == 2
 
+    @pytest.mark.parametrize("stop", ["kill <pid>", "group-wide Ctrl-C"])
+    def test_signals_stop_workers_and_unlink_segments(self, stop):
+        def segments():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("repro_")}
+
+        def stat(pid):  # [state, ppid, ...] from /proc, None once gone
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    return handle.read().rsplit(")", 1)[1].split()
+            except OSError:
+                return None
+
+        before = segments()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--processes", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            cwd=Path(__file__).resolve().parent.parent,
+            env=dict(os.environ, PYTHONPATH="src"),
+            text=True,
+            start_new_session=True,  # so a failing run can sweep it
+        )
+        try:
+            assert "pool={'kind': 'process'" in child.stdout.readline()
+            children = [  # two workers (+ the resource tracker)
+                int(pid)
+                for pid in filter(str.isdigit, os.listdir("/proc"))
+                if (stat(pid) or [None, None])[1] == str(child.pid)
+            ]
+            assert len(children) >= 2 and segments() - before
+            if stop == "kill <pid>":
+                child.send_signal(signal.SIGTERM)
+            else:  # the workers get it too, and must sit it out
+                os.killpg(child.pid, signal.SIGINT)
+            assert child.wait(timeout=5) == 0
+            assert "Traceback" not in child.stdout.read()
+            deadline = time.monotonic() + 2  # the tracker exits on EOF
+            while time.monotonic() < deadline and any(map(stat, children)):
+                time.sleep(0.05)
+            assert [p for p in children if (stat(p) or "Z")[0] != "Z"] == []
+            assert segments() == before
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.stdout.close()
+
     def test_worker_metrics_are_merged(self):
         db = sample_database()
         with serve(db, EngineConfig(), port=0, processes=2) as server:
@@ -510,6 +767,26 @@ class TestMergeSnapshots:
 # client lifecycle
 # ----------------------------------------------------------------------
 class TestClientLifecycle:
+    def test_server_close_under_a_live_connection_is_quiet(self, monkeypatch):
+        reported = []
+        monkeypatch.setattr(sys, "unraisablehook", reported.append)
+        server = serve(sample_database(), EngineConfig(), port=0)
+        server._loop.call_soon_threadsafe(
+            server._loop.set_exception_handler,
+            lambda loop, context: reported.append(context),
+        )
+        remote = RemoteSession(server.url)
+        try:
+            assert remote.evaluate(QUERIES[0]).scores
+            server.close()
+            gc.collect()  # a task destroyed while pending reports here
+            assert reported == []
+            assert "repro-serve" not in {
+                thread.name for thread in threading.enumerate()
+            }
+        finally:
+            remote.close()
+
     def test_closed_session_raises_typed(self):
         db = sample_database()
         with serve(db, EngineConfig(), port=0) as server:
