@@ -189,10 +189,7 @@ class Session:
             # mutation counters and journal/rollback spans hang off the
             # database; cache and engine statistics are pulled at
             # snapshot time (collectors), never pushed on the hot path
-            try:
-                self.db.observer = self.observer
-            except AttributeError:
-                pass  # read-only stand-in databases: skip db spans
+            self.db.observer = self.observer
             self.observer.register_collector(
                 "result_cache", self.results.stats
             )
@@ -260,25 +257,17 @@ class Session:
         # wrong hit: epochs are monotonic, and results are filed under
         # the vector stamped by the engine, which runs inside the
         # service's mutation-quiescence gate.
-        vector = getattr(self.db, "epoch_vector", None)
         while True:
             try:
-                if vector is not None:
-                    return vector(query.relations)
-                return self.db.version
+                return self.db.epoch_vector(query.relations)
             except RuntimeError:
                 continue
 
     def _current_table_epochs(self) -> Mapping:
-        # Same retry discipline as _query_epoch; epoch-less databases
-        # yield an empty map, which makes every vector-keyed entry
-        # read as stale — the conservative direction.
-        getter = getattr(self.db, "table_epochs", None)
-        if getter is None:
-            return {}
+        # Same retry discipline as _query_epoch.
         while True:
             try:
-                return getter()
+                return self.db.table_epochs()
             except RuntimeError:
                 continue
 
@@ -339,14 +328,34 @@ class Session:
         hit = self.results.get(key)
         if hit is not None:
             return hit
-        if self._service is not None:
-            result = self._service.submit(
-                resolved, opts, timeout=timeout
-            ).result()
-        else:
-            result = self.engine.evaluate(resolved, opts)
+        result = self._dispatch(resolved, opts, timeout).result()
         self._store(resolved, opts, result)
         return result
+
+    def _dispatch(
+        self,
+        resolved: ConjunctiveQuery,
+        opts: Optimizations,
+        timeout,
+    ) -> "Future[EvaluationResult]":
+        """The one miss path: a future for evaluating ``resolved``.
+
+        Concurrent sessions hand the request to the service's admission
+        queue (which captures the caller's active span frames); serial
+        sessions evaluate inline and return an already-resolved future.
+        """
+        if self._service is not None:
+            return self._service.submit(resolved, opts, timeout=timeout)
+        done: "Future[EvaluationResult]" = Future()
+        try:
+            done.set_result(self.engine.evaluate(resolved, opts))
+        except Exception as exc:  # noqa: BLE001 - future protocol
+            # KeyboardInterrupt/SystemExit propagate: the caller's own
+            # thread ran the evaluation, so swallowing them into a
+            # maybe-never-inspected future would lose the interrupt
+            # entirely
+            done.set_exception(exc)
+        return done
 
     def _evaluate_traced(
         self,
@@ -381,12 +390,7 @@ class Session:
                     lookup.note(hit=result is not None)
                 root.note(cached=result is not None)
                 if result is None:
-                    if self._service is not None:
-                        result = self._service.submit(
-                            resolved, opts, timeout=timeout
-                        ).result()
-                    else:
-                        result = self.engine.evaluate(resolved, opts)
+                    result = self._dispatch(resolved, opts, timeout).result()
                     self._store(resolved, opts, result)
         result.trace_id = trace_id
         obs.record_request(
@@ -418,20 +422,7 @@ class Session:
             done: "Future[EvaluationResult]" = Future()
             done.set_result(hit)
             return done
-        if self._service is None:
-            done = Future()
-            try:
-                result = self.engine.evaluate(resolved, opts)
-                self._store(resolved, opts, result)
-                done.set_result(result)
-            except Exception as exc:  # noqa: BLE001 - future protocol
-                # KeyboardInterrupt/SystemExit propagate: the caller's
-                # own thread ran the evaluation, so swallowing them
-                # into a maybe-never-inspected future would lose the
-                # interrupt entirely
-                done.set_exception(exc)
-            return done
-        future = self._service.submit(resolved, opts, timeout=timeout)
+        future = self._dispatch(resolved, opts, timeout)
         future.add_done_callback(
             lambda f: (
                 self._store(resolved, opts, f.result())
@@ -449,14 +440,26 @@ class Session:
     ) -> "Future[EvaluationResult]":
         """:meth:`submit` under an observer.
 
-        Serial sessions evaluate inline, so the trace closes before the
-        future is returned; concurrent submissions hand their span
-        frames to the service request and the request is closed (slow
-        log, latency histogram) from the future's done callback.
+        The request is closed (slow log, latency histogram) from the
+        future's done callback: at once for a serial session, whose
+        miss evaluates inline, and from the worker for a concurrent
+        one, whose service request carries the span frames captured
+        here.
         """
         obs = self.observer
         trace_id = obs.new_trace()
         started = time.perf_counter()
+
+        def _finish(f: "Future[EvaluationResult]") -> None:
+            if f.cancelled() or f.exception() is not None:
+                return
+            result = f.result()
+            result.trace_id = trace_id
+            self._store(resolved, opts, result)
+            obs.record_request(
+                trace_id, resolved, time.perf_counter() - started
+            )
+
         with obs.activate([(trace_id, None)]):
             with obs.span(
                 "session.submit", backend=self.config.backend
@@ -480,38 +483,12 @@ class Session:
                     done: "Future[EvaluationResult]" = Future()
                     done.set_result(hit)
                     return done
-                if self._service is None:
-                    done = Future()
-                    try:
-                        result = self.engine.evaluate(resolved, opts)
-                        result.trace_id = trace_id
-                        self._store(resolved, opts, result)
-                        obs.record_request(
-                            trace_id,
-                            resolved,
-                            time.perf_counter() - started,
-                        )
-                        done.set_result(result)
-                    except Exception as exc:  # noqa: BLE001 - future protocol
-                        done.set_exception(exc)
-                    return done
-                # inside the spans on purpose: submit() captures the
+                # inside the spans on purpose: the service captures the
                 # active frames into the request, which the worker
                 # re-activates across the queue hop
-                future = self._service.submit(resolved, opts, timeout=timeout)
-
-        def _finish(f: "Future[EvaluationResult]") -> None:
-            if f.cancelled() or f.exception() is not None:
-                return
-            result = f.result()
-            result.trace_id = trace_id
-            self._store(resolved, opts, result)
-            obs.record_request(
-                trace_id, resolved, time.perf_counter() - started
-            )
-
-        future.add_done_callback(_finish)
-        return future
+                future = self._dispatch(resolved, opts, timeout)
+                future.add_done_callback(_finish)
+                return future
 
     def _store(
         self,
@@ -572,24 +549,14 @@ class Session:
         is evicted — every cached result stays warm and correct. Only
         when ``fn`` bypassed the tracked mutation helpers (so the
         rollback cannot be certified by the per-table fingerprints)
-        does the legacy ``touch()`` taint fire, evicting everything.
+        does the database taint every epoch, evicting everything.
         Inspect ``session.db.last_mutation`` for which path ran.
         """
         self._check_open()
         try:
             if self._service is not None:
                 return self._service.mutate(fn)
-            txn = getattr(self.db, "mutate", None)
-            if txn is not None:
-                return txn(fn)
-            # epoch-less stand-in databases: legacy non-transactional path
-            try:
-                return fn(self.db)
-            except BaseException:
-                taint = getattr(self.db, "touch", None)
-                if taint is not None:
-                    taint()
-                raise
+            return self.db.mutate(fn)
         finally:
             self.results.evict_stale(self._current_table_epochs())
 
@@ -655,11 +622,11 @@ class Session:
         }
 
     def _collect_db(self) -> dict:
-        out: dict = {"durable": getattr(self.db, "durable", False)}
-        last = getattr(self.db, "last_mutation", None)
+        out: dict = {"durable": self.db.durable}
+        last = self.db.last_mutation
         if last is not None:
             out["last_mutation"] = dataclasses.asdict(last)
-        store = getattr(self.db, "_durability", None)
+        store = self.db._durability
         if store is not None:
             out["journal"] = store.stats()
         return out

@@ -60,7 +60,6 @@ import zlib
 from pathlib import Path
 
 from ..core.fds import ColumnFD
-from ..obs import NULL_OBSERVER
 from .database import ProbabilisticDatabase, Table
 from .schema import TableSchema
 
@@ -409,7 +408,7 @@ class DurableStore:
         the trailing ``commit`` record plus the fsync policy make the
         group atomic and durable. Auto-checkpoints when due.
         """
-        observer = getattr(db, "observer", NULL_OBSERVER)
+        observer = db.observer
         if faults is not None:
             faults.fire("journal", ops)
         records = []
@@ -449,7 +448,7 @@ class DurableStore:
         journal truncated. A crash in between double-writes nothing —
         replay skips ops whose ``seq`` the snapshot already covers.
         """
-        observer = getattr(db, "observer", NULL_OBSERVER)
+        observer = db.observer
         if faults is not None:
             faults.fire("journal", "checkpoint")
         with observer.span(

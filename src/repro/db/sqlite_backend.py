@@ -32,10 +32,6 @@ __all__ = [
 #: Name of the probability column in materialized tables.
 PROB_COLUMN = "_p"
 
-#: Sentinel distinguishing "table absent" from any real epoch (including
-#: the ``None`` epoch of epoch-less stand-in tables) in snapshot diffs.
-_ABSENT = object()
-
 
 class IorAggregate:
     """SQLite aggregate: independent-or of probabilities, ``1 − ∏(1 − p)``."""
@@ -380,7 +376,7 @@ class SQLiteBackend:
         fault_injector=None,
     ) -> None:
         self.source = db
-        self.source_version = getattr(db, "version", None)
+        self.source_version = db.version
         #: Optional :class:`~repro.service.faults.FaultInjector`; when
         #: set, :meth:`execute` fires the ``"statement"`` hook with the
         #: SQL text — the place to script transient lock contention.
@@ -401,7 +397,7 @@ class SQLiteBackend:
         self._has_math_functions: bool | None = None
         self._reduction_tokens: dict[str, str] = {}
         self._index_columns = index_columns
-        self._table_epochs: dict[str, tuple | None] = {}
+        self._table_epochs: dict[str, tuple] = {}
         self._table_schemas: dict[str, tuple] = {}
         self._materialize(index_columns)
 
@@ -452,7 +448,7 @@ class SQLiteBackend:
                     f"CREATE INDEX {_quote_ident(f'ix_{table.name}_{c}')} "
                     f"ON {_quote_ident(table.name)} ({_quote_ident(c)})"
                 )
-        self._table_epochs[table.name] = getattr(table, "epoch", None)
+        self._table_epochs[table.name] = table.epoch
         self._table_schemas[table.name] = self._schema_signature(table)
 
     def _insert_rows(self, cur: sqlite3.Cursor, table) -> None:
@@ -467,7 +463,7 @@ class SQLiteBackend:
 
         The per-table staleness token for anything derived from the
         snapshot's copy of one relation (e.g. the SQL statistics
-        catalog); ``None`` for epoch-less sources.
+        catalog); ``None`` when the snapshot holds no such table.
         """
         return self._table_epochs.get(name)
 
@@ -487,27 +483,21 @@ class SQLiteBackend:
         Returns the set of relations whose snapshot copies were
         rebuilt (empty when the source has not moved).
         """
-        version = getattr(self.source, "version", None)
+        version = self.source.version
         if version == self.source_version:
             return frozenset()
-        epochs_of = getattr(self.source, "table_epochs", None)
         old = dict(self._table_epochs)
-        if epochs_of is None:
-            # Epoch-less stand-in: no way to diff — rebuild everything.
-            current_names = {t.name for t in self.source}
-            changed = set(old) | current_names
-        else:
-            current = epochs_of()
-            current_names = set(current)
-            changed = {
-                name
-                for name in set(old) | current_names
-                if old.get(name, _ABSENT) != current.get(name, _ABSENT)
-            }
+        current = self.source.table_epochs()
+        # an epoch is a tuple, so ``None`` can only mean "table absent"
+        changed = {
+            name
+            for name in set(old) | set(current)
+            if old.get(name) != current.get(name)
+        }
         cur = self.connection.cursor()
         for name in changed:
             exists = name in old
-            live = name in current_names
+            live = name in current
             if exists and live:
                 table = self.source.table(name)
                 if self._table_schemas.get(name) == self._schema_signature(
@@ -515,7 +505,7 @@ class SQLiteBackend:
                 ):
                     cur.execute(f"DELETE FROM {_quote_ident(name)}")
                     self._insert_rows(cur, table)
-                    self._table_epochs[name] = getattr(table, "epoch", None)
+                    self._table_epochs[name] = table.epoch
                 else:
                     cur.execute(f"DROP TABLE IF EXISTS {_quote_ident(name)}")
                     self._create_table(cur, table)

@@ -236,11 +236,6 @@ class DissociationEngine:
         statistics over untouched relations stay warm (mirroring the
         memory cache's per-table ``validate()``).
         """
-        if (
-            self._sqlite is not None
-            and self._sqlite.source_version != self.db.version
-        ):
-            self._sqlite.refresh()
         if self._sqlite is None:
             self._sqlite = SQLiteBackend(
                 self.db,
@@ -249,15 +244,13 @@ class DissociationEngine:
                 fault_injector=self.faults,
             )
             self._sqlite.observer = self.observer
+        else:
+            self._sqlite.refresh()  # a no-op unless the version moved
         return self._sqlite
 
     def invalidate_sqlite(self) -> None:
-        """Drop the materialized SQLite copy.
-
-        Called automatically by :attr:`sqlite` when the database's
-        version token moves; mutations that bypass version tracking can
-        still invalidate explicitly.
-        """
+        """Drop the materialized SQLite copy (closing a session does);
+        a moved database only ever *refreshes* it, see :attr:`sqlite`."""
         if self._sqlite is not None:
             registry = self._sqlite._view_registry
             if registry is not None:
@@ -280,26 +273,20 @@ class DissociationEngine:
         long-lived cache that survives across queries and is dropped
         automatically when the database's version token moves.
         """
-        if db is not self.db:
-            cache = EvaluationCache(
-                db,
-                max_plans=self.cache_size,
-                join_ordering=self.join_ordering,
-                dp_threshold=self.join_dp_threshold,
-            )
-            cache.observer = self.observer
+        cache = self._memory_cache if db is self.db else None
+        if cache is not None and cache.db is db:
+            cache.validate()
             return cache
-        if self._memory_cache is None or self._memory_cache.db is not db:
-            self._memory_cache = EvaluationCache(
-                db,
-                max_plans=self.cache_size,
-                join_ordering=self.join_ordering,
-                dp_threshold=self.join_dp_threshold,
-            )
-            self._memory_cache.observer = self.observer
-        else:
-            self._memory_cache.validate()
-        return self._memory_cache
+        cache = EvaluationCache(
+            db,
+            max_plans=self.cache_size,
+            join_ordering=self.join_ordering,
+            dp_threshold=self.join_dp_threshold,
+        )
+        cache.observer = self.observer
+        if db is self.db:
+            self._memory_cache = cache
+        return cache
 
     def cache_stats(self) -> dict:
         """Hit/miss/eviction counters of the active backend's Opt.-2 cache.
@@ -474,13 +461,9 @@ class DissociationEngine:
         The staleness token for anything derived from evaluating
         ``query`` on the current database: it moves iff one of the
         query's own tables is mutated, dropped, re-added, or tainted
-        by :meth:`ProbabilisticDatabase.touch`. Databases without the
-        epoch API fall back to their whole version token.
+        by :meth:`ProbabilisticDatabase.touch`.
         """
-        vector = getattr(self.db, "epoch_vector", None)
-        if vector is not None:
-            return vector(query.relations)
-        return getattr(self.db, "version", None)
+        return self.db.epoch_vector(query.relations)
 
     def evaluate_batch(
         self,

@@ -230,7 +230,7 @@ class EvaluationCache:
         # shared encoded tables may predate a mutation the parent has
         # not validated away yet, and a fresh token would hide it.
         self._token = (
-            _db_token(db) if _share_with is None else _share_with._token
+            db.version if _share_with is None else _share_with._token
         )
 
     def validate(self) -> None:
@@ -239,34 +239,23 @@ class EvaluationCache:
         Per-table, not all-or-nothing: when the database token moved,
         only encoded tables whose epochs differ are re-encoded and only
         plan results touching a changed relation are dropped — a write
-        to ``R`` leaves every ``S⋈T`` plan result warm. Databases
-        without the epoch API fall back to the old clear-everything
-        behaviour.
+        to ``R`` leaves every ``S⋈T`` plan result warm.
         """
         with self._lock:
-            token = _db_token(self.db)
+            token = self.db.version
             if token == self._token:
                 return
-            epochs = _table_epochs(self.db)
-            if epochs is None:
-                self._tables.clear()
-                self._plans.clear()
-            else:
-                for name, entry in list(self._tables.items()):
-                    if entry[0] != epochs.get(name):
-                        del self._tables[name]
-                self._plans.remove_where(
-                    lambda _plan, entry: any(
-                        epochs.get(r) != ep for r, ep in entry[0]
-                    ),
-                    count=None,
-                )
+            epochs = self.db.table_epochs()
+            for name, entry in list(self._tables.items()):
+                if entry[0] != epochs.get(name):
+                    del self._tables[name]
+            self._plans.remove_where(
+                lambda _plan, entry: any(
+                    epochs.get(r) != ep for r, ep in entry[0]
+                ),
+                count=None,
+            )
             self._token = token
-
-    @property
-    def epoch(self):
-        """The database version token this cache's contents belong to."""
-        return self._token
 
     def plan_scope(self) -> "EvaluationCache":
         """A cache sharing encodings but with a fresh plan-result memo."""
@@ -304,7 +293,7 @@ class EvaluationCache:
     def store_plan(self, plan: Plan, result: "_Columnar") -> None:
         if self.max_plans == 0:
             return
-        vector = _epoch_vector(self.db, plan.relations())
+        vector = self.db.epoch_vector(plan.relations())
         self._plans.put(plan, (vector, result))
 
     def cache_stats(self) -> dict:
@@ -334,7 +323,7 @@ class EvaluationCache:
         """The relation ``name`` as interned code columns + score column."""
         with self._lock:
             table = self.db.table(name)
-            epoch = getattr(table, "epoch", None)
+            epoch = table.epoch
             entry = self._tables.get(name)
             if entry is not None and entry[0] == epoch:
                 return entry[1]
@@ -358,26 +347,6 @@ class EvaluationCache:
             encoded = (tuple(columns), scores)
             self._tables[name] = (epoch, encoded)
             return encoded
-
-
-def _db_token(db: ProbabilisticDatabase):
-    # ``version`` distinguishes snapshots of a mutable database; fall back
-    # to a constant for duck-typed stand-ins without version tracking.
-    return getattr(db, "version", None)
-
-
-def _table_epochs(db: ProbabilisticDatabase):
-    """Current per-table epochs, or ``None`` for epoch-less stand-ins."""
-    getter = getattr(db, "table_epochs", None)
-    return None if getter is None else getter()
-
-
-def _epoch_vector(db: ProbabilisticDatabase, relations) -> tuple:
-    """Sorted ``(relation, epoch)`` pairs (``None`` epochs for stand-ins)."""
-    getter = getattr(db, "epoch_vector", None)
-    if getter is not None:
-        return getter(relations)
-    return tuple((name, None) for name in sorted(set(relations)))
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,8 @@
 
 This is the original dict-of-tuples interpreter that shipped with the
 repository seed, preserved verbatim (modulo the ``_min`` error class) as
-
-* the ground truth the vectorized columnar engine in
-  :mod:`repro.engine.extensional` is property-tested against, and
-* the "before" side of the PR benchmarks (``benchmarks/bench_pr1.py``),
-  so the speedup of the columnar engine stays measurable in-repo.
+the ground truth the vectorized columnar engine in
+:mod:`repro.engine.extensional` is property-tested against.
 
 It is *not* wired into :class:`repro.engine.DissociationEngine`; use the
 public ``evaluate_plan`` / ``plan_scores`` for production evaluation.

@@ -20,6 +20,7 @@ from .protocol import (
     FrameDecoder,
     FrameTooLarge,
     MAX_FRAME_BYTES,
+    MalformedPayload,
     PROTOCOL_VERSION,
     ProtocolError,
     TruncatedFrame,
@@ -36,6 +37,7 @@ __all__ = [
     "FrameDecoder",
     "FrameTooLarge",
     "MAX_FRAME_BYTES",
+    "MalformedPayload",
     "MutationRecorder",
     "PROTOCOL_VERSION",
     "ProcessWorkerPool",

@@ -64,6 +64,7 @@ from ..service import (
 from .protocol import (
     BadMagic,
     FrameDecoder,
+    MalformedPayload,
     PROTOCOL_VERSION,
     ProtocolError,
     config_digest,
@@ -292,7 +293,9 @@ class RemoteSession:
                     break
                 try:
                     payloads = decoder.feed(data)
-                except BadMagic:
+                except (BadMagic, MalformedPayload):
+                    # a response is lost and nothing says whose: fail
+                    # every pending request now, not after its timeout
                     break
                 except ProtocolError as exc:
                     payloads = list(getattr(exc, "decoded", []))
@@ -300,10 +303,11 @@ class RemoteSession:
                     self._deliver(payload)
         except OSError:
             pass
-        self._fail_pending(
-            ServiceClosed(f"connection to {self.url} lost"), sock
-        )
-        sock.close()
+        finally:
+            self._fail_pending(
+                ServiceClosed(f"connection to {self.url} lost"), sock
+            )
+            sock.close()
 
     def _deliver(self, payload) -> None:
         if not isinstance(payload, dict):
@@ -488,10 +492,13 @@ class RemoteSession:
         self,
         queries: Sequence["ConjunctiveQuery | str"],
         optimizations: Optimizations | None = None,
+        timeout: "float | None" = None,
     ) -> list[EvaluationResult]:
-        """Pipeline a batch over the one connection (submit, then gather)."""
+        """Pipeline a batch over the one connection (submit, then gather);
+        ``timeout`` is :meth:`submit`'s deadline, applied to each query."""
         return self.gather(
-            [self.submit(query, optimizations) for query in queries]
+            [self.submit(query, optimizations, timeout) for query in queries],
+            timeout,
         )
 
     def scores(

@@ -44,6 +44,9 @@ Error taxonomy (all subclass :class:`ProtocolError`):
 * :class:`ChecksumMismatch` — payload bytes (head or block) corrupt in
   flight. The frame is dropped; the stream stays aligned and the
   connection survives.
+* :class:`MalformedPayload` — the checksum holds but the head is not
+  JSON (or a body follows a non-object head): the peer's encoder is at
+  fault, not the transport. Dropped like a checksum failure.
 
 Scores cross the wire as raw IEEE-754 doubles, so every one arrives
 bit-identical — the ≤1e-12 client/server differential holds with zero
@@ -71,6 +74,7 @@ __all__ = [
     "BadMagic",
     "FrameTooLarge",
     "ChecksumMismatch",
+    "MalformedPayload",
     "encode_frame",
     "decode_frame",
     "FrameDecoder",
@@ -117,6 +121,10 @@ class ChecksumMismatch(ProtocolError):
     """A frame's payload failed its CRC-32 — corrupt in flight."""
 
 
+class MalformedPayload(ProtocolError):
+    """A checksum-valid payload that is not ``JSON head [+ body]``."""
+
+
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
@@ -147,8 +155,13 @@ def _decode_payload(data: bytes, crc: int) -> object:
             f"payload CRC mismatch on a {len(data)}-byte frame"
         )
     head, _, body = data.partition(b"\n")
-    payload = json.loads(head)
+    try:
+        payload = json.loads(head)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedPayload(f"frame head is not JSON: {exc}") from None
     if body:
+        if not isinstance(payload, dict):
+            raise MalformedPayload("a frame body needs a JSON object head")
         payload["result"] = body
     return payload
 
@@ -192,7 +205,7 @@ class FrameDecoder:
 
     * an oversized frame's payload is skipped byte-for-byte (the length
       prefix is trusted for alignment even when the size is refused);
-    * a checksum failure drops only the corrupt frame.
+    * a checksum failure or a malformed payload drops only that frame.
 
     Both raise their typed error exactly once, then the stream
     continues at the next frame boundary. :class:`BadMagic` is not
@@ -250,7 +263,7 @@ class FrameDecoder:
             del self._buffer[:end]
             try:
                 decoded.append(_decode_payload(data, crc))
-            except ChecksumMismatch as exc:
+            except (ChecksumMismatch, MalformedPayload) as exc:
                 error = exc
         if error is not None:
             error.decoded = decoded  # type: ignore[attr-defined]

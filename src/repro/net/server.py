@@ -259,21 +259,24 @@ class ReproServer:
                 if not data:
                     break
                 fatal = False
-                try:
-                    payloads = decoder.feed(data)
-                except BadMagic as exc:
-                    payloads = list(getattr(exc, "decoded", []))
-                    await self._send_protocol_error(writer, exc)
-                    fatal = True
-                except ProtocolError as exc:
-                    # FrameTooLarge / ChecksumMismatch: typed error
-                    # frame, stream stays aligned, connection survives
-                    payloads = list(getattr(exc, "decoded", []))
-                    await self._send_protocol_error(writer, exc)
-                for payload in payloads:
-                    task = asyncio.ensure_future(respond(payload))
-                    inflight.add(task)
-                    task.add_done_callback(inflight.discard)
+                while data is not None:
+                    try:
+                        payloads, data = decoder.feed(data), None
+                    except BadMagic as exc:
+                        payloads, data = exc.decoded, None
+                        await self._send_protocol_error(writer, exc)
+                        fatal = True
+                    except ProtocolError as exc:
+                        # FrameTooLarge / ChecksumMismatch /
+                        # MalformedPayload: typed error frame, stream
+                        # stays aligned, connection survives — go on
+                        # with the frames buffered behind the bad one
+                        payloads, data = exc.decoded, b""
+                        await self._send_protocol_error(writer, exc)
+                    for payload in payloads:
+                        task = asyncio.ensure_future(respond(payload))
+                        inflight.add(task)
+                        task.add_done_callback(inflight.discard)
                 if fatal:
                     break
         except (ConnectionResetError, BrokenPipeError, OSError):
@@ -398,13 +401,12 @@ class ReproServer:
         timeout = request.get("timeout")
         future = self.pool.submit(query, opts, timeout=timeout)
         result = await asyncio.wrap_future(future)
-        # keyed under the epoch the evaluation actually ran against —
-        # a racing mutation can only produce a *newer*, correct entry
-        store_epoch = result.epoch if result.epoch is not None else epoch
         self.observer.inc("net.encodes")
         body = result_to_wire(result)
+        # keyed under the epoch the evaluation actually ran against —
+        # a racing mutation can only produce a *newer*, correct entry
         self.wire_cache.put(
-            ("wire", key_text, opts_wire, self.digest, store_epoch), body
+            ("wire", key_text, opts_wire, self.digest, result.epoch), body
         )
         return {"result": body, "cached": False}
 

@@ -5,8 +5,8 @@ through the service, the engine, and the SQLite backend — all behind a
 no-op default (``faults=None``: not a single extra branch on the hot
 path beyond one ``is not None`` check). Rules are matched
 deterministically ("raise X on the Nth call", "raise X whenever the
-context satisfies this predicate, at most k times"), so chaos tests and
-the ``bench_pr6`` chaos arm replay bit-identically run after run.
+context satisfies this predicate, at most k times"), so chaos tests
+replay bit-identically run after run.
 
 Hook points and where they fire
 -------------------------------

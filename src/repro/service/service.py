@@ -403,7 +403,7 @@ class DissociationService:
         restores the bit-identical pre-mutation state — no epoch moves,
         every warm cache stays valid — and ``rolled_back_mutations``
         counts it. Only when the rollback cannot be certified (``fn``
-        wrote around the tracked API) does the ``touch()`` taint fire,
+        wrote around the tracked API) does the database taint itself,
         bumping every table's epoch so no cache can serve the
         half-applied state; ``tainted_mutations`` counts those.
         """
@@ -429,20 +429,10 @@ class DissociationService:
                     )
                 self._state.wait()
             try:
-                txn = getattr(self.db, "mutate", None)
-                if txn is not None:
-                    return txn(fn, faults=self.faults)
-                try:  # epoch-less stand-in databases: legacy taint path
-                    return fn(self.db)
-                except BaseException:
-                    self.metrics.inc("service.mutations.tainted")
-                    taint = getattr(self.db, "touch", None)
-                    if taint is not None:
-                        taint()
-                    raise
+                return self.db.mutate(fn, faults=self.faults)
             except BaseException:
                 # mutation serialization makes last_mutation ours
-                outcome = getattr(self.db, "last_mutation", None)
+                outcome = self.db.last_mutation
                 if outcome is not None:
                     if outcome.tainted:
                         self.metrics.inc("service.mutations.tainted")

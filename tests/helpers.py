@@ -8,6 +8,7 @@ property-based suites.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 from repro.api import EngineConfig, Session
@@ -253,6 +254,13 @@ def assert_backends_agree(
         for session in sessions:
             session.close()
     return reference
+
+
+def shm_segments() -> set[str]:
+    """Names of this package's shared-memory segments alive right now."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("repro_")}
 
 
 def close(a: float, b: float, tolerance: float = 1e-9) -> bool:

@@ -11,6 +11,7 @@ the counters prove it.
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 
 import numpy as np
@@ -25,12 +26,14 @@ from repro import (
     parse_query,
 )
 from repro.db.database import ProbabilisticDatabase
+from repro.db.shm import SharedSnapshotManager, attach_snapshot
 from repro.db.sqlite_backend import SQLiteBackend
+from repro.engine.semijoin import reduce_database
 from repro.engine.stats import StatisticsCatalog
 from repro.workloads import chain_database, chain_query
 from repro.workloads.stars import ANCHOR, star_database, star_query
 
-from .helpers import assert_scores_close
+from .helpers import assert_scores_close, shm_segments
 
 ALL_PLANS = Optimizations(single_plan=False, reuse_views=True)
 
@@ -94,6 +97,58 @@ class TestTableEpochs:
         db.drop_table("S")
         db.add_table("S", [((5,), 0.5), ((6,), 0.75)])
         assert db.version != v1
+
+
+# ----------------------------------------------------------------------
+# the epoch API is the contract of every database the stack is handed
+# ----------------------------------------------------------------------
+CONTRACT_QUERY = chain_query(4)
+
+
+def _contract_source() -> ProbabilisticDatabase:
+    return chain_database(4, 30, seed=5)
+
+
+@contextlib.contextmanager
+def _attached_snapshot():
+    with SharedSnapshotManager(_contract_source()) as manager:
+        snapshot = attach_snapshot(manager.export())
+        try:
+            yield snapshot
+        finally:
+            snapshot.close()
+
+
+DATABASE_PRODUCERS = {
+    "plain": lambda: contextlib.nullcontext(_contract_source()),
+    "snapshot": _attached_snapshot,
+    "reduced": lambda: contextlib.nullcontext(
+        reduce_database(CONTRACT_QUERY, _contract_source())
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(DATABASE_PRODUCERS))
+def test_every_database_producer_implements_the_epoch_api(producer):
+    expected = DissociationEngine(_contract_source()).evaluate(
+        CONTRACT_QUERY, ALL_PLANS
+    )
+    before = shm_segments()
+    with DATABASE_PRODUCERS[producer]() as db:
+        hash(db.version)
+        names = db.table_names
+        epochs = db.table_epochs()
+        assert set(epochs) == set(names) == set(CONTRACT_QUERY.relations)
+        for name in names:
+            assert db.table(name).epoch == epochs[name] == db.table_epoch(name)
+        shuffled = list(reversed(names)) + names[:1]
+        assert db.epoch_vector(shuffled) == tuple(
+            (name, epochs[name]) for name in sorted(names)
+        )
+        result = DissociationEngine(db).evaluate(CONTRACT_QUERY, ALL_PLANS)
+        assert result.epoch == db.epoch_vector(CONTRACT_QUERY.relations)
+        assert_scores_close(result.scores, expected.scores, 1e-12)
+    assert shm_segments() == before
 
 
 # ----------------------------------------------------------------------

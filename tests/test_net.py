@@ -4,6 +4,7 @@ shared-memory snapshots, and the multi-process pool."""
 from __future__ import annotations
 
 import gc
+import inspect
 import os
 import signal
 import socket
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from repro.net import (
     ChecksumMismatch,
     FrameDecoder,
     FrameTooLarge,
+    MalformedPayload,
     RemoteSession,
     TruncatedFrame,
     decode_frame,
@@ -50,7 +53,7 @@ from repro.net.protocol import (
 )
 from repro.obs import merge_snapshots
 
-from .helpers import ALL_OPTIMIZATION_COMBOS
+from .helpers import ALL_OPTIMIZATION_COMBOS, shm_segments
 
 
 def sample_database() -> ProbabilisticDatabase:
@@ -65,6 +68,19 @@ def sample_database() -> ProbabilisticDatabase:
     )
     db.add_table("T", [((1,), 0.25), ((2,), 0.84)], columns=("b",))
     return db
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """``payload`` under a valid header and checksum, JSON or not."""
+    header = _HEADER.pack(
+        _MAGIC, PROTOCOL_VERSION, len(payload), zlib.crc32(payload)
+    )
+    return header + payload
+
+
+#: checksum-valid payloads no encoder of ours produces: not JSON, not
+#: UTF-8, and a body after a head that is no JSON object
+MALFORMED_PAYLOADS = [b"not json", b'"\xff"', b"[1]\nBODY"]
 
 
 QUERIES = [
@@ -139,6 +155,24 @@ class TestFraming:
         with pytest.raises(ChecksumMismatch) as info:
             decoder.feed(good + bytes(corrupt))
         assert info.value.decoded == [{"id": 1}]
+
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+    def test_malformed_payload_is_typed_and_drops_only_that_frame(
+        self, payload
+    ):
+        with pytest.raises(MalformedPayload):
+            decode_frame(raw_frame(payload))
+        decoder = FrameDecoder()
+        stream = (
+            encode_frame({"id": 1})
+            + raw_frame(payload)
+            + encode_frame({"id": 3})
+        )
+        with pytest.raises(MalformedPayload) as info:
+            decoder.feed(stream)
+        assert info.value.decoded == [{"id": 1}]
+        # the stream stays aligned: the frame behind it still decodes
+        assert decoder.feed(b"") == [{"id": 3}]
 
     def test_wire_query_key_stable_under_renaming(self):
         a = parse_query("q(x) :- R(x), S(x,y)")
@@ -392,6 +426,27 @@ class TestDifferential:
             assert [r.scores for r in many] == [
                 r.scores for r in results
             ]
+            # the per-batch deadline passes through, as on a Session
+            timed = remote.evaluate_many(QUERIES, timeout=20.0)
+            assert [r.scores for r in timed] == [r.scores for r in many]
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "evaluate",
+            "submit",
+            "evaluate_many",
+            "scores",
+            "mutate",
+            "stats",
+            "trace",
+            "close",
+        ],
+    )
+    def test_remote_session_takes_the_parameters_session_takes(self, method):
+        local = inspect.signature(getattr(Session, method))
+        remote = inspect.signature(getattr(RemoteSession, method))
+        assert list(remote.parameters) == list(local.parameters)
 
     def test_stats_trace_and_metrics_ops(self):
         db = sample_database()
@@ -471,6 +526,23 @@ class TestLiveProtocolErrors:
                 # same connection, next frame is served normally
                 sock.sendall(encode_frame({"id": 2, "op": "ping"}))
                 (pong,) = self._recv_frames(sock, 1)
+                assert pong["ok"] and pong["pong"] and pong["id"] == 2
+
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+    def test_malformed_payload_gets_typed_error_then_the_pong(self, payload):
+        db = sample_database()
+        with serve(db, EngineConfig(), port=0) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port)
+            ) as sock:
+                # one write: the ping sits buffered behind the bad frame
+                sock.sendall(
+                    raw_frame(payload)
+                    + encode_frame({"id": 2, "op": "ping"})
+                )
+                error, pong = self._recv_frames(sock, 2)
+                assert error["ok"] is False and error["id"] is None
+                assert error["error"]["kind"] == "MalformedPayload"
                 assert pong["ok"] and pong["pong"] and pong["id"] == 2
 
     def test_oversized_frame_survives_on_the_wire(self):
@@ -664,9 +736,6 @@ class TestProcessPool:
 
     @pytest.mark.parametrize("stop", ["kill <pid>", "group-wide Ctrl-C"])
     def test_signals_stop_workers_and_unlink_segments(self, stop):
-        def segments():
-            return {n for n in os.listdir("/dev/shm") if n.startswith("repro_")}
-
         def stat(pid):  # [state, ppid, ...] from /proc, None once gone
             try:
                 with open(f"/proc/{pid}/stat") as handle:
@@ -674,7 +743,7 @@ class TestProcessPool:
             except OSError:
                 return None
 
-        before = segments()
+        before = shm_segments()
         child = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--processes", "2"],
@@ -692,7 +761,7 @@ class TestProcessPool:
                 for pid in filter(str.isdigit, os.listdir("/proc"))
                 if (stat(pid) or [None, None])[1] == str(child.pid)
             ]
-            assert len(children) >= 2 and segments() - before
+            assert len(children) >= 2 and shm_segments() - before
             if stop == "kill <pid>":
                 child.send_signal(signal.SIGTERM)
             else:  # the workers get it too, and must sit it out
@@ -703,7 +772,7 @@ class TestProcessPool:
             while time.monotonic() < deadline and any(map(stat, children)):
                 time.sleep(0.05)
             assert [p for p in children if (stat(p) or "Z")[0] != "Z"] == []
-            assert segments() == before
+            assert shm_segments() == before
         finally:
             try:
                 os.killpg(child.pid, signal.SIGKILL)
@@ -786,6 +855,58 @@ class TestClientLifecycle:
             }
         finally:
             remote.close()
+
+    def test_malformed_response_fails_pending_requests_at_once(self):
+        # a stand-in server whose encoder is broken: it answers the
+        # hello, then replies to the next request with bytes that pass
+        # the checksum but are not a payload
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def broken_server() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                decoder = FrameDecoder()
+                for reply in ("hello", "garbage"):
+                    requests = []
+                    while not requests:
+                        requests = decoder.feed(conn.recv(65536))
+                    if reply == "garbage":
+                        conn.sendall(raw_frame(b"not json"))
+                        break
+                    conn.sendall(
+                        encode_frame(
+                            {
+                                "id": requests[0]["id"],
+                                "ok": True,
+                                "protocol": PROTOCOL_VERSION,
+                                "digest": "d",
+                                "backend": "memory",
+                            }
+                        )
+                    )
+                conn.recv(65536)  # hold the line until the client hangs up
+
+        thread = threading.Thread(target=broken_server, daemon=True)
+        thread.start()
+        try:
+            remote = RemoteSession(f"repro://127.0.0.1:{port}", timeout=30.0)
+            try:
+                started = time.monotonic()
+                future = remote.submit(QUERIES[0])
+                with pytest.raises(ServiceClosed):
+                    future.result(timeout=10.0)
+                assert time.monotonic() - started < 10.0
+                # the reader closed its socket on the way out
+                remote._reader.join(timeout=5.0)
+                assert not remote._reader.is_alive()
+                assert remote._sock is None and not remote._pending
+            finally:
+                remote.close()
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
 
     def test_closed_session_raises_typed(self):
         db = sample_database()

@@ -628,6 +628,31 @@ class TestMutationFailure:
             # the tainted epochs
             assert service.evaluate(q).epoch == db.epoch_vector(q.relations)
 
+    def test_failed_mutations_are_counted_once_each_by_kind(self):
+        db, _ = small_world()
+
+        def tracked_half_apply(d):
+            d.insert("R1", (999_991, 999_992), 0.5)
+            raise ValueError("mutation failed midway")
+
+        def counters(service):
+            stats = service.stats()
+            return (
+                stats["rolled_back_mutations"],
+                stats["tainted_mutations"],
+                stats["mutations"],
+            )
+
+        with DissociationService(db) as service:
+            with pytest.raises(ValueError):
+                service.mutate(tracked_half_apply)
+            assert counters(service) == (1, 0, 1)
+            with pytest.raises(ValueError):
+                service.mutate(self._half_apply_then_raise)
+            assert counters(service) == (1, 1, 2)
+            service.mutate(lambda d: None)
+            assert counters(service) == (1, 1, 3)
+
     def test_concurrent_mutators_do_not_deadlock_after_failure(self):
         db, q = small_world()
         with DissociationService(db) as service:
