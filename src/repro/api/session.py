@@ -172,7 +172,6 @@ class Session:
         self.results = ResultCache(max_entries=result_cache_size)
         self._closed = False
         self._service: DissociationService | None = None
-        self._engine: DissociationEngine | None = None
         # one observer for the whole stack: the engine config names it
         # for every layer; a service-only observer is honoured too
         observer = config.observer
@@ -183,6 +182,7 @@ class Session:
             self._service = DissociationService(
                 db, config, service or ServiceConfig()
             )
+            self._engine = self._service.engine
         else:
             self._engine = DissociationEngine(db, config)
         if self.observer.enabled:
@@ -206,8 +206,9 @@ class Session:
         self._closed = True
         if self._service is not None:
             self._service.close()
-        if self._engine is not None and self._engine.backend == "sqlite":
-            self._engine.invalidate_sqlite()
+        # workers released their own; this drops the closing thread's
+        # (explain() and a serial session's evaluations run in it)
+        self._engine.release()
         if self._owns_db:
             # connect(path=...) opened the durable store; closing it
             # releases the journal handle (committed state is already
@@ -225,16 +226,13 @@ class Session:
     # ------------------------------------------------------------------
     @property
     def engine(self) -> DissociationEngine:
-        """The serial engine behind the non-result surfaces.
+        """The session's one engine — the service's in concurrent mode.
 
-        In serial mode this is *the* engine; in concurrent mode it is a
-        lazily created side engine with the same config — the service's
-        worker engines stay private to their threads, so ``explain()``
-        / ``per_plan()`` / ``lineage()`` / ``exact()`` run here.
+        ``explain()`` / ``per_plan()`` / ``lineage()`` / ``exact()``
+        run on it in the calling thread, sharing the plan memo (and, on
+        the memory backend, the subplan cache) with the serving path.
         """
         self._check_open()
-        if self._engine is None:
-            self._engine = DissociationEngine(self.db, self.config)
         return self._engine
 
     @property
@@ -244,7 +242,7 @@ class Session:
 
     def _check_open(self) -> None:
         # the engine property would otherwise lazily resurrect backend
-        # resources (SQLite snapshots, side engines) close() released
+        # resources (SQLite snapshots) close() released
         if self._closed:
             raise RuntimeError("session is closed")
 
@@ -566,24 +564,17 @@ class Session:
     def stats(self) -> dict:
         """Result-cache, plan-memo, and backend statistics.
 
-        Serial sessions report their engine under ``"engine"``. In
-        concurrent mode the serving work happens on the service's
-        worker engines (see ``"service"``); the lazily created engine
-        behind ``explain()``/``lineage()``/... is reported as
-        ``"side_engine"`` so its near-zero counters cannot be misread
-        as the serving path's activity.
+        ``"engine"`` is the session's one engine in both modes: the
+        serving engine, whose counters also include what ``explain()``
+        / ``per_plan()`` did on it. Concurrent sessions add the
+        scheduling view under ``"service"``.
         """
         out: dict = {
             "concurrent": self.concurrent,
             "config": self.config,
             "result_cache": self.results.stats(),
+            "engine": self._collect_engine(),
         }
-        if self._engine is not None:
-            out["side_engine" if self.concurrent else "engine"] = {
-                "evaluations": self._engine.evaluation_count,
-                "cache": self._engine.cache_stats(),
-                "plan_memo": self._engine.plan_memo_stats(),
-            }
         if self._service is not None:
             out["service"] = self._service.stats()
         return out
@@ -612,10 +603,7 @@ class Session:
 
     def _collect_engine(self) -> dict:
         engine = self._engine
-        if engine is None:
-            return {}
         return {
-            "role": "side_engine" if self.concurrent else "engine",
             "evaluations": engine.evaluation_count,
             "cache": engine.cache_stats(),
             "plan_memo": engine.plan_memo_stats(),

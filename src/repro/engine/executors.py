@@ -1,0 +1,510 @@
+"""The two plan executors behind the engine's one batch contract.
+
+:class:`~repro.engine.DissociationEngine` enumerates and memoizes plans;
+an *executor* runs them. The contract has four members:
+
+* ``run(batch, opts)`` — ``[(query, target plans), ...]`` (the engine
+  already chose between the merged Opt.-1 plan and the separate minimal
+  plans) to ``[(scores, sql | None), ...]`` in batch order;
+* ``cache_stats()`` — cumulative counters of the Opt.-2 layer, one
+  shape for both executors;
+* ``release()`` — drop the *calling thread's* resources;
+* ``thread_bound`` — class attribute: resources belong to the thread
+  that created them, and only it may use and release them.
+
+Both executors are cheap to construct (no cache, no connection until
+first use), so every engine carries both — baselines read
+``engine.sqlite`` on memory engines, ``explain()`` runs columnar on
+SQLite ones — and ``config.backend`` only picks which one serves.
+Neither holds a reference back to the engine: a cycle would keep a
+dropped engine and its encoded tables alive until a gen-2 collection.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Mapping, Sequence
+
+from ..core.plans import Plan
+from ..core.query import ConjunctiveQuery
+from ..db.database import ProbabilisticDatabase
+from ..db.sqlite_backend import SQLiteBackend
+from .extensional import (
+    EvaluationCache,
+    plan_scores,
+    plan_scores_min_combined,
+)
+from .semijoin import reduce_database, semijoin_statements
+from .sql import SQLCompiler, StatementScope, subplan_reference_counts
+from .stats import (
+    DEFAULT_DP_THRESHOLD,
+    DEFAULT_WRITE_FACTOR,
+    MaterializationPolicy,
+    SQLiteStatisticsCatalog,
+    estimate_plan,
+)
+
+__all__ = ["MemoryExecutor", "SQLiteExecutor", "Snapshot"]
+
+#: SQLite's compound-SELECT term limit defaults to 500; chunk the
+#: all-plans min-combining union well below it.
+_MAX_UNION_BRANCHES = 100
+
+Batch = Sequence[tuple[ConjunctiveQuery, Sequence[Plan]]]
+
+
+class MemoryExecutor:
+    """Columnar in process: the pure-Python extensional evaluator."""
+
+    thread_bound = False
+
+    def __init__(self, db: ProbabilisticDatabase, config, observer) -> None:
+        self.db = db
+        self.cache_size = config.cache_size
+        self.join_ordering = config.join_ordering
+        self.dp_threshold = (
+            config.join_dp_threshold
+            if config.join_dp_threshold is not None
+            else DEFAULT_DP_THRESHOLD
+        )
+        self.observer = observer
+        #: The persistent cross-query cache of ``db`` (built on first
+        #: use). Assigning ``None`` drops it; the forked pool workers
+        #: install a pre-seeded one after every snapshot (re)attach.
+        self.cache: EvaluationCache | None = None
+
+    def cache_for(self, db: ProbabilisticDatabase) -> EvaluationCache:
+        """The persistent cross-query cache (for the executor's own ``db``).
+
+        Semi-join reduction materializes a throwaway database per call,
+        so those get a throwaway cache; the executor's database keeps
+        one long-lived cache that survives across queries and validates
+        itself per table when the database's version token moves.
+        """
+        cache = self.cache if db is self.db else None
+        if cache is not None and cache.db is db:
+            cache.validate()
+            return cache
+        cache = EvaluationCache(
+            db,
+            max_plans=self.cache_size,
+            join_ordering=self.join_ordering,
+            dp_threshold=self.dp_threshold,
+        )
+        cache.observer = self.observer
+        if db is self.db:
+            self.cache = cache
+        return cache
+
+    def run(self, batch: Batch, opts) -> list[tuple[dict, None]]:
+        out = []
+        for query, targets in batch:
+            # Cross-query sharing is the structural plan-result layer of
+            # the one persistent cache; semi-join mode reduces per query,
+            # so each query then gets a per-reduction throwaway cache.
+            db = reduce_database(query, self.db) if opts.semijoin else self.db
+            base = self.cache_for(db)
+            # Opt. 2 (view reuse) is the shared plan-result memo: with it
+            # on, one structural cache spans all plans of this call *and*
+            # — for the executor's own database — later calls. With it
+            # off, each plan gets a fresh memo scope (encoded relations
+            # are representation, not an optimization, so those stay
+            # shared either way); the DAG produced by Algorithm 2 still
+            # shares nodes within one plan.
+            if opts.single_plan:
+                cache = base if opts.reuse_views else base.plan_scope()
+                scores = plan_scores(targets[0], query, db, cache=cache)
+            else:
+                # all-plans min-combining stays columnar (one decode for
+                # the whole call instead of one per plan — the warm
+                # path's cost)
+                caches = (
+                    base
+                    if opts.reuse_views
+                    else [base.plan_scope() for _ in targets]
+                )
+                with self.observer.span("combine.min", plans=len(targets)):
+                    scores = plan_scores_min_combined(
+                        targets, query, db, caches
+                    )
+            out.append((scores, None))
+        return out
+
+    def cache_stats(self) -> dict:
+        if self.cache is not None:
+            return self.cache.cache_stats()
+        return {
+            "hits": 0,
+            "misses": 0,
+            "evictions": 0,
+            "size": 0,
+            "max_size": self.cache_size,
+        }
+
+    def release(self) -> None:
+        """Nothing is per thread: every caller shares the one cache."""
+
+
+class Snapshot:
+    """One thread's SQLite copy of the database, its temp-view registry
+    and its statistics catalog."""
+
+    __slots__ = ("backend", "registry", "catalog")
+
+    def __init__(self, backend: SQLiteBackend) -> None:
+        self.backend = backend
+        self.registry = backend.view_registry
+        self.catalog = SQLiteStatisticsCatalog(backend)
+
+
+class SQLiteExecutor:
+    """Plans compiled to SQL on a connection — one snapshot per thread.
+
+    ``sqlite3`` connections (and the temp views on them) belong to the
+    thread that opened them, so the snapshot — connection, view
+    registry, statistics catalog — is created by, kept for, and
+    released by each calling thread. A released snapshot's registry
+    counters fold into a cumulative base, so :meth:`cache_stats` keeps
+    counting across releases like the memory cache's does.
+    """
+
+    thread_bound = True
+
+    def __init__(
+        self,
+        db: ProbabilisticDatabase,
+        config,
+        observer,
+        view_namespace=None,
+        faults=None,
+    ) -> None:
+        self.db = db
+        self.cache_size = config.cache_size
+        #: The Algorithm-3 write factor in force (``None``: the default
+        #: constant); the engine's calibration installs a measured one.
+        self.write_factor = config.write_factor
+        self.observer = observer
+        self.view_namespace = view_namespace
+        self.faults = faults
+        self._lock = threading.Lock()
+        self._snapshots: dict[threading.Thread, Snapshot] = {}
+        self._released = {"hits": 0, "misses": 0, "evictions": 0}
+
+    # ------------------------------------------------------------------
+    # the per-thread snapshot
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Snapshot:
+        """The calling thread's snapshot of ``db``, created on first use.
+
+        Whenever the database's version token has moved since it was
+        built, the snapshot is *refreshed in place* — only the tables
+        whose per-table epochs moved are reloaded, and only the
+        registered subplan views scanning those tables are dropped
+        (:meth:`SQLiteBackend.refresh`), so mutating ``db`` between
+        queries can never serve stale SQLite results while views and
+        statistics over untouched relations stay warm (mirroring the
+        memory cache's per-table ``validate()``).
+        """
+        thread = threading.current_thread()
+        snapshot = self._snapshots.get(thread)
+        if snapshot is None:
+            backend = SQLiteBackend(
+                self.db,
+                view_cache_size=self.cache_size,
+                view_namespace=self.view_namespace,
+                fault_injector=self.faults,
+            )
+            backend.observer = self.observer
+            snapshot = Snapshot(backend)
+            with self._lock:
+                self._snapshots[thread] = snapshot
+        else:
+            snapshot.backend.refresh()  # a no-op unless the version moved
+        return snapshot
+
+    def live_threads(self) -> list[threading.Thread]:
+        """The threads currently holding a snapshot."""
+        with self._lock:
+            return list(self._snapshots)
+
+    def release(self) -> None:
+        """Close the calling thread's snapshot (no-op without one)."""
+        with self._lock:
+            snapshot = self._snapshots.pop(threading.current_thread(), None)
+        if snapshot is None:
+            return
+        stats = snapshot.registry.cache_stats()
+        with self._lock:
+            for key in self._released:
+                self._released[key] += stats[key]
+        # closing the connection destroys the temp views; tell the
+        # shared namespace so its live-view census stays exact
+        snapshot.registry.detach()
+        snapshot.backend.close()
+
+    def cache_stats(self, thread: threading.Thread | None = None) -> dict:
+        """Counters over every thread, or of ``thread``'s live snapshot.
+
+        The total adds the released snapshots' counters; a single
+        thread's report covers its current snapshot only (zeros once
+        that thread released it).
+        """
+        with self._lock:
+            live = dict(self._snapshots)
+            out = dict(self._released)
+        if thread is not None:
+            live = {thread: live[thread]} if thread in live else {}
+            out = dict.fromkeys(out, 0)
+        out.update(size=0, max_size=self.cache_size)
+        for snapshot in live.values():
+            stats = snapshot.registry.cache_stats()
+            for key in ("hits", "misses", "evictions", "size"):
+                out[key] += stats[key]
+        return out
+
+    # ------------------------------------------------------------------
+    # Algorithm-3 pricing
+    # ------------------------------------------------------------------
+    def plan_estimator(
+        self,
+        table_names: Mapping[str, str] | None = None,
+        stats_token: object = None,
+    ):
+        """A memoized ``Plan -> PlanEstimate`` closure for the
+        materialization policy.
+
+        Statistics come from SQL aggregates on the snapshot's own
+        connection (:class:`SQLiteStatisticsCatalog`), so a sqlite-only
+        deployment never builds in-RAM encodings of its tables just to
+        price subplans. ``table_names`` redirects scans to their
+        physical tables — semi-join mode passes the reduced ``_red_*``
+        map together with the reduction's content token
+        (``stats_token``), so reduced instances are priced with the
+        *reduced* tables' statistics instead of the base tables'
+        pessimistic upper bounds.
+        """
+        snapshot = self.snapshot()
+        backend, catalog = snapshot.backend, snapshot.catalog
+        names = dict(table_names or {})
+
+        def stats_for(relation: str):
+            physical = names.get(relation, relation)
+            # Base tables are tokened by their snapshot epoch, not the
+            # whole source version: statistics of untouched tables
+            # survive an incremental refresh.
+            token = (
+                stats_token
+                if relation in names
+                else backend.table_epoch(relation)
+            )
+            return catalog.table_stats(physical, token)
+
+        memo: dict[Plan, object] = {}
+        return lambda plan: estimate_plan(
+            plan, stats_for, catalog.code_of, memo
+        )
+
+    def explain_materialization(self, targets: Sequence[Plan]) -> list[dict]:
+        """Per shared subplan of ``targets``: references, cost estimate,
+        and whether the policy would materialize it against the calling
+        thread's current view registry."""
+        registry = self.snapshot().registry
+        estimator = self.plan_estimator()
+        policy = MaterializationPolicy(estimator=estimator)
+        decisions = []
+        for node, count in subplan_reference_counts(targets).items():
+            prior = registry.request_count(hash(node))
+            estimate = estimator(node)
+            decisions.append(
+                {
+                    "subplan": str(node),
+                    "references": count,
+                    "prior_requests": prior,
+                    "estimated_rows": estimate.rows,
+                    "estimated_cost": estimate.cost,
+                    "materialize": node in registry
+                    or policy.should_materialize(node, count, prior),
+                }
+            )
+        return decisions
+
+    # ------------------------------------------------------------------
+    # execution
+    # ------------------------------------------------------------------
+    def run(self, batch: Batch, opts) -> list[tuple[dict, str]]:
+        backend = self.snapshot().backend
+        if opts.semijoin or not opts.reuse_views:
+            # Semi-join reduction rebuilds the per-query temp tables, so
+            # those queries run back to back (their cross-query sharing
+            # happens through the content-token registry keys); without
+            # view reuse there is nothing to share by construction.
+            return [
+                self._run_query(backend, query, targets, opts)
+                for query, targets in batch
+            ]
+        compiler = SQLCompiler(
+            self.db.schema,
+            reuse_views=True,
+            native_ior=backend.has_math_functions,
+        )
+        return self._run_selective(
+            backend, compiler, batch, lambda node: node, self.plan_estimator()
+        )
+
+    def _run_query(
+        self, backend: SQLiteBackend, query, targets, opts
+    ) -> tuple[dict[tuple, float], str]:
+        table_names: dict[str, str] = {}
+        statements: list[str] = []
+        if opts.semijoin:
+            statements, table_names = semijoin_statements(
+                query, self.db.schema
+            )
+            backend.run_statements(statements)
+        compiler = SQLCompiler(
+            self.db.schema,
+            table_names=table_names,
+            reuse_views=opts.reuse_views,
+            native_ior=backend.has_math_functions,
+        )
+        if not opts.reuse_views:
+            executed: list[str] = []
+            scores: dict[tuple, float] = {}
+            for plan in targets:
+                sql = compiler.compile(plan, query)
+                executed.append(sql)
+                _merge_min(scores, _collect(backend.execute(sql), query))
+            return scores, ";\n\n".join(executed)
+        # Opt. 2 + Algorithm 3 over the per-query reduced temp tables:
+        # the views carry a content token of the reduction, so
+        # structurally identical subplans over *differently* reduced
+        # inputs can never collide while repeats of the same reduction
+        # reuse their views — and the policy prices subplans with the
+        # *reduced* tables' stats.
+        token = backend.reduction_token(statements, table_names.values())
+        [pair] = self._run_selective(
+            backend,
+            compiler,
+            [(query, targets)],
+            lambda node: (node, token),
+            self.plan_estimator(table_names, token),
+        )
+        return pair
+
+    def _run_selective(
+        self,
+        backend: SQLiteBackend,
+        compiler: SQLCompiler,
+        batch: Batch,
+        key_of,
+        estimator,
+    ) -> list[tuple[dict[tuple, float], str]]:
+        """Compile and run a batch of (query, target plans) selectively.
+
+        Opt. 2 + Algorithm 3 across statements and queries: subplans
+        worth sharing are materialized once as temp views on the
+        connection (keyed by structural plan hash, like the memory
+        cache); one-shot subplans stay inline, so the cold path never
+        pays the write cost of a view nothing else will read. The
+        policy prices the whole batch at once:
+        ``subplan_reference_counts`` spans every target of every query,
+        so a subplan shared by several queries counts all its reference
+        sites and is materialized exactly once for the batch. Each
+        query's targets then combine into per-query statements (the
+        final SELECT, or chunked ``UNION ALL`` + ``MIN``); inline
+        subplans shared *within* one statement — common join prefixes
+        and plan tops the cost gate kept out of the registry — are
+        factored into per-statement CTEs (:class:`StatementScope`), so
+        they are computed once per statement rather than once per union
+        branch.
+        """
+        registry = backend.view_registry
+        all_targets = [t for _, targets in batch for t in targets]
+        references = subplan_reference_counts(all_targets)
+        # Request history is keyed by hash, not by structural equality:
+        # repeated deep-plan comparisons would dominate the warm path,
+        # and a collision merely promotes a subplan early — the *view*
+        # registry stays structurally keyed, so correctness never
+        # depends on this map.
+        prior = {
+            node: registry.request_count(hash(key_of(node)))
+            for node in references
+        }
+        for node in references:
+            registry.note_request(hash(key_of(node)))
+        policy = MaterializationPolicy(
+            estimator=estimator,
+            write_factor=(
+                self.write_factor
+                if self.write_factor is not None
+                else DEFAULT_WRITE_FACTOR
+            ),
+            observer=self.observer,
+        )
+
+        def decide(node: Plan) -> bool:
+            return policy.should_materialize(
+                node, references.get(node, 1), prior.get(node, 0)
+            )
+
+        out: list[tuple[dict[tuple, float], str]] = []
+        # The outer pin scope keeps every view alive until the combining
+        # SELECTs have run (pin_scope is re-entrant); the LRU cap is
+        # enforced when it exits.
+        with registry.pin_scope():
+            for query, targets in batch:
+                executed: list[str] = []
+                scores: dict[tuple, float] = {}
+                for start in range(0, len(targets), _MAX_UNION_BRANCHES):
+                    chunk = list(targets[start : start + _MAX_UNION_BRANCHES])
+                    scope = StatementScope(
+                        subplan_reference_counts(chunk, include_joins=True)
+                    )
+                    compiled: list[str] = []
+                    for plan in chunk:
+                        created, ref = compiler.compile_selective(
+                            plan, registry, decide, key_of=key_of, scope=scope
+                        )
+                        executed.extend(created)
+                        compiled.append(ref)
+                    if len(chunk) == 1:
+                        sql = compiler.select_statement(
+                            compiled[0], query, scope=scope
+                        )
+                    else:
+                        # min-combine the per-answer scores inside the
+                        # engine with UNION ALL + MIN instead of one
+                        # fetch-and-merge round trip per plan
+                        sql = compiler.min_union_sql(
+                            compiled, query, scope=scope
+                        )
+                    executed.append(sql)
+                    if self.observer.enabled and scope.cte_count:
+                        self.observer.inc(
+                            "sql.ctes_shared", scope.cte_count
+                        )
+                    _merge_min(
+                        scores, _collect(backend.execute(sql), query)
+                    )
+                out.append((scores, ";\n\n".join(executed)))
+        return out
+
+
+def _merge_min(
+    into: dict[tuple, float], update: Mapping[tuple, float]
+) -> None:
+    for answer, score in update.items():
+        previous = into.get(answer)
+        if previous is None or score < previous:
+            into[answer] = score
+
+
+def _collect(rows: list[tuple], query: ConjunctiveQuery) -> dict[tuple, float]:
+    width = len(query.head_order)
+    out: dict[tuple, float] = {}
+    for row in rows:
+        probability = row[width]
+        if probability is None:
+            continue  # empty Boolean aggregate
+        out[tuple(row[:width])] = probability
+    return out

@@ -19,8 +19,7 @@ temp views (``dissoc_<structural-hash>`` tables managed by a
 :class:`~repro.db.sqlite_backend.SQLiteViewRegistry`), shared by all
 plans of an "all plans" evaluation and by later queries on the same
 connection, while one-shot subplans stay inline and never pay the
-temp-table write cost. :meth:`SQLCompiler.materialize` is the
-materialize-everything predecessor, kept for the ablation benchmarks.
+temp-table write cost.
 
 The compiler also produces the deterministic baselines of Sec. 5:
 ``deterministic_sql`` (``SELECT DISTINCT`` of the answers) and
@@ -337,69 +336,6 @@ class SQLCompiler:
         """The final ``SELECT`` over a compiled reference (view or inline)."""
         prefix = scope.with_clause() if scope is not None else ""
         return prefix + self._final_select(reference, query)
-
-    def materialize_reference(self, plan: Plan, registry) -> tuple[list[str], str]:
-        """Materialize ``plan`` through a registry of shared views.
-
-        Projection and ``min`` nodes are looked up in ``registry`` (a
-        :class:`~repro.db.sqlite_backend.SQLiteViewRegistry`) by their
-        structural hash; missing ones are materialized bottom-up as
-        ``CREATE TEMP TABLE dissoc_<structural-hash> AS ...`` on the
-        registry's connection, known ones are referenced by name without
-        recomputation — Optimization 2 across statements and across
-        queries. Scans stay inline (the base tables *are* their
-        materialization) and joins stay inline too: a join's output is
-        the bulkiest intermediate and always feeds exactly one grouped
-        node, so storing it would pay its full write cost for no reuse —
-        the duplicate-eliminating projection above it is the natural
-        (and far smaller) view boundary, as in the paper's Sec. 4.2.
-
-        Returns ``(executed DDL statements, reference)`` where the
-        reference is the top view's name, or an inline subquery when the
-        plan's top is itself a scan or join. Runs inside
-        ``registry.pin_scope()`` so LRU eviction can never drop a view
-        that a pending DDL statement references.
-
-        The registry must not be combined with per-query scan
-        redirection (``table_names``): materialized views snapshot their
-        input, so views over the semi-join-reduced temp tables of one
-        query would silently be reused for the next query's differently
-        reduced tables.
-        """
-        if not self._reuse_views:
-            raise ValueError("materialize() requires reuse_views=True")
-        if self._table_names:
-            raise ValueError(
-                "materialize() cannot be used with table_names overrides; "
-                "per-query reduced tables must not leak across queries"
-            )
-        created: list[str] = []
-
-        def reference(node: Plan) -> str:
-            if isinstance(node, Scan):
-                return "(\n" + self._scan_sql(node) + "\n)"
-            if isinstance(node, Join):
-                return "(\n" + self._join_sql(node, reference) + "\n)"
-            name = registry.lookup(node)
-            if name is None:
-                sql = self._node_sql(node, reference)
-                name, ddl = registry.register(node, sql)
-                created.append(ddl)
-            return name
-
-        with registry.pin_scope():
-            top = reference(plan)
-        return created, top
-
-    def materialize(self, plan: Plan, query: ConjunctiveQuery, registry) -> tuple[list[str], str]:
-        """:meth:`materialize_reference` shaped into a final ``SELECT``.
-
-        Returns ``(executed DDL statements, final SELECT)``; only the
-        SELECT remains to be run (inside the caller's ``pin_scope`` if
-        an LRU cap may evict the top view first).
-        """
-        created, top = self.materialize_reference(plan, registry)
-        return created, self._final_select(top, query)
 
     def min_union_sql(
         self,

@@ -55,6 +55,7 @@ from ..core.safety import UnsafeQueryError
 from ..engine import EvaluationResult, Optimizations
 from ..obs import StatsLRU
 from ..service import (
+    Deadline,
     RequestTimeout,
     RetryPolicy,
     ServiceClosed,
@@ -291,16 +292,20 @@ class RemoteSession:
                 data = sock.recv(65536)
                 if not data:
                     break
-                try:
-                    payloads = decoder.feed(data)
-                except (BadMagic, MalformedPayload):
-                    # a response is lost and nothing says whose: fail
-                    # every pending request now, not after its timeout
-                    break
-                except ProtocolError as exc:
-                    payloads = list(getattr(exc, "decoded", []))
-                for payload in payloads:
-                    self._deliver(payload)
+                while data is not None:
+                    try:
+                        payloads, data = decoder.feed(data), None
+                    except (BadMagic, MalformedPayload):
+                        # a response is lost and nothing says whose: fail
+                        # every pending request now, not after its timeout
+                        return
+                    except ProtocolError as exc:
+                        # a dropped frame left the stream aligned: go on
+                        # with the responses already buffered behind it
+                        # instead of waiting for the server's next byte
+                        payloads, data = exc.decoded, b""
+                    for payload in payloads:
+                        self._deliver(payload)
         except OSError:
             pass
         finally:
@@ -484,9 +489,20 @@ class RemoteSession:
         futures: Sequence["Future[EvaluationResult]"],
         timeout: "float | None" = None,
     ) -> list[EvaluationResult]:
-        """Resolve a batch of :meth:`submit` futures, in order."""
+        """Resolve a batch of :meth:`submit` futures, in order.
+
+        ``timeout`` (default: the session's) is one *overall* monotonic
+        budget shared by all the futures, as in
+        :meth:`~repro.service.DissociationService.gather`.
+        """
         wait = self.timeout if timeout is None else timeout
-        return [future.result(wait) for future in futures]
+        if wait is None:
+            return [future.result() for future in futures]
+        deadline = Deadline.after(wait)
+        return [
+            future.result(max(deadline.remaining(), 0.0))
+            for future in futures
+        ]
 
     def evaluate_many(
         self,

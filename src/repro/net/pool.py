@@ -42,7 +42,6 @@ from ..core.parser import parse_query
 from ..core.safety import UnsafeQueryError
 from ..db.shm import SharedSnapshotManager, attach_snapshot, seed_cache
 from ..engine import DissociationEngine, Optimizations
-from ..engine.extensional import EvaluationCache
 from ..obs import MetricsRegistry
 from ..service import ServiceClosed, WorkerCrashed
 from .protocol import optimizations_from_wire, wire_optimizations
@@ -72,19 +71,15 @@ def _reseed(engine: DissociationEngine, snapshot) -> None:
 
     Fresh on purpose: worker-local constant interning may have appended
     codes past the parent's value list, and a later generation could
-    assign those codes to different values — rebuilding the interner
-    wholesale (see :func:`repro.db.shm.seed_cache`) plus dropping the
-    plan memo removes every object that could reference a stale code.
+    assign those codes to different values — dropping the cache and
+    rebuilding the interner wholesale (see
+    :func:`repro.db.shm.seed_cache`) removes every object that could
+    reference a stale code. The plan memo stays: plans hold constants,
+    not codes.
     """
-    cache = EvaluationCache(
-        snapshot,
-        max_plans=engine.cache_size,
-        join_ordering=engine.join_ordering,
-        dp_threshold=engine.join_dp_threshold,
-    )
-    cache.observer = engine.observer
-    seed_cache(cache, snapshot)
-    engine._memory_cache = cache
+    executor = engine.memory_executor
+    executor.cache = None
+    seed_cache(executor.cache_for(snapshot), snapshot)
 
 
 def _worker_main(conn, meta, config) -> None:

@@ -15,14 +15,13 @@ from .resilience import (
     is_transient_error,
 )
 from .service import DissociationService
-from .session import EngineSession, SessionPool, SharedViewNamespace
+from .session import SharedViewNamespace
 
 __all__ = [
     "BatchDAGStats",
     "BatchPlanDAG",
     "Deadline",
     "DissociationService",
-    "EngineSession",
     "FaultInjector",
     "FaultRule",
     "MicroBatcher",
@@ -31,7 +30,6 @@ __all__ = [
     "RetryPolicy",
     "ServiceClosed",
     "ServiceOverloaded",
-    "SessionPool",
     "SharedViewNamespace",
     "WorkerCrashed",
     "is_transient_error",

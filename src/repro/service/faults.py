@@ -11,9 +11,9 @@ replay bit-identically run after run.
 Hook points and where they fire
 -------------------------------
 ``"session"``
-    :meth:`~repro.service.session.SessionPool._new_engine` — worker
-    session construction (the crash that used to strand every future a
-    worker would ever have served).
+    The top of the service worker loop, once per worker thread before
+    it serves anything (context: the thread name) — the start-up crash
+    that used to strand every future a worker would ever have served.
 ``"worker"``
     The service worker loop, once per dequeued batch *before*
     processing — an exception here kills the worker thread itself

@@ -5,8 +5,8 @@
 any number of threads (or through the async front end) and receive
 futures; an admission controller coalesces concurrent submissions into
 micro-batches of optimization-compatible queries; each batch is merged
-into one cross-query subplan DAG and handed to a worker session's
-engine, whose batch entry point evaluates every distinct structural
+into one cross-query subplan DAG and handed by a worker thread to the
+service's one engine, whose batch entry point evaluates every distinct structural
 subplan exactly once for the batch and fans the per-query results back
 out to all requesters. Identical concurrent queries therefore cost one
 evaluation, and overlapping ones share their common join prefixes and
@@ -54,7 +54,7 @@ from .resilience import (
     ServiceClosed,
     WorkerCrashed,
 )
-from .session import EngineSession, SessionPool, SharedViewNamespace
+from .session import SharedViewNamespace
 
 __all__ = ["DissociationService", "ServiceOverloaded"]
 
@@ -67,11 +67,11 @@ class DissociationService:
     db:
         The shared tuple-independent probabilistic database.
     config:
-        The worker engines' frozen :class:`~repro.api.EngineConfig`
-        (backend, cache sizes, join ordering, ...). ``None`` uses the
-        defaults. ``config.backend == "memory"`` shares one thread-safe
-        engine across all workers; ``"sqlite"`` gives each worker its
-        own engine + connection over a shared temp-view namespace.
+        The engine's frozen :class:`~repro.api.EngineConfig` (backend,
+        cache sizes, join ordering, ...). ``None`` uses the defaults.
+        All workers share one engine (one plan memo) on either backend;
+        on SQLite each worker thread holds its own connection over the
+        shared temp-view namespace and releases it when it exits.
     service:
         The serving-layer knobs as a frozen
         :class:`~repro.api.ServiceConfig` — worker count,
@@ -83,7 +83,7 @@ class DissociationService:
         does not pass its own.
     faults:
         Optional :class:`~repro.service.faults.FaultInjector` threaded
-        through the session pool, the worker engines, the SQLite
+        through the worker loops, the engine, the SQLite
         backend, and the transactional mutation path — the
         deterministic chaos-testing hook. ``None`` (the default) is a
         no-op.
@@ -143,11 +143,21 @@ class DissociationService:
         self.collect_dag_stats = service.collect_dag_stats
         self.faults = faults
         self.namespace = SharedViewNamespace()
-        self._pool = SessionPool(
-            db, config, namespace=self.namespace, faults=faults
+        #: The one engine every worker evaluates on.
+        self.engine = DissociationEngine(
+            db, config, view_namespace=self.namespace, faults=faults
         )
-        if service.calibrate:
-            self._pool.calibrate()
+        if (
+            service.calibrate
+            and self.engine.runs_sql
+            and config.write_factor is None
+        ):
+            try:
+                self.engine.calibrate_write_factor()
+            finally:
+                # measured on this thread's connection, which serves
+                # no batches
+                self.engine.release()
         self._batcher = MicroBatcher(
             max_batch_size=service.max_batch_size,
             max_batch_delay=service.max_batch_delay,
@@ -168,6 +178,8 @@ class DissociationService:
         self._threads: list[threading.Thread] = []
         self._live_workers: set[threading.Thread] = set()
         self._in_flight: dict[threading.Thread, list[QueryRequest]] = {}
+        #: worker thread -> [batches, queries] it served
+        self._served: dict[threading.Thread, list[int]] = {}
         self._wedged: list[str] = []
         self._worker_seq = 0
         self._worker_restarts = 0
@@ -242,7 +254,6 @@ class DissociationService:
         for thread in wedged:
             for request in self._take_in_flight(thread):
                 self._deliver(request.future, exception=closed_exc)
-        self._pool.close()
 
     def __enter__(self) -> "DissociationService":
         return self
@@ -458,6 +469,7 @@ class DissociationService:
         )
         self._threads.append(thread)
         self._live_workers.add(thread)
+        self._served[thread] = [0, 0]
         thread.start()
         return thread
 
@@ -473,7 +485,9 @@ class DissociationService:
                 self._live_workers.discard(thread)
 
     def _worker_loop(self, thread: threading.Thread) -> None:
-        session = self._pool.session()
+        if self.faults is not None:
+            self.faults.fire("session", thread.name)
+        served = self._served[thread]
         try:
             while True:
                 batch = self._batcher.next_batch()
@@ -490,14 +504,16 @@ class DissociationService:
                         self._state.wait()
                     self._active_batches += 1
                 try:
-                    self._process(session, batch)
+                    self._process(served, batch)
                 finally:
                     with self._state:
                         self._active_batches -= 1
                         self._state.notify_all()
                 self._set_in_flight(thread, None)
         finally:
-            session.close()
+            # thread-bound executor resources (SQLite connections) can
+            # only be closed by the thread that opened them
+            self.engine.release()
 
     def _on_worker_crash(
         self, thread: threading.Thread, exc: BaseException
@@ -604,9 +620,7 @@ class DissociationService:
         except InvalidStateError:
             pass
 
-    def _process(
-        self, session: EngineSession, batch: list[QueryRequest]
-    ) -> None:
+    def _process(self, served: list[int], batch: list[QueryRequest]) -> None:
         live: list[QueryRequest] = []
         for request in batch:
             if not self._mark_running(request.future):
@@ -629,13 +643,14 @@ class DissociationService:
                 # in it) records into each member trace, parented to
                 # that trace's own submit-side span
                 with self.observer.activate(members):
-                    results = self._run_batch(session, queries, opts, live)
+                    results = self._run_batch(queries, opts, live)
             else:
-                results = self._run_batch(session, queries, opts, live)
+                results = self._run_batch(queries, opts, live)
         except BaseException as exc:  # noqa: BLE001 - delivered to callers
-            self._isolate(session, live, opts, exc)
+            self._isolate(served, live, opts, exc)
             return
-        session.record(len(live))
+        served[0] += 1
+        served[1] += len(live)
         self.metrics.inc("service.batches")
         self.metrics.inc("service.queries", len(live))
         self.metrics.inc(f"service.batch_occupancy.{len(live)}")
@@ -645,7 +660,6 @@ class DissociationService:
 
     def _run_batch(
         self,
-        session: EngineSession,
         queries: Sequence[ConjunctiveQuery],
         opts: Optimizations,
         live: list[QueryRequest],
@@ -657,8 +671,8 @@ class DissociationService:
             worker=threading.current_thread().name,
         ):
             if self.collect_dag_stats:
-                self._record_dag(session.engine, queries, opts)
-            return session.engine.evaluate_batch(queries, opts)
+                self._record_dag(queries, opts)
+            return self.engine.evaluate_batch(queries, opts)
 
     def _resume_traces(
         self, live: list[QueryRequest]
@@ -700,7 +714,7 @@ class DissociationService:
 
     def _isolate(
         self,
-        session: EngineSession,
+        served: list[int],
         live: list[QueryRequest],
         opts: Optimizations,
         batch_exc: BaseException,
@@ -722,7 +736,7 @@ class DissociationService:
             self._deliver(live[0].future, exception=batch_exc)
             return
         self.metrics.inc("service.batch_retries")
-        served = 0
+        delivered = 0
         for request in live:
             if request.future.done():
                 continue
@@ -731,25 +745,24 @@ class DissociationService:
                 continue
             try:
                 result = self._retry_policy.run(
-                    lambda: session.engine.evaluate(request.query, opts),
+                    lambda: self.engine.evaluate(request.query, opts),
                     deadline=request.deadline,
                 )
             except BaseException as exc:  # noqa: BLE001 - delivered
                 self.metrics.inc("service.poison_queries")
                 self._deliver(request.future, exception=exc)
             else:
-                served += 1
+                delivered += 1
                 self._deliver(request.future, result=result)
-        if served:
-            session.record(served)
-            self.metrics.inc("service.queries", served)
+        if delivered:
+            served[0] += 1
+            served[1] += delivered
+            self.metrics.inc("service.queries", delivered)
 
     def _record_dag(
-        self,
-        engine: DissociationEngine,
-        queries: Sequence[ConjunctiveQuery],
-        opts: Optimizations,
+        self, queries: Sequence[ConjunctiveQuery], opts: Optimizations
     ) -> None:
+        engine = self.engine
         distinct: list[ConjunctiveQuery] = []
         seen: set[tuple] = set()
         for query in queries:
@@ -800,21 +813,28 @@ class DissociationService:
             }
 
     def _collect_sessions(self) -> list[dict]:
-        """Worker-engine cache statistics for the observer snapshot.
+        """What each worker thread served, plus its own cache counters
+        where the executor keeps them per thread (else the shared ones).
 
-        Deliberately *not* :meth:`stats` itself — that reads the
-        metrics registry back, and a collector that snapshots the
-        registry it is registered on would recurse.
+        The observer collector is this, deliberately *not*
+        :meth:`stats` — that reads the metrics registry back, and a
+        collector that snapshots the registry it is registered on
+        would recurse.
         """
+        executor = self.engine.executor
+        shared = None if executor.thread_bound else executor.cache_stats()
+        plan_memo = self.engine.plan_memo_stats()  # one memo, all workers
+        with self._supervisor:
+            served = [(t, list(c)) for t, c in self._served.items()]
         return [
             {
-                "name": session.name,
-                "batches": session.batches,
-                "queries": session.queries,
-                "cache": session.engine.cache_stats(),
-                "plan_memo": session.engine.plan_memo_stats(),
+                "name": thread.name,
+                "batches": batches,
+                "queries": queries,
+                "cache": shared or executor.cache_stats(thread),
+                "plan_memo": plan_memo,
             }
-            for session in self._pool.sessions()
+            for thread, (batches, queries) in served
         ]
 
     def stats(self) -> dict:
@@ -854,15 +874,6 @@ class DissociationService:
         batch_retries = count("service.batch_retries")
         timeouts = count("service.timeouts")
         mutations = count("service.mutations")
-        sessions = [
-            {
-                "name": session.name,
-                "batches": session.batches,
-                "queries": session.queries,
-                "cache": session.engine.cache_stats(),
-            }
-            for session in self._pool.sessions()
-        ]
         with self._supervisor:
             worker_restarts = self._worker_restarts
             worker_crashes = self._worker_crashes
@@ -884,9 +895,9 @@ class DissociationService:
             "worker_restarts": worker_restarts,
             "worker_crashes": worker_crashes,
             "dag": dag,
-            "write_factor": self._pool.calibrated_write_factor,
+            "write_factor": self.engine.write_factor,
             "namespace": self.namespace.stats(),
-            "sessions": sessions,
+            "sessions": self._collect_sessions(),
         }
         if self.faults is not None:
             report["faults"] = self.faults.stats()

@@ -1,22 +1,15 @@
-"""Worker sessions: per-worker engines over one shared database.
+"""The service-wide temp-view namespace.
 
-SQLite temp tables are connection-local, so every service worker owns a
-connection of its own — yet the service should behave like *one* system:
-the same structural subplan must map to the same view name on every
-connection, and the operator should be able to see, globally, which
-subplans are materialized where. :class:`SharedViewNamespace` provides
-both: a thread-safe name authority (consistent hash → name assignment
-with coordinated collision suffixes across all sessions) plus global
+SQLite temp tables are connection-local, so every service worker thread
+holds a connection of its own (the engine's
+:class:`~repro.engine.executors.SQLiteExecutor` keeps one snapshot per
+thread) — yet the service should behave like *one* system: the same
+structural subplan must map to the same view name on every connection,
+and the operator should be able to see, globally, which subplans are
+materialized where. :class:`SharedViewNamespace` provides both: a
+thread-safe name authority (consistent hash → name assignment with
+coordinated collision suffixes across all connections) plus global
 materialization accounting.
-
-:class:`SessionPool` hands each worker thread an
-:class:`EngineSession`. For the memory backend all sessions share one
-:class:`~repro.engine.DissociationEngine` — its
-:class:`~repro.engine.extensional.EvaluationCache` is thread-safe and
-structural sharing then spans the whole service. For the SQLite backend
-each session lazily builds its own engine (and connection) on first use
-*in its worker thread*, wired to the pool's shared namespace and, when
-calibration is enabled, to the write factor measured once at startup.
 """
 
 from __future__ import annotations
@@ -24,11 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Hashable
 
-from ..api.config import EngineConfig
-from ..db.database import ProbabilisticDatabase
-from ..engine import DissociationEngine
-
-__all__ = ["SharedViewNamespace", "EngineSession", "SessionPool"]
+__all__ = ["SharedViewNamespace"]
 
 
 class SharedViewNamespace:
@@ -125,129 +114,3 @@ class SharedViewNamespace:
                 "materializations": self.materializations,
                 "evictions": self.evictions,
             }
-
-
-class EngineSession:
-    """One worker's engine handle plus per-session counters."""
-
-    def __init__(
-        self, name: str, engine: DissociationEngine, shared: bool = False
-    ) -> None:
-        self.name = name
-        self.engine = engine
-        #: True when the engine is the pool's shared memory engine —
-        #: then closing the session must not tear the engine down
-        self.shared = shared
-        self.batches = 0
-        self.queries = 0
-
-    def record(self, batch_size: int) -> None:
-        self.batches += 1
-        self.queries += batch_size
-
-    def close(self) -> None:
-        """Release backend resources — called *from the owning thread*.
-
-        SQLite connections must be closed by the thread that created
-        them, so the worker loop calls this in its own ``finally``
-        instead of the pool tearing sessions down from outside.
-        """
-        if not self.shared and self.engine.backend == "sqlite":
-            self.engine.invalidate_sqlite()
-
-
-class SessionPool:
-    """Thread-local :class:`EngineSession` factory for service workers.
-
-    ``session()`` returns the calling thread's session, creating it on
-    first use — which, for SQLite, is what guarantees the connection is
-    born in the thread that will use it (the stdlib ``sqlite3`` default
-    of ``check_same_thread=True`` stays intact).
-    """
-
-    def __init__(
-        self,
-        db: ProbabilisticDatabase,
-        config: EngineConfig | None = None,
-        namespace: SharedViewNamespace | None = None,
-        faults=None,
-    ) -> None:
-        self.db = db
-        self.config = config or EngineConfig()
-        self.backend = self.config.backend
-        self.namespace = namespace or SharedViewNamespace()
-        #: Optional :class:`~repro.service.faults.FaultInjector` threaded
-        #: into every engine this pool builds (``"session"`` hook here).
-        self.faults = faults
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._sessions: list[EngineSession] = []
-        self._shared_engine: DissociationEngine | None = None
-        #: write factor measured at service startup; installed on every
-        #: sqlite session created afterwards
-        self.calibrated_write_factor: float | None = None
-
-    def _new_engine(self) -> DissociationEngine:
-        if self.faults is not None:
-            self.faults.fire("session", threading.current_thread().name)
-        config = self.config
-        namespace = None
-        if self.backend == "sqlite":
-            namespace = self.namespace
-            if (
-                self.calibrated_write_factor is not None
-                and config.write_factor is None
-            ):
-                config = config.replace(
-                    write_factor=self.calibrated_write_factor
-                )
-        return DissociationEngine(
-            self.db, config, view_namespace=namespace, faults=self.faults
-        )
-
-    def calibrate(self, sample_rows: int = 4096) -> float | None:
-        """Measure the write factor once (sqlite only) for all sessions."""
-        if self.backend != "sqlite":
-            return None
-        probe = DissociationEngine(
-            self.db, EngineConfig(backend="sqlite")
-        )
-        try:
-            self.calibrated_write_factor = probe.calibrate_write_factor(
-                sample_rows
-            )
-        finally:
-            probe.invalidate_sqlite()
-        return self.calibrated_write_factor
-
-    def session(self) -> EngineSession:
-        found = getattr(self._local, "session", None)
-        if found is not None:
-            return found
-        with self._lock:
-            shared = self.backend == "memory"
-            if shared:
-                # one shared engine: the thread-safe EvaluationCache makes
-                # structural sharing span every worker of the service
-                if self._shared_engine is None:
-                    self._shared_engine = self._new_engine()
-                engine = self._shared_engine
-            else:
-                engine = self._new_engine()
-            session = EngineSession(
-                f"worker-{len(self._sessions)}", engine, shared=shared
-            )
-            self._sessions.append(session)
-        self._local.session = session
-        return session
-
-    def sessions(self) -> list[EngineSession]:
-        with self._lock:
-            return list(self._sessions)
-
-    def close(self) -> None:
-        """Forget the sessions (engines are closed by their own workers)."""
-        with self._lock:
-            self._sessions.clear()
-            self._shared_engine = None
-        self._local = threading.local()

@@ -94,8 +94,8 @@ class TestEvaluationCache:
         db = random_database_for(q, rng, domain_size=3)
         engine = DissociationEngine(db)
         first = engine.propagation_score(q)
-        assert engine._memory_cache is not None
-        cached_plans = len(engine._memory_cache._plans)
+        assert engine.memory_executor.cache is not None
+        cached_plans = len(engine.memory_executor.cache._plans)
         assert cached_plans > 0
         second = engine.propagation_score(q)
         _assert_equal_scores(first, second, "repeat evaluation")

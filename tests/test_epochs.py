@@ -335,7 +335,7 @@ class TestDisjointWriteEvictsNothing:
             engine = session.engine
             evaluations = engine.evaluation_count
             if backend == "memory":
-                cache = engine._cache_for(db)
+                cache = engine.memory_executor.cache_for(db)
                 recomputations = cache.statistics.recomputations
             else:
                 registry = engine.sqlite.view_registry
@@ -361,10 +361,8 @@ class TestDisjointWriteEvictsNothing:
                 views_mid = registry.cache_stats()
                 assert views_mid["invalidations"] == 0
                 assert views_mid["size"] >= views_before["size"]
-                stats_catalog = engine._sqlite_stats
-                recomputations = (
-                    stats_catalog.recomputations if stats_catalog else None
-                )
+                stats_catalog = engine.sqlite_executor.snapshot().catalog
+                recomputations = stats_catalog.recomputations
                 # another disjoint write, then a repeat: the refresh
                 # must leave the query's views and statistics alone
                 session.mutate(

@@ -137,4 +137,4 @@ class TestBaselines:
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
         _ = engine.sqlite
         engine.invalidate_sqlite()
-        assert engine._sqlite is None
+        assert engine.sqlite_executor.live_threads() == []

@@ -663,7 +663,7 @@ class TestSharedSnapshots:
                 engine = repro.DissociationEngine(snap)
                 cache = EvaluationCache(snap)
                 seed_cache(cache, snap)
-                engine._memory_cache = cache
+                engine.memory_executor.cache = cache
                 assert engine.evaluate(query).scores == baseline
             finally:
                 snap.close()
@@ -907,6 +907,93 @@ class TestClientLifecycle:
             listener.close()
             thread.join(timeout=5.0)
             assert not thread.is_alive()
+
+    def test_response_buffered_behind_a_dropped_frame_is_not_stalled(self):
+        # a stand-in server that answers two pipelined pings in ONE
+        # write: a frame with a flipped payload byte (request 1's
+        # response, dropped as a checksum mismatch), then a valid pong
+        # for request 2 — which must not wait for the server's next byte
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def pong(request: dict) -> bytes:
+            return encode_frame(
+                {
+                    "id": request["id"],
+                    "ok": True,
+                    "pong": True,
+                    "protocol": PROTOCOL_VERSION,
+                    "digest": "d",
+                    "backend": "memory",
+                }
+            )
+
+        def flaky_server() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                decoder = FrameDecoder()
+                requests: list = []
+
+                def read(count: int) -> list:
+                    while len(requests) < count:
+                        data = conn.recv(65536)
+                        if not data:
+                            return []
+                        requests.extend(decoder.feed(data))
+                    taken, requests[:] = requests[:count], requests[count:]
+                    return taken
+
+                conn.sendall(pong(read(1)[0]))  # the hello
+                first, second = read(2)
+                corrupt = bytearray(pong(first))
+                corrupt[-1] ^= 0xFF
+                conn.sendall(bytes(corrupt) + pong(second))
+                while True:  # later traffic is answered normally
+                    later = read(1)
+                    if not later:
+                        return
+                    conn.sendall(pong(later[0]))
+
+        thread = threading.Thread(target=flaky_server, daemon=True)
+        thread.start()
+        try:
+            with RemoteSession(f"repro://127.0.0.1:{port}") as remote:
+                first = remote._send({"op": "ping"})
+                second = remote._send({"op": "ping"})
+                assert second.result(timeout=0.5)["pong"]
+                # request 1's response was the corrupt frame: nothing
+                # says whose it was, so it fails by its own timeout only
+                with pytest.raises(TimeoutError):
+                    first.result(timeout=0.2)
+                assert remote.ping()
+                assert remote.reconnects == 0
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+    def test_gather_timeout_is_one_overall_budget(self):
+        from concurrent.futures import Future
+
+        db = sample_database()
+        with serve(db, EngineConfig(), port=0) as server:
+            with RemoteSession(server.url) as remote:
+                futures = [Future() for _ in range(3)]
+                timers = [
+                    threading.Timer(delay, future.set_result, args=(delay,))
+                    for delay, future in zip((0.15, 0.30, 0.45), futures)
+                ]
+                for timer in timers:
+                    timer.start()
+                started = time.monotonic()
+                try:
+                    # per-future timeouts would return all three at 0.45s
+                    with pytest.raises(TimeoutError):
+                        remote.gather(futures, timeout=0.2)
+                    assert time.monotonic() - started < 0.3
+                finally:
+                    for timer in timers:
+                        timer.join()
 
     def test_closed_session_raises_typed(self):
         db = sample_database()

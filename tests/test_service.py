@@ -23,13 +23,14 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.api import EngineConfig, ServiceConfig
+from repro.api import EngineConfig, ServiceConfig, connect
 from repro.core.query import ConjunctiveQuery
 from repro.core.parser import parse_query
 from repro.engine import DissociationEngine, Optimizations
 from repro.service import (
     BatchPlanDAG,
     DissociationService,
+    FaultInjector,
     MicroBatcher,
     QueryRequest,
     ServiceOverloaded,
@@ -718,3 +719,94 @@ class TestRegressions:
         for i in range(100, 150):
             namespace.name_for(i, f"key-{i}")
         assert namespace.name_for(999, "live-key") == live_name
+
+
+# ----------------------------------------------------------------------
+# one engine per deployment (both backends)
+# ----------------------------------------------------------------------
+class TestOneEnginePerDeployment:
+    SQLITE = EngineConfig(backend="sqlite", write_factor=0.0)
+
+    def test_sqlite_workers_share_one_plan_memo(self):
+        """Six query shapes, 24 submissions from two threads over two
+        worker connections: each shape is enumerated once per flavour."""
+        full, queries = overlapping_mix()
+        queries.append(subchain(full, 1, 5))
+        db = chain_database(5, 20, seed=31, p_max=0.5)
+        serial = DissociationEngine(db, self.SQLITE)
+        expected = {q: serial.propagation_score(q) for q in queries}
+        serial.release()
+        observed: list = []
+        with connect(
+            db,
+            self.SQLITE,
+            concurrent=True,
+            service=ServiceConfig(workers=2),
+            result_cache_size=0,  # every submission reaches the engine
+        ) as session:
+
+            def client(order) -> None:
+                for query in order * 2:
+                    observed.append((query, session.evaluate(query).scores))
+
+            clients = [
+                threading.Thread(target=client, args=(order,))
+                for order in (queries, queries[::-1])
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            stats = session.stats()
+        assert len(observed) == 4 * len(queries)
+        for query, scores in observed:
+            assert_scores_close(scores, expected[query], 1e-12)
+        assert stats["engine"]["evaluations"] == 4 * len(queries)
+        # the default optimizations use two flavours: the minimal plans
+        # (plan count) and the merged single plan (the target)
+        assert stats["engine"]["plan_memo"]["misses"] == 2 * len(queries)
+
+    def test_sqlite_workers_release_their_own_connections(self):
+        """After close() — and after a worker holding a connection was
+        killed and replaced — no temp view and no snapshot is left."""
+        db = chain_database(3, 20, seed=32, p_max=0.5)
+        query = chain_query(3, boolean=True)
+        faults = FaultInjector()
+        service = DissociationService(
+            db, self.SQLITE, ServiceConfig(workers=2), faults=faults
+        )
+        executor = service.engine.sqlite_executor
+        # kill the first worker that comes back for a batch *with* a
+        # connection of its own
+        faults.when(
+            "worker",
+            lambda _batch: threading.current_thread()
+            in executor.live_threads(),
+            RuntimeError("worker killed"),
+            times=1,
+        )
+        with service:
+            for _ in range(6):
+                assert service.evaluate(query, ALL_PLANS).scores
+            assert service.health()["worker_restarts"] == 1
+            assert service.namespace.stats()["live_views"] > 0
+            assert executor.live_threads()
+        assert service.namespace.stats()["live_views"] == 0
+        assert executor.live_threads() == []
+        # the released connections' counters were folded, not lost
+        assert service.engine.cache_stats()["misses"] > 0
+
+    def test_concurrent_session_has_exactly_one_engine(self):
+        db = chain_database(3, 20, seed=33, p_max=0.5)
+        with connect(
+            db,
+            self.SQLITE,
+            concurrent=True,
+            service=ServiceConfig(workers=2),
+        ) as session:
+            handle = session.query(chain_query(3), ALL_PLANS)
+            assert handle.explain()["materialization"]
+            assert handle.exact()
+            assert session.engine is session.service.engine
+            assert "engine" in session.stats()
+        assert session.service.engine.sqlite_executor.live_threads() == []

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import EngineConfig
 from repro.core import parse_query
 from repro.db import ProbabilisticDatabase, SQLiteBackend, SQLiteViewRegistry
-from repro.engine import DissociationEngine, Optimizations, SQLCompiler
+from repro.engine import DissociationEngine, Optimizations
 
 from .helpers import (
     assert_backends_agree,
@@ -102,21 +102,6 @@ class TestRegistryUnit:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             SQLiteViewRegistry(self._backend().connection, max_views=-1)
-
-    def test_materialize_requires_reuse_and_no_redirection(self):
-        db = ProbabilisticDatabase()
-        db.add_table("R", [((1, 2), 0.5)])
-        q = parse_query("q() :- R(x, y)")
-        (plan,) = DissociationEngine(db).minimal_plans(q)
-        registry = SQLiteBackend(db).view_registry
-        with pytest.raises(ValueError):
-            SQLCompiler(db.schema, reuse_views=False).materialize(
-                plan, q, registry
-            )
-        with pytest.raises(ValueError):
-            SQLCompiler(
-                db.schema, table_names={"R": "_red_R"}
-            ).materialize(plan, q, registry)
 
 
 class TestEngineViewReuse:
@@ -280,13 +265,13 @@ class TestSQLiteLifecycle:
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
         q = parse_query("q(x) :- R(x)")
         engine.propagation_score(q)
-        first = engine._sqlite
+        first = engine.sqlite
         db.table("R").insert((2,), 0.25)
         # the snapshot is refreshed in place — same backend object and
         # connection, with the mutated table reloaded
         scores = engine.propagation_score(q)
-        assert engine._sqlite is first
-        assert engine._sqlite.source_version == db.version
+        assert engine.sqlite is first
+        assert first.source_version == db.version
         assert set(scores) == {(1,), (2,)}
 
 

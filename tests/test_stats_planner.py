@@ -456,7 +456,7 @@ class TestSQLiteStatisticsCatalog:
         engine.propagation_score(q, Optimizations())
         # pricing went through SQL aggregates: the memory-side cache
         # (and with it the encoded copies of every table) was never built
-        assert engine._memory_cache is None
+        assert engine.memory_executor.cache is None
 
 
 class TestReducedTableStatistics:
@@ -482,10 +482,10 @@ class TestReducedTableStatistics:
         statements, table_names = semijoin_statements(q, db.schema)
         backend.run_statements(statements)
         token = backend.reduction_token(statements, table_names.values())
-        reduced = engine._plan_estimator(
+        reduced = engine.sqlite_executor.plan_estimator(
             table_names=table_names, stats_token=token
         )
-        base = engine._plan_estimator()
+        base = engine.sqlite_executor.plan_estimator()
         scan = Scan(q.atoms[0])
         assert base(scan).rows == pytest.approx(200.0)
         assert reduced(scan).rows == pytest.approx(1.0)
