@@ -37,7 +37,7 @@ class Atom:
         disjoint from the atom's own variables.
     """
 
-    __slots__ = ("relation", "terms", "dissociated", "_vars")
+    __slots__ = ("relation", "terms", "dissociated", "_own", "_vars")
 
     def __init__(
         self,
@@ -64,6 +64,7 @@ class Atom:
                 f"already occur in atom {relation}"
             )
         self.dissociated: frozenset[Variable] = diss
+        self._own: frozenset[Variable] = own
         # All variables the atom *structurally* contains (own + dissociated).
         self._vars: frozenset[Variable] = own | diss
 
@@ -73,7 +74,7 @@ class Atom:
     @property
     def own_variables(self) -> frozenset[Variable]:
         """Variables genuinely occurring in the stored relation's columns."""
-        return frozenset(t for t in self.terms if isinstance(t, Variable))
+        return self._own
 
     @property
     def variables(self) -> frozenset[Variable]:

@@ -226,18 +226,19 @@ class Join(Plan):
     as a multiset.
     """
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_head", "_hash")
 
     def __init__(self, parts: Sequence[Plan]) -> None:
         parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("a join needs at least two children")
         self.parts = parts
+        self._head = frozenset().union(*(p.head_variables for p in parts))
         self._hash: int | None = None
 
     @property
     def head_variables(self) -> frozenset[Variable]:
-        return frozenset().union(*(p.head_variables for p in self.parts))
+        return self._head
 
     def children(self) -> tuple[Plan, ...]:
         return self.parts

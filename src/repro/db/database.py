@@ -43,6 +43,7 @@ class Table:
         "_version",
         "_creation_stamp",
         "_fingerprint",
+        "_epoch_pair",
     )
 
     def __init__(
@@ -56,6 +57,7 @@ class Table:
         self._version = 0
         self._creation_stamp = creation_stamp
         self._fingerprint = 0
+        self._epoch_pair = (schema.name, (creation_stamp, 0))
         if rows:
             for row, p in rows.items():
                 self.insert(row, p)
@@ -151,7 +153,28 @@ class Table:
         keys per-relation state by this pair, never by the mutation
         counter alone.
         """
-        return (self._creation_stamp, self._version)
+        return self.epoch_pair[1]
+
+    @property
+    def epoch_pair(self) -> tuple[str, tuple[int, int]]:
+        """``(name, epoch)`` — one shared object per table epoch.
+
+        Epoch vectors are made of these, and every cached subplan and
+        result retains its vector, so handing out the same pair until
+        the table moves keeps that bookkeeping from being copied per
+        entry. Self-validating: the pair is rebuilt when its stamp or
+        counter no longer match the table's, so the sites that write
+        ``_version`` (insert, delete, rollback restore, ``touch()``)
+        need no invalidation call.
+        """
+        pair = self._epoch_pair
+        stamp, version = pair[1]
+        if stamp != self._creation_stamp or version != self._version:
+            pair = self._epoch_pair = (
+                self.schema.name,
+                (self._creation_stamp, self._version),
+            )
+        return pair
 
     def probability(self, row: Sequence) -> float:
         return self.rows.get(tuple(row), 0.0)
@@ -760,8 +783,10 @@ class ProbabilisticDatabase:
         mutated, dropped, re-added, or touched in between. Relations
         absent from the database appear with epoch ``None``.
         """
+        tables = self._tables
         return tuple(
-            (name, self.table_epoch(name)) for name in sorted(set(relations))
+            tables[name].epoch_pair if name in tables else (name, None)
+            for name in sorted(set(relations))
         )
 
     # ------------------------------------------------------------------

@@ -249,7 +249,7 @@ class SnapshotTable:
         "columns",
         "scores",
         "_segment",
-        "_epoch",
+        "epoch_pair",
         "_rows",
         "_values",
     )
@@ -259,7 +259,8 @@ class SnapshotTable:
         self.columns = columns
         self.scores = scores
         self._segment = segment
-        self._epoch = epoch
+        #: ``(name, epoch)``, shared by every vector (see ``Table``)
+        self.epoch_pair = (schema.name, epoch)
         self._rows = None
         self._values = values
 
@@ -273,7 +274,7 @@ class SnapshotTable:
 
     @property
     def epoch(self) -> tuple[int, int]:
-        return self._epoch
+        return self.epoch_pair[1]
 
     @property
     def rows(self) -> dict:
@@ -411,8 +412,10 @@ class SnapshotDatabase:
         return {name: t.epoch for name, t in self._tables.items()}
 
     def epoch_vector(self, relations: Iterable[str]) -> tuple:
+        tables = self._tables
         return tuple(
-            (name, self.table_epoch(name)) for name in sorted(set(relations))
+            tables[name].epoch_pair if name in tables else (name, None)
+            for name in sorted(set(relations))
         )
 
     def close(self) -> None:

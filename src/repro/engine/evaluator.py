@@ -20,10 +20,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..api.config import EngineConfig
-from ..core.canonical import canonical_form, rename_plan, schema_flags
+from ..core.canonical import bind_plans, canonical_shape, schema_flags
 from ..core.minplans import minimal_plans
 from ..core.plans import Plan
 from ..core.query import ConjunctiveQuery
@@ -101,6 +101,15 @@ class EvaluationResult:
 
 #: What ``optimizations=None`` means (frozen, so safe to share).
 _DEFAULT_OPTIMIZATIONS = Optimizations()
+
+
+class _PlanTemplate(NamedTuple):
+    """A plan-memo entry: the first-seen query of a shape, its canonical
+    numbering, and the plans enumerated for it."""
+
+    query: ConjunctiveQuery
+    numbering: "dict | None"
+    plans: tuple[Plan, ...]
 
 
 class DissociationEngine:
@@ -186,9 +195,9 @@ class DissociationEngine:
         #: engine across all worker threads.
         self.evaluation_count = 0
         self._count_lock = threading.Lock()
-        # minimal_plans/single_plan memo keyed by (flavor, canonical
-        # query key, schema flags) — plans depend on query structure and
-        # schema knowledge only, so the memo survives data mutations.
+        # minimal_plans/single_plan memo keyed by (flavor, query shape,
+        # schema flags) — plans depend on query structure and schema
+        # knowledge only, so the memo survives data mutations.
         # Storage + hit/miss/eviction counters live in the shared
         # StatsLRU core; renamed hits are a memo-specific refinement.
         self._plan_memo_lock = threading.RLock()
@@ -245,32 +254,30 @@ class DissociationEngine:
     # ------------------------------------------------------------------
     # plan-level API
     # ------------------------------------------------------------------
-    def _memoized_plans(
+    def _template(
         self, query: ConjunctiveQuery, flavor: str, schema_args=None
-    ) -> list[Plan]:
-        """Enumerate (or recall) plans for ``query``.
+    ) -> "tuple[_PlanTemplate, dict | None]":
+        """Enumerate (or recall) the plans of ``query``'s *shape*.
 
-        The memo key is ``(flavor, canonical query key, schema flags)``:
-        the canonical key (:func:`repro.core.canonical.query_key`) makes
-        repeats hit regardless of atom order, and the flags restrict
-        schema sensitivity to the query's own relations. Plans depend
-        only on query structure and schema knowledge, never on the data,
-        so the memo survives database mutations — this kills the
-        per-request enumeration cost that dominated the warm serial
-        path (~16ms on chain-7).
+        The memo key is ``(flavor, shape, schema flags)``: the shape
+        (:func:`repro.core.canonical.canonical_shape`) is the canonical
+        key with the constants taken out, so repeats hit regardless of
+        atom order, variable names and selection constants — Algorithms
+        1 and 2 ask of a term only whether it is a variable — and the
+        flags restrict schema sensitivity to the query's own relations.
+        Plans depend only on query structure and schema knowledge, never
+        on the data, so the memo survives database mutations.
 
-        An *identical* repeat gets the very plan objects of the first
-        call (bit-identical evaluation, shared structural cache keys); a
-        repeat that differs only by a variable renaming gets the
-        memoized plans renamed through the canonical numbering instead
-        of a fresh enumeration.
+        Returns ``(template, numbering)``: the memo entry of the shape —
+        which :meth:`_bind` rebuilds over any other query of the shape —
+        and ``query``'s own numbering.
         """
         deterministic, fds = schema_args or self._schema_args()
-        memo_size = self.config.plan_memo_size
-        if memo_size == 0:
-            return self._enumerate(query, flavor, deterministic, fds)
-        key0, numbering = canonical_form(query)
-        key = (flavor, key0, schema_flags(query, deterministic, fds))
+        if self.config.plan_memo_size == 0:
+            plans = self._enumerate(query, flavor, deterministic, fds)
+            return _PlanTemplate(query, None, tuple(plans)), None
+        shape, _, numbering = canonical_shape(query)
+        key = (flavor, shape, schema_flags(query, deterministic, fds))
         entry = self._plan_memo.get(key, count_miss=False)
         if entry is None:
             # one enumeration per shape however many threads ask at
@@ -279,21 +286,36 @@ class DissociationEngine:
                 entry = self._plan_memo.get(key)
                 if entry is None:
                     plans = self._enumerate(query, flavor, deterministic, fds)
-                    self._plan_memo.put(key, (query, numbering, tuple(plans)))
-                    return plans
-        stored_query, stored_numbering, plans = entry
-        if stored_query == query:
-            return list(plans)
-        # same canonical structure, different variable names: the two
-        # numberings compose into a bijection stored -> ours
-        with self._plan_memo_lock:
-            self._plan_memo_renamed += 1
+                    entry = _PlanTemplate(query, numbering, tuple(plans))
+                    self._plan_memo.put(key, entry)
+        return entry, numbering
+
+    def _bind(
+        self,
+        template: _PlanTemplate,
+        numbering: "dict | None",
+        query: ConjunctiveQuery,
+    ) -> list[Plan]:
+        """A template's plans over ``query`` (``numbering`` is its own).
+
+        The first-seen query gets the very plan objects of its
+        enumeration (bit-identical evaluation, shared structural cache
+        keys); any other query of the shape gets them rebuilt over its
+        own variables and atoms, sharing every untouched subplan.
+        """
+        if template.query == query:
+            return list(template.plans)
+        # same shape: the two numberings compose into a bijection
+        # stored -> ours
         inverse = {index: v for v, index in numbering.items()}
         mapping = {
             stored_var: inverse[index]
-            for stored_var, index in stored_numbering.items()
+            for stored_var, index in template.numbering.items()
         }
-        return [rename_plan(plan, mapping) for plan in plans]
+        if any(a != b for a, b in mapping.items()):
+            with self._plan_memo_lock:
+                self._plan_memo_renamed += 1
+        return bind_plans(template.plans, mapping, query)
 
     @staticmethod
     def _enumerate(
@@ -324,15 +346,16 @@ class DissociationEngine:
 
     def minimal_plans(self, query: ConjunctiveQuery) -> list[Plan]:
         """All minimal plans of ``query`` under the schema knowledge."""
-        return self._memoized_plans(query, "minimal")
+        return self._bind(*self._template(query, "minimal"), query)
 
     def single_plan(self, query: ConjunctiveQuery) -> Plan:
         """The Opt. 1 merged plan (a DAG with shared subplans)."""
-        return self._memoized_plans(query, "single")[0]
+        return self._bind(*self._template(query, "single"), query)[0]
 
     def is_safe(self, query: ConjunctiveQuery) -> bool:
         """True iff the query has a single (exact) plan under the schema."""
-        return len(self.minimal_plans(query)) == 1
+        template, _ = self._template(query, "minimal")
+        return len(template.plans) == 1
 
     # ------------------------------------------------------------------
     # dissociation evaluation
@@ -443,24 +466,30 @@ class DissociationEngine:
         per requested position (``positions[i]`` indexes ``queries``)."""
         opts = optimizations or _DEFAULT_OPTIMIZATIONS
         obs = self.observer
-        plans_of = self._memoized_plans
         schema_args = self._schema_args()  # read once for the whole call
-        epoch_per = []
+        plan_counts = []
         batch = []
         with obs.span(name, backend=self.backend, **span_meta) as span:
             with obs.span("plan.enumerate"):
-                plans_per = [
-                    plans_of(q, "minimal", schema_args) for q in queries
-                ]
-            for query, plans in zip(queries, plans_per):
-                epoch_per.append(self.query_epoch(query))
-                if opts.single_plan:
-                    plans = plans_of(query, "single", schema_args)
-                batch.append((query, plans))
+                for query in queries:
+                    # the minimal plans are always counted, and bound
+                    # only when they are what runs
+                    template, numbering = self._template(
+                        query, "minimal", schema_args
+                    )
+                    plan_counts.append(len(template.plans))
+                    if opts.single_plan:
+                        template, numbering = self._template(
+                            query, "single", schema_args
+                        )
+                    batch.append(
+                        (query, self._bind(template, numbering, query))
+                    )
+            epoch_per = [self.query_epoch(query) for query in queries]
             pairs = self.executor.run(batch, opts)
             if obs.enabled:
                 span.note(
-                    plan_count=sum(map(len, plans_per)),
+                    plan_count=sum(plan_counts),
                     answers=sum(len(scores) for scores, _ in pairs),
                 )
         elapsed = time.perf_counter() - started
@@ -484,7 +513,7 @@ class DissociationEngine:
             results.append(
                 EvaluationResult(
                     scores,
-                    len(plans_per[at]),
+                    plan_counts[at],
                     opts,
                     backend,
                     share,

@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from typing import Mapping, Sequence
 
 from repro.api import EngineConfig, Session
 from repro.core import Atom, ConjunctiveQuery, Variable
+from repro.core.fds import ColumnFD
 from repro.core.minplans import minimal_plans
 from repro.core.singleplan import single_plan
 from repro.db import ProbabilisticDatabase
@@ -85,13 +87,16 @@ def random_database_for(
     fill: float = 0.7,
     p_max: float = 0.8,
     deterministic: frozenset[str] = frozenset(),
+    fds: Mapping[str, Sequence[ColumnFD]] | None = None,
 ) -> ProbabilisticDatabase:
     """A small random instance covering the query's relations.
 
     Each relation gets each tuple of ``{1..domain}^arity`` independently
     with probability ``fill``, carrying a random marginal in
-    ``(0, p_max]``.
+    ``(0, p_max]``. Relations named in ``fds`` declare those FDs and
+    keep only rows that satisfy them (the first row per left-hand side).
     """
+    fds = fds or {}
     db = ProbabilisticDatabase()
     for atom in query.atoms:
         arity = atom.arity
@@ -107,12 +112,25 @@ def random_database_for(
             rows.append(tuple(digits))
         if not rows:
             rows = [tuple(1 for _ in range(arity))]
+        table_fds = tuple(fds.get(atom.relation, ()))
+        for fd in table_fds:
+            kept: dict[tuple, tuple] = {}
+            for row in rows:
+                kept.setdefault(tuple(row[i] for i in fd.lhs), row)
+            rows = list(kept.values())
         if atom.relation in deterministic:
-            db.add_table(atom.relation, rows, deterministic=True, arity=arity)
+            db.add_table(
+                atom.relation,
+                rows,
+                deterministic=True,
+                fds=table_fds,
+                arity=arity,
+            )
         else:
             db.add_table(
                 atom.relation,
                 [(r, rng.uniform(0.05, p_max)) for r in rows],
+                fds=table_fds,
                 arity=arity,
             )
     return db
@@ -160,6 +178,7 @@ def assert_backends_agree(
     join_ordering: str = "cost",
     compare_orderings: bool = False,
     compare_facade: bool = False,
+    primed_with: ConjunctiveQuery | None = None,
 ) -> dict[tuple, float]:
     """Differential harness: reference vs columnar vs SQLite.
 
@@ -182,6 +201,10 @@ def assert_backends_agree(
     facade adds routing and a result cache, never arithmetic. Each
     combo is queried twice, so the second call exercises the result
     cache's snapshot path as well.
+
+    With ``primed_with`` both engines enumerate that query's plans
+    first — when it has ``query``'s shape, ``query`` is then served from
+    its plan templates, while the reference enumerates afresh.
     """
     memory_config = EngineConfig(
         use_schema_knowledge=use_schema_knowledge,
@@ -195,6 +218,10 @@ def assert_backends_agree(
     )
     memory = DissociationEngine(db, memory_config)
     sqlite = DissociationEngine(db, sqlite_config)
+    if primed_with is not None:
+        for engine in (memory, sqlite):
+            engine.minimal_plans(primed_with)
+            engine.single_plan(primed_with)
     other = None
     if compare_orderings:
         other = DissociationEngine(

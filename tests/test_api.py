@@ -40,6 +40,8 @@ from repro import (
 from repro.api.keys import canonical_form, result_key
 from repro.core import Variable, rename_query
 from repro.core.canonical import rename_plan
+from repro.service import BatchPlanDAG
+from repro.workloads import chain_database
 
 from .helpers import (
     ALL_OPTIMIZATION_COMBOS,
@@ -306,6 +308,186 @@ class TestPlanMemo:
         engine.minimal_plans(q2)
         stats = engine.plan_memo_stats()
         assert stats["size"] == 1 and stats["evictions"] >= 1
+
+
+# ----------------------------------------------------------------------
+# plan templates: one enumeration per query shape, bound per request
+# ----------------------------------------------------------------------
+def param_chain(constant, k: int = 4, names: str = "x") -> str:
+    """``q(xk) :- R1(c,x1), R2(x1,x2), ..., Rk(x{k-1},xk)``."""
+    tail = ", ".join(
+        f"R{t}({names}{t - 1},{names}{t})" for t in range(2, k + 1)
+    )
+    return f"q({names}{k}) :- R1({constant},{names}1), {tail}"
+
+
+def chain_constants(db, count: int) -> list:
+    values = sorted(db.table("R1").column_values(0))
+    assert len(values) >= count
+    return values[:count]
+
+
+class TestPlanTemplates:
+    def test_fifty_constants_enumerate_once_per_flavour(self):
+        db = chain_database(4, 120, seed=5, p_max=0.5)
+        with connect(db) as session:
+            for constant in chain_constants(db, 50):
+                assert not session.evaluate(param_chain(constant)).cached
+            stats = session.stats()
+        memo = stats["engine"]["plan_memo"]
+        # two flavours per request: the minimal plans (plan count) and
+        # the merged single plan (the target)
+        assert (memo["misses"], memo["size"], memo["hits"]) == (2, 2, 98)
+        assert memo["renamed_hits"] == 0
+        assert stats["result_cache"]["hits"] == 0
+
+    @pytest.mark.parametrize(
+        "config, service",
+        [
+            (EngineConfig(), ServiceConfig(workers=4)),
+            (EngineConfig(backend="sqlite"), ServiceConfig(workers=2)),
+        ],
+        ids=["memory", "sqlite"],
+    )
+    def test_single_flight_enumeration_is_per_shape(self, config, service):
+        db = chain_database(4, 120, seed=6, p_max=0.5)
+        texts = [param_chain(c) for c in chain_constants(db, 48)]
+        observed: list = []
+        with connect(db, config, concurrent=True, service=service) as session:
+
+            def client(mine) -> None:
+                for text in mine:
+                    observed.append((text, session.evaluate(text).scores))
+
+            clients = [
+                threading.Thread(target=client, args=(texts[i::8],))
+                for i in range(8)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in clients)
+            stats = session.stats()
+        assert len(observed) == len(texts)
+        serial = DissociationEngine(db, EngineConfig(plan_memo_size=0))
+        for text, scores in observed:
+            expected = serial.propagation_score(parse_query(text))
+            assert scores.keys() == expected.keys()
+            for answer, score in expected.items():
+                assert abs(scores[answer] - score) <= 1e-12
+        assert stats["engine"]["evaluations"] == len(texts)
+        assert stats["engine"]["plan_memo"]["misses"] == 2
+
+    def test_bindings_share_constant_free_subplans_by_identity(self):
+        db = chain_database(4, 120, seed=7, p_max=0.5)
+        c1, c2, c3 = chain_constants(db, 3)
+        engine = DissociationEngine(db)
+        first = engine.single_plan(parse_query(param_chain(c1)))
+        second = engine.single_plan(parse_query(param_chain(c2)))
+        third = engine.single_plan(parse_query(param_chain(c3)))
+        template_nodes = {id(node) for node in first.walk()}
+        second_nodes = {id(node): node for node in second.walk()}
+        bound = [n for n in second_nodes.values() if "R1" in n.relations()]
+        shared = [n for n in second_nodes.values() if "R1" not in n.relations()]
+        assert bound and shared
+        # a binding never aliases a node over the parameterised atom —
+        # neither the template's nor another binding's
+        third_nodes = {id(node) for node in third.walk()}
+        for node in bound:
+            assert id(node) not in template_nodes
+            assert id(node) not in third_nodes
+        # every other subplan IS the template's (and the other binding's)
+        for node in shared:
+            assert id(node) in template_nodes and id(node) in third_nodes
+        # so the subplan cache recomputes exactly the parameterised
+        # nodes for a new constant and hits on the rest
+        engine.evaluate(parse_query(param_chain(c1)))
+        before = engine.cache_stats()
+        engine.evaluate(parse_query(param_chain(c2)))
+        after = engine.cache_stats()
+        assert after["misses"] - before["misses"] == len(bound)
+        assert after["hits"] > before["hits"]
+
+    def test_memo_capacity_counts_shapes(self, monkeypatch):
+        db = chain_database(4, 60, seed=8, p_max=0.5)
+        constants = chain_constants(db, 3)
+        long = [parse_query(param_chain(c)) for c in constants]
+        short = [parse_query(param_chain(c, k=3)) for c in constants]
+        engine = DissociationEngine(db, EngineConfig(plan_memo_size=1))
+        for query in (long[0], long[1], short[0], short[1], long[2]):
+            engine.minimal_plans(query)
+        stats = engine.plan_memo_stats()
+        # one slot, three shape changes: long, short (evicts), long again
+        assert (stats["misses"], stats["hits"]) == (3, 2)
+        assert (stats["evictions"], stats["size"]) == (2, 1)
+
+        import repro.engine.evaluator as evaluator_module
+
+        calls = []
+        original = evaluator_module.minimal_plans
+        monkeypatch.setattr(
+            evaluator_module,
+            "minimal_plans",
+            lambda *a, **k: calls.append(1) or original(*a, **k),
+        )
+        unmemoized = DissociationEngine(db, EngineConfig(plan_memo_size=0))
+        for query in (long[0], long[0], long[1]):
+            unmemoized.minimal_plans(query)
+        stats = unmemoized.plan_memo_stats()
+        assert len(calls) == 3
+        assert (stats["size"], stats["hits"], stats["misses"]) == (0, 0, 0)
+
+    def test_renamed_hits_count_variable_renamings_only(self):
+        db = chain_database(4, 60, seed=9, p_max=0.5)
+        c1, c2, c3 = chain_constants(db, 3)
+        engine = DissociationEngine(db)
+        engine.minimal_plans(parse_query(param_chain(c1)))
+        engine.minimal_plans(parse_query(param_chain(c2)))
+        assert engine.plan_memo_stats()["renamed_hits"] == 0
+        renamed = parse_query(param_chain(c3, names="y"))
+        plans = engine.minimal_plans(renamed)
+        stats = engine.plan_memo_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 2)
+        assert stats["renamed_hits"] == 1
+        assert set(plans) == set(repro.minimal_plans(renamed))
+
+    def test_service_batch_shares_the_constant_free_subplans(self):
+        db = chain_database(4, 120, seed=10, p_max=0.5)
+        distinct = [
+            parse_query(param_chain(c)) for c in chain_constants(db, 4)
+        ]
+        with DissociationService(
+            db,
+            service=ServiceConfig(
+                workers=1,
+                max_batch_size=8,
+                max_batch_delay=0.5,
+                collect_dag_stats=True,
+            ),
+        ) as service:
+            results = service.evaluate_many(distinct * 2)
+            stats = service.stats()
+            memo = service.engine.plan_memo_stats()
+            cache = service.engine.cache_stats()
+        engine = DissociationEngine(db, EngineConfig(plan_memo_size=0))
+        for query, result in zip(distinct * 2, results):
+            assert result.scores == engine.propagation_score(query)
+        assert memo["misses"] == 2
+        roots = [[engine.single_plan(query)] for query in distinct]
+        expected = BatchPlanDAG(distinct, roots).stats()
+        constant_free = sum(
+            "R1" not in node.relations()
+            for node in {id(n): n for n in roots[0][0].walk()}.values()
+        )
+        assert expected.cross_query_nodes == constant_free > 0
+        # each constant evaluated once: every distinct subplan of the
+        # merged DAG is one cache miss, the constant-free ones included
+        assert cache["misses"] == expected.distinct_nodes
+        assert stats["dag"]["cross_query_nodes"] == constant_free
+        assert stats["dag"]["dedup_ratio"] == pytest.approx(
+            expected.dedup_ratio
+        )
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,45 @@ class TestTableEpochs:
         )
         assert db.table_epoch("Z") is None
 
+    def test_one_pair_object_per_table_epoch(self):
+        """Vectors over an unmoved table share its ``(name, epoch)``
+        pair; every way an epoch moves — forwards or, on rollback,
+        back — is seen without an invalidation call."""
+        db = two_table_db()
+        stamp = db.table("R").creation_stamp
+
+        def pair():
+            (got,) = db.epoch_vector(["R"])
+            assert got == ("R", db.table_epoch("R"))
+            assert got is db.epoch_vector(["S", "R"])[0]
+            assert got[1] is db.table("R").epoch
+            return got
+
+        start = pair()
+        assert start == ("R", (stamp, 2)) and pair() is start
+        db.table("R").insert((7, 8), 0.5)
+        assert pair() == ("R", (stamp, 3))
+        db.table("R").delete((7, 8))
+        assert pair() == ("R", (stamp, 4))
+        db.touch()
+        touched = pair()
+        assert touched == ("R", (stamp, 5))
+
+        def failing(d):
+            d.insert("R", (9, 9), 0.5)
+            assert pair() == ("R", (stamp, 6))
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            db.mutate(failing)
+        assert db.last_mutation.rolled_back
+        assert pair() == touched  # the counter went back; so does the pair
+        db.drop_table("R")
+        assert db.epoch_vector(["R"]) == (("R", None),)
+        db.add_table("R", [((9, 9), 0.5)])
+        assert pair() == ("R", (db.table("R").creation_stamp, 1))
+        assert db.table("R").creation_stamp != stamp
+
     def test_db_version_distinguishes_incarnations(self):
         db = two_table_db()
         v1 = db.version

@@ -8,7 +8,9 @@ pairs:
 * backend agreement — memory and SQLite produce identical scores;
 * Optimization 3 — semi-join reduction never changes scores;
 * Proposition 21 — the relative error of ρ vanishes as probabilities
-  are scaled down.
+  are scaled down;
+* plan templates — a query served from the plans of another query of
+  its shape gets exactly what a memo-less engine computes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,18 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.api import EngineConfig
-from repro.core import is_hierarchical, minimal_plans
+from repro.core import (
+    Atom,
+    ConjunctiveQuery,
+    Constant,
+    Variable,
+    is_hierarchical,
+    minimal_plans,
+    parse_query,
+)
+from repro.core.fds import ColumnFD
+from repro.core.plans import Scan
+from repro.core.singleplan import single_plan
 from repro.db import ProbabilisticDatabase
 from repro.engine import (
     DissociationEngine,
@@ -28,8 +41,13 @@ from repro.engine import (
 )
 from repro.lineage import DNF, exact_probability, lineage_of
 
-from .helpers import random_database_for, random_query
-from .test_properties_core import queries
+from .helpers import (
+    ALL_OPTIMIZATION_COMBOS,
+    assert_backends_agree,
+    random_database_for,
+    random_query,
+)
+from .test_properties_core import VARIABLES, queries
 
 
 @st.composite
@@ -163,3 +181,150 @@ def test_lineage_probability_equals_exact(pair):
             exact_probability(formula, lineage.probabilities)
             - exact[answer]
         ) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# plan templates ≡ no memo
+# ----------------------------------------------------------------------
+DOMAIN = (1, 2, 3)
+#: ``queries()`` alone is unsafe one time in five; these always are
+#: (several minimal plans to rebuild, a ``min`` in the merged one).
+UNSAFE_BODIES = st.sampled_from(
+    [
+        parse_query("q() :- R0(x0), R1(x0,x1), R2(x1)"),
+        parse_query("q() :- R0(x0,x1), R1(x1,x2), R2(x2,x3)"),
+        parse_query("q() :- R0(x0,x1), R1(x1,x2), R2(x2,x3), R3(x3,x0)"),
+    ]
+)
+
+
+@st.composite
+def same_shape_queries(draw):
+    """``(db, first, second, respelled)``: a schema with optional
+    deterministic relations and key FDs, a query with constants anywhere
+    (repeated across atoms, several in one atom, on determined
+    positions, whole atoms of them), and a second query of its shape —
+    other constants and, when ``respelled``, renamed variables and
+    shuffled atoms."""
+    constants = st.sampled_from(DOMAIN).map(Constant)
+    atoms = []
+    # constants are inserted, not substituted, so the variable structure
+    # (and with it the share of unsafe queries) is that of ``queries()``
+    for atom in draw(st.one_of(queries(head=False), UNSAFE_BODIES)).atoms:
+        terms = list(atom.terms)
+        for _ in range(draw(st.integers(0, 4 - len(terms)))):
+            terms.insert(draw(st.integers(0, len(terms))), draw(constants))
+        atoms.append(Atom(atom.relation, terms))
+    if draw(st.integers(0, 3)) == 0:
+        all_constant = draw(st.lists(constants, min_size=1, max_size=2))
+        atoms.append(Atom(f"R{len(atoms)}", all_constant))
+    used = sorted(frozenset().union(*(a.own_variables for a in atoms)))
+    head = draw(st.permutations(used))[: draw(st.integers(0, 2))]
+    first = ConjunctiveQuery(atoms, head)
+
+    deterministic = frozenset(
+        a.relation for a in atoms if draw(st.integers(0, 5)) == 0
+    )
+    fds = {}
+    for atom in atoms:
+        if atom.arity >= 2 and draw(st.booleans()):
+            key = draw(st.integers(0, atom.arity - 1))
+            rest = tuple(i for i in range(atom.arity) if i != key)
+            fds[atom.relation] = (ColumnFD((key,), rest),)
+    db = random_database_for(
+        first,
+        random.Random(draw(st.integers(0, 10_000))),
+        domain_size=len(DOMAIN),
+        deterministic=deterministic,
+        fds=fds,
+    )
+
+    respelled = draw(st.booleans())
+    renaming = {v: v for v in VARIABLES}
+    if respelled:
+        names = draw(st.sampled_from(["x", "y"]))
+        slots = draw(st.permutations(range(len(VARIABLES))))
+        renaming = {
+            v: Variable(f"{names}{slot}") for v, slot in zip(VARIABLES, slots)
+        }
+        atoms = draw(st.permutations(atoms))
+    second = ConjunctiveQuery(
+        [
+            Atom(
+                atom.relation,
+                [
+                    renaming[t]
+                    if isinstance(t, Variable)
+                    else Constant(draw(st.sampled_from(DOMAIN)))
+                    for t in atom.terms
+                ],
+            )
+            for atom in atoms
+        ],
+        [renaming[v] for v in head],
+    )
+    return db, first, second, respelled
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape_queries())
+def test_plan_templates_equal_no_memo(case):
+    """An engine that has enumerated only ``first`` serves ``second`` —
+    same shape — with the plans, counts and scores of an engine that
+    memoizes nothing.
+
+    Memory scores are bit-identical when only the constants differ: the
+    bound plans then equal a fresh enumeration down to every part and
+    branch order. A respelling (other names, other atom order) is served
+    in the *first* spelling's orders, as a renamed repeat always was;
+    float products taken in another order agree to the last ulp or two.
+    """
+    db, first, second, respelled = case
+    memory_tolerance = 1e-12 if respelled else 0.0
+    schema = db.schema
+    knowledge = dict(
+        deterministic=schema.deterministic_relations,
+        fds=schema.fds_by_relation,
+    )
+    fresh_minimal = minimal_plans(second, **knowledge)
+    fresh_single = single_plan(second, **knowledge)
+    # what binding by relation name rests on: a scan reads the query's
+    # own atom of that relation, nothing else
+    for query in (first, second):
+        plans = minimal_plans(query, **knowledge)
+        for plan in plans + [single_plan(query, **knowledge)]:
+            for node in plan.walk():
+                if isinstance(node, Scan):
+                    own = query.atom(node.atom.relation)
+                    assert node.atom == own.without_dissociation()
+
+    for backend, tolerance in (
+        ("memory", memory_tolerance),
+        ("sqlite", 1e-12),
+    ):
+        seen = DissociationEngine(db, EngineConfig(backend=backend))
+        plain = DissociationEngine(
+            db, EngineConfig(backend=backend, plan_memo_size=0)
+        )
+        try:
+            seen.minimal_plans(first)
+            seen.single_plan(first)
+            assert set(seen.minimal_plans(second)) == set(fresh_minimal)
+            assert seen.single_plan(second) == fresh_single
+            for opts in ALL_OPTIMIZATION_COMBOS:
+                got = seen.evaluate(second, opts)
+                want = plain.evaluate(second, opts)
+                assert got.plan_count == want.plan_count == len(fresh_minimal)
+                assert got.scores.keys() == want.scores.keys()
+                for answer, score in want.scores.items():
+                    assert abs(got.scores[answer] - score) <= tolerance
+            bounds = plain.probability_bounds(second)
+            for answer, (low, high) in seen.probability_bounds(second).items():
+                assert abs(low - bounds[answer][0]) <= tolerance
+                assert abs(high - bounds[answer][1]) <= tolerance
+            assert seen.plan_memo_stats()["misses"] == 2
+        finally:
+            seen.release()
+            plain.release()
+    # and against the row-at-a-time reference, both backends primed
+    assert_backends_agree(second, db, primed_with=first)
