@@ -58,8 +58,14 @@ class EngineConfig:
         (Sec. 3.3); disable for the schema-oblivious ablation.
     cache_size:
         LRU cap of the Opt.-2 subplan cache (memory plan-result layer /
-        SQLite materialized-view registry). ``None`` is unbounded, ``0``
-        disables cross-statement reuse.
+        SQLite materialized-view registry). The default, 1 024, holds
+        the largest plan set the repository evaluates (the chain-7
+        all-plans set has 595 distinct subplans) while bounding what
+        parameterised traffic leaves behind: a constant-free subplan is
+        re-touched by every request of its shape, one beneath a
+        selection constant never is, so plain LRU drops the right
+        entries. ``None`` is unbounded, ``0`` disables cross-statement
+        reuse.
     join_ordering:
         ``"cost"`` (Selinger DP over the statistics catalog) or
         ``"greedy"`` (smallest-connected-input ablation baseline).
@@ -87,7 +93,7 @@ class EngineConfig:
 
     backend: str = "memory"
     use_schema_knowledge: bool = True
-    cache_size: int | None = None
+    cache_size: int | None = 1024
     join_ordering: str = "cost"
     join_dp_threshold: int | None = None
     write_factor: float | None = None

@@ -134,7 +134,11 @@ class SQLiteViewRegistry:
     """
 
     #: Bound on the request-history map (not on the views themselves).
-    MAX_REQUEST_ENTRIES = 65536
+    #: The history is a promotion hint — a forgotten entry costs one
+    #: more inline evaluation — and a parameterised request leaves about
+    #: a dozen entries nothing asks for again, so this spans ≈ 300
+    #: requests rather than every constant ever seen.
+    MAX_REQUEST_ENTRIES = 4096
 
     def __init__(
         self,

@@ -346,26 +346,29 @@ class SQLiteExecutor:
             self.db.schema,
             reuse_views=True,
             native_ior=backend.has_math_functions,
+            estimator=self.plan_estimator(),
         )
-        return self._run_selective(
-            backend, compiler, batch, lambda node: node, self.plan_estimator()
-        )
+        return self._run_selective(backend, compiler, batch, lambda node: node)
 
     def _run_query(
         self, backend: SQLiteBackend, query, targets, opts
     ) -> tuple[dict[tuple, float], str]:
         table_names: dict[str, str] = {}
-        statements: list[str] = []
+        token = None
         if opts.semijoin:
             statements, table_names = semijoin_statements(
                 query, self.db.schema
             )
             backend.run_statements(statements)
+            token = backend.reduction_token(statements, table_names.values())
         compiler = SQLCompiler(
             self.db.schema,
             table_names=table_names,
             reuse_views=opts.reuse_views,
             native_ior=backend.has_math_functions,
+            # a reduced instance is priced — and its joins ordered — with
+            # the *reduced* tables' statistics, keyed by their content
+            estimator=self.plan_estimator(table_names, token),
         )
         if not opts.reuse_views:
             executed: list[str] = []
@@ -379,15 +382,12 @@ class SQLiteExecutor:
         # the views carry a content token of the reduction, so
         # structurally identical subplans over *differently* reduced
         # inputs can never collide while repeats of the same reduction
-        # reuse their views — and the policy prices subplans with the
-        # *reduced* tables' stats.
-        token = backend.reduction_token(statements, table_names.values())
+        # reuse their views.
         [pair] = self._run_selective(
             backend,
             compiler,
             [(query, targets)],
             lambda node: (node, token),
-            self.plan_estimator(table_names, token),
         )
         return pair
 
@@ -397,7 +397,6 @@ class SQLiteExecutor:
         compiler: SQLCompiler,
         batch: Batch,
         key_of,
-        estimator,
     ) -> list[tuple[dict[tuple, float], str]]:
         """Compile and run a batch of (query, target plans) selectively.
 
@@ -433,7 +432,8 @@ class SQLiteExecutor:
         for node in references:
             registry.note_request(hash(key_of(node)))
         policy = MaterializationPolicy(
-            estimator=estimator,
+            # the compiler's: one memo prices a subplan and orders its joins
+            estimator=compiler.estimator,
             write_factor=(
                 self.write_factor
                 if self.write_factor is not None

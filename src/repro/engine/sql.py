@@ -4,7 +4,9 @@ Every plan node becomes a ``SELECT``:
 
 * scan — project the atom's columns to variable aliases, filter constants
   and repeated variables, pass the probability column through;
-* join — equi-join on shared variables with the probability product;
+* join — equi-join on shared variables with the probability product,
+  the parts in the nested-loop order the executor's estimator picks,
+  pinned with ``CROSS JOIN`` (SQLite has no statistics for temp views);
 * projection — ``GROUP BY`` retained variables with the custom ``ior``
   aggregate (``1 − ∏(1 − p)``);
 * ``min`` — ``MIN(p)`` over a ``UNION ALL`` of the branches (Opt. 1).
@@ -37,6 +39,7 @@ from ..core.query import ConjunctiveQuery
 from ..core.symbols import Constant, Variable
 from ..db.schema import Schema
 from ..db.sqlite_backend import PROB_COLUMN, sql_literal
+from .stats import greedy_order
 
 __all__ = [
     "SQLCompiler",
@@ -174,6 +177,13 @@ class SQLCompiler:
         relative rounding cost of a few ULPs per group member. Disable
         to reproduce the historical (pre-PR-3) compilation byte for
         byte, e.g. for the benchmark baseline arms.
+    estimator:
+        The executor's ``Plan -> PlanEstimate`` closure
+        (:meth:`~repro.engine.executors.SQLiteExecutor.plan_estimator`).
+        With it every join is emitted in nested-loop order and pinned
+        with ``CROSS JOIN`` (see :meth:`_join_sql`); without it — or for
+        a join over a relation that has no statistics — joins are plain
+        comma joins and SQLite's planner orders the loops.
     """
 
     def __init__(
@@ -182,11 +192,14 @@ class SQLCompiler:
         table_names: Mapping[str, str] | None = None,
         reuse_views: bool = True,
         native_ior: bool = True,
+        *,
+        estimator=None,
     ) -> None:
         self._schema = schema
         self._table_names = dict(table_names or {})
         self._reuse_views = reuse_views
         self._native_ior = native_ior
+        self.estimator = estimator
 
     # ------------------------------------------------------------------
     # public API
@@ -429,12 +442,43 @@ class SQLCompiler:
         return f"SELECT {select_list} FROM {child_ref} s{group}"
 
     def _join_sql(self, node: Join, reference) -> str:
-        aliases = [f"t{i}" for i in range(len(node.parts))]
+        """The one join emitter (``compile`` and ``compile_selective``).
+
+        SQLite cannot order these loops itself: it has no statistics for
+        temp views or subqueries, and to spare a ``GROUP BY`` sorter it
+        will walk a 10 000-row view in group-key index order and probe
+        the handful of rows a selection produced. The engine has the
+        statistics, so the parts are emitted in the order an index
+        nested-loop join wants — smallest estimated input outermost,
+        then the smallest part sharing a variable with the ones before
+        it (:func:`~repro.engine.stats.greedy_order`) — and joined with
+        ``CROSS JOIN``, which SQLite documents as never reordered. The
+        memory executor's ``selinger_order`` charges the folded-in side
+        and so puts the *largest* input first: pinned here it is 4×
+        slower than no pin at all.
+        """
+        # compiled in plan order whatever the loop order: shared CTEs
+        # keep their numbering, an unknown relation its ``KeyError``
+        parts = [(part, reference(part)) for part in node.parts]
+        separator = ",\n     "
+        if self.estimator is not None:
+            try:
+                estimates = [self.estimator(part) for part in node.parts]
+            except KeyError:
+                pass  # a relation without statistics: SQLite's own order
+            else:
+                order = greedy_order(
+                    [e.rows for e in estimates],
+                    [e.profile.variables for e in estimates],
+                )
+                parts = [parts[i] for i in order]
+                separator = "\n     CROSS JOIN "
+        aliases = [f"t{i}" for i in range(len(parts))]
         provider: dict[Variable, str] = {}
         froms: list[str] = []
         conditions: list[str] = []
-        for alias, part in zip(aliases, node.parts):
-            froms.append(f"{reference(part)} {alias}")
+        for alias, (part, part_reference) in zip(aliases, parts):
+            froms.append(f"{part_reference} {alias}")
             for v in sorted(part.head_variables):
                 if v in provider:
                     conditions.append(
@@ -451,7 +495,7 @@ class SQLCompiler:
         where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
         return (
             f"SELECT {', '.join(selects)}\nFROM "
-            + ",\n     ".join(froms)
+            + separator.join(froms)
             + where
         )
 

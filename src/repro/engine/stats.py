@@ -446,12 +446,15 @@ class PlanEstimate:
 
     ``cost`` counts the rows every operator in the subtree is estimated
     to produce or group — the recomputation price of *not* having the
-    subtree materialized.
+    subtree materialized. ``selective`` says a selection constant sits
+    somewhere beneath the node: its result belongs to one parameter
+    binding, which is what :class:`MaterializationPolicy` needs to know.
     """
 
     rows: float
     cost: float
     profile: JoinProfile
+    selective: bool = False
 
 
 def estimate_plan(
@@ -475,7 +478,12 @@ def estimate_plan(
     if isinstance(plan, Scan):
         stats = table_stats(plan.atom.relation)
         profile = scan_profile(plan.atom, stats, code_of)
-        estimate = PlanEstimate(profile.rows, float(stats.rows), profile)
+        estimate = PlanEstimate(
+            profile.rows,
+            float(stats.rows),
+            profile,
+            any(isinstance(term, Constant) for term in plan.atom.terms),
+        )
     elif isinstance(plan, Project):
         child = estimate_plan(plan.child, table_stats, code_of, memo)
         bound = 1.0
@@ -495,7 +503,9 @@ def estimate_plan(
             },
         )
         # grouping reads every child row once
-        estimate = PlanEstimate(rows, child.cost + child.rows, profile)
+        estimate = PlanEstimate(
+            rows, child.cost + child.rows, profile, child.selective
+        )
     elif isinstance(plan, Join):
         children = [
             estimate_plan(part, table_stats, code_of, memo)
@@ -514,7 +524,9 @@ def estimate_plan(
         for j in order[1:]:
             profile = join_profile(profile, profiles[j])
             cost += profile.rows
-        estimate = PlanEstimate(profile.rows, cost, profile)
+        estimate = PlanEstimate(
+            profile.rows, cost, profile, any(c.selective for c in children)
+        )
     elif isinstance(plan, MinPlan):
         children = [
             estimate_plan(part, table_stats, code_of, memo)
@@ -525,7 +537,12 @@ def estimate_plan(
         cost = sum(c.cost for c in children) + sum(
             c.rows for c in children
         )
-        estimate = PlanEstimate(rows, cost, children[0].profile)
+        estimate = PlanEstimate(
+            rows,
+            cost,
+            children[0].profile,
+            any(c.selective for c in children),
+        )
     else:  # pragma: no cover - sealed hierarchy
         raise TypeError(f"unknown plan node {plan!r}")
     memo[plan] = estimate
@@ -547,6 +564,17 @@ class MaterializationPolicy:
     requested by an *earlier* batch on the same connection counts one
     extra reference — the cross-query reuse signal that converges the
     warm path to full materialization.
+
+    Sharing *within* a statement costs no write — the compiler factors a
+    subplan referenced twice into a per-statement CTE — so a temp table
+    has to be paid for by reuse *across* statements. A subplan beneath
+    which a selection constant sits (``PlanEstimate.selective``) is
+    reused only by a request carrying the same constant, so on its
+    first request it is never materialized, whatever its reference
+    count; the request history promotes it on its second, the path
+    single-reference subplans take anyway. A stream of distinct
+    constants therefore runs one statement each and leaves nothing on
+    the connection.
 
     Without an estimator the rule degrades to pure reference counting
     (materialize iff effectively referenced at least twice).
@@ -593,5 +621,7 @@ class MaterializationPolicy:
             # a scanned relation has no stats (e.g. dropped mid-flight):
             # fall back to pure reference counting
             return True
+        if estimate.selective and prior_requests == 0:
+            return False
         saved = estimate.cost * (effective - 1)
         return saved >= self.write_factor * estimate.rows

@@ -45,7 +45,8 @@ class StatsLRU:
     ``max_entries=None`` is unbounded; ``0`` stores nothing (every
     :meth:`get` misses, :meth:`put` is a no-op); ``N`` keeps the ``N``
     most recently used entries and counts overflow removals as
-    ``evictions``. Counters are cumulative — they survive
+    ``evictions`` — a :meth:`put` into a full cache costs O(evictions)
+    key hashes, never O(size). Counters are cumulative — they survive
     :meth:`clear` / :meth:`remove_where` — because every historical
     call site reports lifetime totals.
 
@@ -185,22 +186,30 @@ class StatsLRU:
 
         Public because pin-scoped owners defer enforcement: the view
         registry re-runs it when the outermost pin scope exits.
+
+        O(evictions), not O(size): the victims are read off the LRU end
+        by key iteration, which hashes nothing — copying
+        ``OrderedDict.items()`` looks every key up again, one Python
+        ``__hash__`` per entry, on every ``put`` into a full cache.
         """
         if self.max_entries is None:
             return 0
-        dropped = 0
         with self._lock:
-            for key, value in list(self._entries.items()):
-                if len(self._entries) <= self.max_entries:
-                    break
-                if self._evictable is not None and not self._evictable(
-                    key, value
-                ):
-                    continue
+            excess = len(self._entries) - self.max_entries
+            if excess <= 0:
+                return 0
+            # an OrderedDict may not shrink while it is being iterated
+            victims = []
+            for key in self._entries:
+                value = self._entries[key]
+                if self._evictable is None or self._evictable(key, value):
+                    victims.append((key, value))
+                    if len(victims) == excess:
+                        break
+            for key, value in victims:
                 del self._entries[key]
                 self._removed(key, value, "eviction")
-                dropped += 1
-        return dropped
+        return len(victims)
 
     def remove_where(
         self,

@@ -174,7 +174,7 @@ def assert_backends_agree(
     combos: tuple[Optimizations, ...] = ALL_OPTIMIZATION_COMBOS,
     tolerance: float = 1e-9,
     use_schema_knowledge: bool = True,
-    cache_size: int | None = None,
+    cache_size: int | None = EngineConfig().cache_size,
     join_ordering: str = "cost",
     compare_orderings: bool = False,
     compare_facade: bool = False,
@@ -203,8 +203,10 @@ def assert_backends_agree(
     cache's snapshot path as well.
 
     With ``primed_with`` both engines enumerate that query's plans
-    first — when it has ``query``'s shape, ``query`` is then served from
-    its plan templates, while the reference enumerates afresh.
+    first and evaluate it ahead of ``query`` under every combination —
+    when it has ``query``'s shape, ``query`` is then served from its
+    plan templates and joins the views, statistics and request history
+    the primer left behind, while the reference enumerates afresh.
     """
     memory_config = EngineConfig(
         use_schema_knowledge=use_schema_knowledge,
@@ -244,6 +246,8 @@ def assert_backends_agree(
             )
             direct_scores: dict[str, dict[tuple, float]] = {}
             for engine in (memory, sqlite):
+                if primed_with is not None:
+                    engine.propagation_score(primed_with, opts)
                 got = engine.propagation_score(query, opts)
                 direct_scores[engine.backend] = got
                 context = f"{engine.backend} backend, {opts}, {query}"
@@ -256,6 +260,11 @@ def assert_backends_agree(
                         f"{context}: {answer}: "
                         f"{got[answer]} != {reference[answer]}"
                     )
+            for answer, score in direct_scores["memory"].items():
+                assert close(direct_scores["sqlite"][answer], score, tolerance), (
+                    f"sqlite vs memory, {opts}, {query}: {answer}: "
+                    f"{direct_scores['sqlite'][answer]} != {score}"
+                )
             if other is not None:
                 mine = memory.propagation_score(query, opts)
                 theirs = other.propagation_score(query, opts)

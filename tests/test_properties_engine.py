@@ -10,7 +10,10 @@ pairs:
 * Proposition 21 — the relative error of ρ vanishes as probabilities
   are scaled down;
 * plan templates — a query served from the plans of another query of
-  its shape gets exactly what a memo-less engine computes.
+  its shape gets exactly what a memo-less engine computes;
+* join order — the nested-loop order the SQL compiler pins from the
+  cost model's estimates never changes an answer, however wrong the
+  estimates are.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.core import (
     parse_query,
 )
 from repro.core.fds import ColumnFD
-from repro.core.plans import Scan
+from repro.core.plans import Join, Scan
 from repro.core.singleplan import single_plan
 from repro.db import ProbabilisticDatabase
 from repro.engine import (
@@ -328,3 +331,156 @@ def test_plan_templates_equal_no_memo(case):
             plain.release()
     # and against the row-at-a-time reference, both backends primed
     assert_backends_agree(second, db, primed_with=first)
+
+
+# ----------------------------------------------------------------------
+# a pinned join order never changes an answer
+# ----------------------------------------------------------------------
+#: Values of the generated columns stay below these two.
+RARE, ABSENT = 7, 99
+
+
+def _join_body(shape: str, k: int) -> list[Atom]:
+    """``k`` atoms: a chain, a star, or a star whose last part shares no
+    variable with the rest (a k-ary join that needs a cross product)."""
+    x = [Variable(f"x{i}") for i in range(k + 1)]
+    if shape == "chain":
+        return [Atom(f"R{i}", (x[i - 1], x[i])) for i in range(1, k + 1)]
+    atoms = [Atom(f"R{i}", (x[0], x[i])) for i in range(1, k + 1)]
+    if shape == "kary":
+        atoms[-1] = Atom(f"R{k}", (Variable("y"),))
+    return atoms
+
+
+def _overwrite(rows: list[tuple], column: int, value_of) -> list[tuple]:
+    """``rows`` with ``column`` rewritten by ``value_of(i, old)``, deduped."""
+    return list(
+        dict.fromkeys(
+            row[:column] + (value_of(i, row[column]),) + row[column + 1 :]
+            for i, row in enumerate(rows)
+        )
+    )
+
+
+def skewed_pair(skew: str) -> tuple[list[tuple], list[tuple]]:
+    """Two binary tables joining on ``left[1] = right[0]`` whose join the
+    containment estimate ``|L|·|R| / max(d)`` misses by more than 10×:
+    ``heavy`` puts one value in 50 of 80 rows on both sides (under-
+    estimate), ``disjoint`` leaves one shared value (over-estimate)."""
+    if skew == "heavy":
+        column = [1] * 50 + list(range(50, 80))
+        left = [(i + 1, v) for i, v in enumerate(column)]
+        right = [(v, i + 1) for i, v in enumerate(column)]
+    else:
+        left = [(i % 5 + 1, i // 5 + 1) for i in range(25)]
+        right = [(i // 5 + 1 + (50 if i else 0), i % 5 + 1) for i in range(25)]
+    return left, right
+
+
+@st.composite
+def selective_joins(draw):
+    """``(db, query, primer)``: a 3–5 part chain / star / k-ary join with
+    a selection constant that is selective, unselective (most rows of
+    its column), absent from the database, or one of two in its atom;
+    optionally two tables skewed so the estimate is off by ≥ 10×; a
+    Boolean, single- or two-variable head. ``primer`` is the same shape
+    with other constants."""
+    shape = draw(st.sampled_from(["chain", "star", "kary"]))
+    kind = draw(st.sampled_from(["selective", "unselective", "absent", "two"]))
+    skew = draw(st.sampled_from([None, None, "disjoint", "heavy"]))
+    k = 3 if skew == "heavy" else draw(st.integers(3, 5))
+    atoms = _join_body(shape, k)
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    domain = draw(st.integers(3, 6))
+    rows = {
+        a.relation: sorted(
+            {
+                tuple(rng.randint(1, domain) for _ in a.terms)
+                for _ in range(draw(st.integers(4, 24)))
+            }
+        )
+        for a in atoms
+    }
+    if skew is not None:
+        # R1 and R2 share x1 (chain: R1[1] = R2[0]) or x0 (star: the
+        # first column of both, so R1 is the pair's left side mirrored)
+        left, right = skewed_pair(skew)
+        if shape != "chain":
+            left = [row[::-1] for row in left]
+        rows["R1"], rows["R2"] = left, right
+
+    anchor = draw(st.integers(0, len(atoms) - 1))
+    position = draw(st.integers(0, atoms[anchor].arity - 1))
+    relation = atoms[anchor].relation
+    value = {"unselective": 1, "absent": ABSENT}.get(kind, RARE)
+    if kind == "unselective":
+        # every row but the first (which a one-row table cannot spare)
+        spare = len(rows[relation]) > 1
+        rows[relation] = _overwrite(
+            rows[relation],
+            position,
+            lambda i, old: old + 1 if spare and i == 0 else 1,
+        )
+        carrying = sum(r[position] == 1 for r in rows[relation])
+        assert 2 * carrying >= len(rows[relation])
+    elif kind != "absent":
+        rows[relation] = _overwrite(
+            rows[relation], position, lambda i, old: RARE if i < 2 else old
+        )
+
+    def bind(first, second) -> ConjunctiveQuery:
+        terms = list(atoms[anchor].terms)
+        terms[position] = Constant(first)
+        if kind == "two":
+            terms.insert(0, Constant(second))
+        body = atoms[:anchor] + [Atom(relation, terms)] + atoms[anchor + 1 :]
+        used = sorted(frozenset().union(*(a.own_variables for a in body)))
+        return ConjunctiveQuery(body, (used[-1:] + used[:-1])[:head_width])
+
+    if kind == "two":
+        rows[relation] = [
+            ((RARE if i < 3 else rng.randint(1, domain)),) + row
+            for i, row in enumerate(rows[relation])
+        ]
+    head_width = draw(st.integers(0, 2))
+    db = ProbabilisticDatabase()
+    for name, table in rows.items():
+        db.add_table(name, [(row, rng.uniform(0.05, 0.8)) for row in table])
+    return db, bind(value, RARE), bind(2, 1)
+
+
+def test_skewed_pairs_fool_the_estimator():
+    """The ``heavy`` / ``disjoint`` tables of :func:`selective_joins`
+    really are ≥ 10× off — in one direction each."""
+    for skew, direction in (("heavy", 1), ("disjoint", -1)):
+        left, right = skewed_pair(skew)
+        db = ProbabilisticDatabase()
+        db.add_table("R1", [(row, 0.5) for row in left])
+        db.add_table("R2", [(row, 0.5) for row in right])
+        actual = sum(a[1] == b[0] for a in left for b in right)
+        engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
+        query = parse_query("q(x0,x2) :- R1(x0,x1), R2(x1,x2)")
+        [join] = [
+            node
+            for node in engine.single_plan(query).walk()
+            if isinstance(node, Join)
+        ]
+        estimate = engine.sqlite_executor.plan_estimator()(join).rows
+        assert actual >= 1
+        assert (actual / estimate) ** direction >= 10, (skew, actual, estimate)
+        engine.release()
+
+
+@settings(max_examples=30, deadline=None)
+@given(selective_joins())
+def test_pinned_join_order_never_changes_an_answer(case):
+    """SQLite — its joins emitted in the estimator's nested-loop order
+    and pinned — returns the memory executor's and the row-at-a-time
+    reference's answers: same answer sets, scores within 1e-12, under
+    all eight optimisation combinations (semi-join mode orders by the
+    reduced tables' statistics), on cold engines and on engines that
+    just served another constant of the shape (the constant-free views
+    then exist, so joins mix views, CTEs and selective scans)."""
+    db, query, primer = case
+    assert_backends_agree(query, db, tolerance=1e-12)
+    assert_backends_agree(query, db, tolerance=1e-12, primed_with=primer)

@@ -154,7 +154,7 @@ class TestEngineViewReuse:
             "misses": 0,
             "evictions": 0,
             "size": 0,
-            "max_size": None,
+            "max_size": EngineConfig().cache_size,
         }
 
     def test_semijoin_mode_reuses_views_by_content(self):
