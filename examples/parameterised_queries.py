@@ -15,7 +15,11 @@ constant-free subplans become temp views over the shape's first two
 requests; from the third on a request is *one statement* — its joins
 emitted in the cost model's nested-loop order and pinned with ``CROSS
 JOIN``, what the constant selected kept in CTEs of that statement — and
-leaves nothing behind on the connection.
+leaves nothing behind on the connection. That third request also leaves
+its statement behind as the shape's *template*: every later request
+whose constant the statistics price alike (same frequency class) binds
+its constant into the stored, prepared statement — no plans bound,
+nothing priced, no SQL emitted.
 
 Run:  python examples/parameterised_queries.py
 """
@@ -82,26 +86,60 @@ def sqlite_half(db, constants) -> None:
     """The same constants, evaluated inside SQLite."""
     config = repro.EngineConfig(backend="sqlite")
     with repro.connect(db, config) as session:
-        latencies, sizes = [], []
+        # what the cost model reads of a constant: its frequency in the
+        # column's most-common-value sketch (values outside the sketch
+        # share one class) — a statement is compiled per class
+        column = repro.engine.SQLiteStatisticsCatalog(
+            session.engine.sqlite
+        ).table_stats("R1").columns[0]
+        latencies, sizes, hit, classes = [], [], [], []
         for number, constant in enumerate(constants, start=1):
+            before = session.stats()["engine"]["statements"]["hits"]
             started = time.perf_counter()
             result = session.evaluate(chain(constant))
             latencies.append((time.perf_counter() - started) * 1e3)
-            sizes.append(session.stats()["engine"]["cache"]["size"])
+            stats = session.stats()["engine"]
+            sizes.append(stats["cache"]["size"])
+            hit.append(stats["statements"]["hits"] - before)
+            classes.append(column.frequency(constant))
             if number >= 3:
                 # what this constant selected stayed inside its statement
                 assert "CREATE TEMP TABLE" not in result.sql
         print("\nsqlite backend, same constants")
         print(f"first request:    {latencies[0]:8.2f} ms  (builds the views)")
+        print(f"third request:    {latencies[2]:8.2f} ms  (compiles the template)")
         print(
-            f"later requests:   {statistics.median(latencies[2:]):8.2f} ms"
-            f"  (median of {len(latencies) - 2}: one statement each)"
+            f"later requests:   {statistics.median(latencies[3:]):8.2f} ms"
+            f"  (median of {len(latencies) - 3}: one prepared statement each)"
         )
         print(f"pinned joins:     {result.sql.count('CROSS JOIN')} CROSS JOINs")
         print(f"subplan views:    {session.stats()['engine']['cache']}")
+        print(f"statements:       {session.stats()['engine']['statements']}")
+        print(f"frequency classes met: {sorted(set(classes))}")
         # the constant-free views converged; 47 more constants added none
         assert sizes[-1] == sizes[2] > 0
         assert result.sql.count("CROSS JOIN") > 0
+        # after the shape's three warm-up requests every request ran the
+        # stored statement — except the first of each further class
+        stored = set(classes[2:3])
+        for number in range(3, len(constants)):
+            assert hit[number] == (classes[number] in stored), number
+            stored.add(classes[number])
+        assert sum(hit) >= len(constants) - 3 - len(set(classes))
+
+        # A renamed, re-ordered, re-parameterised spelling of the shape
+        # binds into the same stored statement.
+        head, body = chain(constants[-1] + 1, names="hop").split(" :- ")
+        respelled = f"{head} :- " + ", ".join(reversed(body.split(", ")))
+        assert column.frequency(constants[-1] + 1) in stored
+        before = session.stats()["engine"]["statements"]
+        result = session.evaluate(respelled)
+        after = session.stats()["engine"]["statements"]
+        print(f"\nrespelled: {respelled}")
+        print(f"statements:       {after}")
+        assert not result.cached
+        assert after["hits"] == before["hits"] + 1
+        assert after["size"] == before["size"]
 
 
 if __name__ == "__main__":

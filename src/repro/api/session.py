@@ -562,7 +562,8 @@ class Session:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Result-cache, plan-memo, and backend statistics.
+        """Result-cache, plan-memo, statement-template, and backend
+        statistics.
 
         ``"engine"`` is the session's one engine in both modes: the
         serving engine, whose counters also include what ``explain()``
@@ -607,6 +608,7 @@ class Session:
             "evaluations": engine.evaluation_count,
             "cache": engine.cache_stats(),
             "plan_memo": engine.plan_memo_stats(),
+            "statements": engine.statement_stats(),
         }
 
     def _collect_db(self) -> dict:

@@ -67,7 +67,20 @@ def canonical_shape(
     occurrence signature; variables with equal signatures are mutually
     interchangeable (dissociation sets carry no positions), so the name
     tie-break below cannot make the shape depend on names.
+
+    A query is immutable, so it is scanned once: the result is kept on
+    the query object and every later call — result key, plan memo,
+    statement template — returns that very tuple (the numbering is
+    shared with it: read it, never change it).
     """
+    if query._canonical is None:
+        query._canonical = _scan(query)
+    return query._canonical
+
+
+def _scan(
+    query: ConjunctiveQuery,
+) -> tuple[tuple, tuple, dict[Variable, int]]:
     atoms = sorted(query.atoms, key=lambda a: a.relation)
     numbering: dict[Variable, int] = {}
     constants: list = []

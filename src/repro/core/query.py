@@ -36,7 +36,14 @@ class ConjunctiveQuery:
         Optional query name, used only for display.
     """
 
-    __slots__ = ("atoms", "head", "head_order", "name", "_atom_by_relation")
+    __slots__ = (
+        "atoms",
+        "head",
+        "head_order",
+        "name",
+        "_atom_by_relation",
+        "_canonical",
+    )
 
     def __init__(
         self,
@@ -70,6 +77,9 @@ class ConjunctiveQuery:
         self._atom_by_relation: Mapping[str, Atom] = {
             a.relation: a for a in atoms
         }
+        #: :func:`repro.core.canonical.canonical_shape`'s scan of this
+        #: (immutable) query, filled by its first call.
+        self._canonical: tuple | None = None
 
     # ------------------------------------------------------------------
     # basic accessors

@@ -16,7 +16,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..obs import NULL_OBSERVER, StatsLRU
 from .database import ProbabilisticDatabase
@@ -31,6 +31,13 @@ __all__ = [
 
 #: Name of the probability column in materialized tables.
 PROB_COLUMN = "_p"
+
+#: Cap of the SQLite executor's per-connection statement-template store
+#: (:mod:`repro.engine.executors`; the plan memo's default size). The
+#: connection keeps twice as many statements prepared — a template runs
+#: one statement, or the two chunks of a large all-plans union — so a
+#: template hit is also a prepared-statement hit.
+MAX_STATEMENT_TEMPLATES = 256
 
 
 class IorAggregate:
@@ -135,9 +142,10 @@ class SQLiteViewRegistry:
 
     #: Bound on the request-history map (not on the views themselves).
     #: The history is a promotion hint — a forgotten entry costs one
-    #: more inline evaluation — and a parameterised request leaves about
-    #: a dozen entries nothing asks for again, so this spans ≈ 300
-    #: requests rather than every constant ever seen.
+    #: more inline evaluation. A request served from a statement
+    #: template leaves one entry (its request key), so this spans 4 096
+    #: such requests; one compiled per request leaves an entry per
+    #: subplan, about a dozen nothing asks for again.
     MAX_REQUEST_ENTRIES = 4096
 
     def __init__(
@@ -171,6 +179,9 @@ class SQLiteViewRegistry:
         self._pinned: set[str] = set()
         self._pin_depth = 0
         self._requests: OrderedDict[Hashable, int] = OrderedDict()
+        #: Moves whenever a view is registered or dropped: statement
+        #: text that names views is good for one generation.
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._views)
@@ -224,8 +235,16 @@ class SQLiteViewRegistry:
             self._pin(name)
             return name
 
-    def register(self, plan: Hashable, sql: str) -> tuple[str, str]:
+    def register(
+        self, plan: Hashable, sql: str, parameters: Mapping | Sequence = ()
+    ) -> tuple[str, str]:
         """Materialize ``sql`` as the view of ``plan``.
+
+        ``parameters`` binds the ``:name`` placeholders of ``sql`` — a
+        subplan beneath a selection constant is compiled with the
+        constant as a parameter, and ``CREATE TEMP TABLE … AS SELECT``
+        binds like any statement. A mapping may hold names ``sql`` does
+        not use (``sqlite3`` rejects surplus *positional* values).
 
         Every data column of the view gets a single-column index:
         materialized views join with base tables and with each other,
@@ -240,7 +259,7 @@ class SQLiteViewRegistry:
             name = self._name_for(plan)
             ddl = f"CREATE TEMP TABLE {name} AS\n{sql}"
             with self._observer.span("sqlite.materialize_view", view=name):
-                self._connection.execute(ddl)
+                self._connection.execute(ddl, parameters)
                 for (column,) in self._connection.execute(
                     f"SELECT name FROM pragma_table_info('{name}')"
                 ).fetchall():
@@ -257,6 +276,7 @@ class SQLiteViewRegistry:
             if self._namespace is not None:
                 self._namespace.note_materialized(plan, name)
             self._pin(name)
+            self.generation += 1
             self._views.put(plan, name)
             return name, ddl
 
@@ -336,6 +356,7 @@ class SQLiteViewRegistry:
 
     def _drop_view(self, plan: Hashable, name: str) -> None:
         """StatsLRU eviction callback: tear the temp table down."""
+        self.generation += 1
         self._names.discard(name)
         self._relations.pop(name, None)
         self._connection.execute(f"DROP TABLE IF EXISTS {name}")
@@ -389,7 +410,9 @@ class SQLiteBackend:
         #: one ``sqlite.statement`` span per statement when enabled; the
         #: engine installs its observer here after construction.
         self.observer = NULL_OBSERVER
-        self.connection = sqlite3.connect(path)
+        self.connection = sqlite3.connect(
+            path, cached_statements=2 * MAX_STATEMENT_TEMPLATES
+        )
         # Temp objects (semi-join reductions, materialized subplan views)
         # otherwise spill to a file-backed temp database even for
         # in-memory connections.
@@ -545,13 +568,27 @@ class SQLiteBackend:
             )
         return self._view_registry
 
-    def execute(self, sql: str, parameters: Sequence = ()) -> list[tuple]:
-        """Run a query and fetch all rows."""
+    def execute(
+        self,
+        sql: str,
+        parameters: Mapping | Sequence = (),
+        *,
+        literal: str | None = None,
+        **note,
+    ) -> list[tuple]:
+        """Run a query and fetch all rows.
+
+        ``literal`` is ``sql`` with its ``parameters`` written out: the
+        text the ``"statement"`` fault hook and the ``sqlite.statement``
+        span report, so both keep seeing a statement that runs as it
+        reads. ``note`` goes onto the span.
+        """
+        shown = sql if literal is None else literal
         if self.fault_injector is not None:
-            self.fault_injector.fire("statement", sql)
+            self.fault_injector.fire("statement", shown)
         obs = self.observer
         if obs.enabled:
-            with obs.span("sqlite.statement", sql=sql[:200]) as span:
+            with obs.span("sqlite.statement", sql=shown[:200], **note) as span:
                 rows = self.connection.execute(sql, parameters).fetchall()
                 span.note(rows=len(rows))
             obs.inc("sqlite.statements")

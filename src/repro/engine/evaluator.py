@@ -104,12 +104,46 @@ _DEFAULT_OPTIMIZATIONS = Optimizations()
 
 
 class _PlanTemplate(NamedTuple):
-    """A plan-memo entry: the first-seen query of a shape, its canonical
-    numbering, and the plans enumerated for it."""
+    """A plan-memo entry: its memo key, the first-seen query of the
+    shape, that query's canonical numbering, and the plans enumerated
+    for it. An engine without a memo has no shape identity: ``key`` and
+    ``numbering`` are ``None``."""
 
+    key: "tuple | None"
     query: ConjunctiveQuery
     numbering: "dict | None"
     plans: tuple[Plan, ...]
+
+
+class _Targets:
+    """The target plans of one request, bound when first read.
+
+    An executor gets a sequence of plans, as the contract says; this one
+    also says which plan template it is a binding of (``key``), so an
+    executor that recognises the request by its shape never makes the
+    engine rebuild the plans over the request's atoms.
+    """
+
+    __slots__ = ("key", "_bind", "_plans")
+
+    def __init__(self, key: "tuple | None", bind) -> None:
+        self.key = key
+        self._bind = bind
+        self._plans: "list[Plan] | None" = None
+
+    def _bound(self) -> list[Plan]:
+        if self._plans is None:
+            self._plans = self._bind()
+        return self._plans
+
+    def __iter__(self):
+        return iter(self._bound())
+
+    def __len__(self) -> int:
+        return len(self._bound())
+
+    def __getitem__(self, index):
+        return self._bound()[index]
 
 
 class DissociationEngine:
@@ -251,6 +285,14 @@ class DissociationEngine:
         """
         return self.executor.cache_stats()
 
+    def statement_stats(self) -> dict:
+        """Counters of the SQLite executor's statement templates, in the
+        shape of :meth:`cache_stats` (zeros on an engine that never ran
+        SQL): ``hits`` ran a stored statement, ``misses`` compiled one
+        (:meth:`~repro.engine.executors.SQLiteExecutor.statement_stats`).
+        """
+        return self.sqlite_executor.statement_stats()
+
     # ------------------------------------------------------------------
     # plan-level API
     # ------------------------------------------------------------------
@@ -275,7 +317,7 @@ class DissociationEngine:
         deterministic, fds = schema_args or self._schema_args()
         if self.config.plan_memo_size == 0:
             plans = self._enumerate(query, flavor, deterministic, fds)
-            return _PlanTemplate(query, None, tuple(plans)), None
+            return _PlanTemplate(None, query, None, tuple(plans)), None
         shape, _, numbering = canonical_shape(query)
         key = (flavor, shape, schema_flags(query, deterministic, fds))
         entry = self._plan_memo.get(key, count_miss=False)
@@ -286,7 +328,9 @@ class DissociationEngine:
                 entry = self._plan_memo.get(key)
                 if entry is None:
                     plans = self._enumerate(query, flavor, deterministic, fds)
-                    entry = _PlanTemplate(query, numbering, tuple(plans))
+                    entry = _PlanTemplate(
+                        key, query, numbering, tuple(plans)
+                    )
                     self._plan_memo.put(key, entry)
         return entry, numbering
 
@@ -316,6 +360,17 @@ class DissociationEngine:
             with self._plan_memo_lock:
                 self._plan_memo_renamed += 1
         return bind_plans(template.plans, mapping, query)
+
+    def _targets(
+        self,
+        query: ConjunctiveQuery,
+        template: _PlanTemplate,
+        numbering: "dict | None",
+    ) -> _Targets:
+        """A template's plans over ``query`` as an executor takes them."""
+        return _Targets(
+            template.key, lambda: self._bind(template, numbering, query)
+        )
 
     @staticmethod
     def _enumerate(
@@ -462,8 +517,9 @@ class DissociationEngine:
     ) -> list[EvaluationResult]:
         """The one evaluation body: enumerate (or recall) the plans of
         every (distinct) query, stamp the epochs, hand ``(query, target
-        plans)`` pairs to the serving executor, and build one result
-        per requested position (``positions[i]`` indexes ``queries``)."""
+        plans)`` pairs to the serving executor — the plans bind when the
+        executor first reads them — and build one result per requested
+        position (``positions[i]`` indexes ``queries``)."""
         opts = optimizations or _DEFAULT_OPTIMIZATIONS
         obs = self.observer
         schema_args = self._schema_args()  # read once for the whole call
@@ -472,8 +528,8 @@ class DissociationEngine:
         with obs.span(name, backend=self.backend, **span_meta) as span:
             with obs.span("plan.enumerate"):
                 for query in queries:
-                    # the minimal plans are always counted, and bound
-                    # only when they are what runs
+                    # the minimal plans are always counted; what runs
+                    # is bound when the executor first reads it
                     template, numbering = self._template(
                         query, "minimal", schema_args
                     )
@@ -483,7 +539,7 @@ class DissociationEngine:
                             query, "single", schema_args
                         )
                     batch.append(
-                        (query, self._bind(template, numbering, query))
+                        (query, self._targets(query, template, numbering))
                     )
             epoch_per = [self.query_epoch(query) for query in queries]
             pairs = self.executor.run(batch, opts)
@@ -578,21 +634,24 @@ class DissociationEngine:
         Shared subplans are evaluated (and reported) once per plan.
 
         For the SQLite backend the report additionally carries the
-        Algorithm-3 materialization analysis of the same plan batch:
-        per shared subplan, its reference count, cost estimate, and
-        whether the policy would materialize it against the current
-        view registry. Semi-join mode is excluded from that section —
-        its registry keys carry a per-call content token of the reduced
-        tables, so there is no meaningful registry state to report
-        without performing the reduction.
+        Algorithm-3 materialization analysis of the same plan batch
+        (``"materialization"``: per shared subplan, its reference count,
+        cost estimate, and whether the policy would materialize it
+        against the current view registry) and ``"statement_template"``:
+        whether the request would be served from a stored statement
+        template instead of being compiled. Semi-join mode is excluded
+        from both — its registry keys carry a per-call content token of
+        the reduced tables, so there is no meaningful registry state to
+        report without performing the reduction.
         """
         opts = optimizations or _DEFAULT_OPTIMIZATIONS
         db = reduce_database(query, self.db) if opts.semijoin else self.db
         base = self.memory_executor.cache_for(db)
-        plans = self.minimal_plans(query)
-        targets = (
-            [self.single_plan(query)] if opts.single_plan else list(plans)
-        )
+        template, numbering = self._template(query, "minimal")
+        plan_count = len(template.plans)
+        if opts.single_plan:
+            template, numbering = self._template(query, "single")
+        targets = self._targets(query, template, numbering)
         entries = []
         for plan in targets:
             # fresh memo scope per plan: every join of the plan executes
@@ -615,13 +674,11 @@ class DissociationEngine:
             "join_ordering": self.join_ordering,
             "dp_threshold": self.join_dp_threshold,
             "optimizations": opts,
-            "plan_count": len(plans),
+            "plan_count": plan_count,
             "plans": entries,
         }
         if self.runs_sql and opts.reuse_views and not opts.semijoin:
-            report["materialization"] = (
-                self.sqlite_executor.explain_materialization(targets)
-            )
+            report.update(self.sqlite_executor.explain(query, targets))
         return report
 
     # ------------------------------------------------------------------

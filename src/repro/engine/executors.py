@@ -5,7 +5,10 @@ an *executor* runs them. The contract has four members:
 
 * ``run(batch, opts)`` — ``[(query, target plans), ...]`` (the engine
   already chose between the merged Opt.-1 plan and the separate minimal
-  plans) to ``[(scores, sql | None), ...]`` in batch order;
+  plans) to ``[(scores, sql | None), ...]`` in batch order. The target
+  plans bind to the query when they are first read, and say which plan
+  template they come from (``targets.key``): the SQLite executor serves
+  a request whose statement it already holds without reading them;
 * ``cache_stats()`` — cumulative counters of the Opt.-2 layer, one
   shape for both executors;
 * ``release()`` — drop the *calling thread's* resources;
@@ -23,19 +26,27 @@ dropped engine and its encoded tables alive until a gen-2 collection.
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..core.plans import Plan
 from ..core.query import ConjunctiveQuery
 from ..db.database import ProbabilisticDatabase
-from ..db.sqlite_backend import SQLiteBackend
+from ..db.sqlite_backend import MAX_STATEMENT_TEMPLATES, SQLiteBackend
+from ..obs import StatsLRU
 from .extensional import (
     EvaluationCache,
     plan_scores,
     plan_scores_min_combined,
 )
 from .semijoin import reduce_database, semijoin_statements
-from .sql import SQLCompiler, StatementScope, subplan_reference_counts
+from .sql import (
+    Parameters,
+    SQLCompiler,
+    Statement,
+    StatementScope,
+    bindable,
+    subplan_reference_counts,
+)
 from .stats import (
     DEFAULT_DP_THRESHOLD,
     DEFAULT_WRITE_FACTOR,
@@ -45,6 +56,9 @@ from .stats import (
 )
 
 __all__ = ["MemoryExecutor", "SQLiteExecutor", "Snapshot"]
+
+#: The counters a cache keeps for life (its ``size`` is a level).
+_CUMULATIVE = ("hits", "misses", "evictions")
 
 #: SQLite's compound-SELECT term limit defaults to 500; chunk the
 #: all-plans min-combining union well below it.
@@ -145,16 +159,52 @@ class MemoryExecutor:
         """Nothing is per thread: every caller shares the one cache."""
 
 
-class Snapshot:
-    """One thread's SQLite copy of the database, its temp-view registry
-    and its statistics catalog."""
+class _StatementKey(NamedTuple):
+    """Everything the text of a request's statements depends on (README,
+    "Statement templates": why each component is here)."""
 
-    __slots__ = ("backend", "registry", "catalog")
+    template: tuple  # the plan-memo key: flavour, shape, schema flags
+    frequencies: tuple[float, ...]  # per slot, as the cost model reads it
+    epochs: tuple  # of every scanned table
+    write_factor: "float | None"
+    generation: int  # of the view registry
+
+
+class _StatementTemplate(NamedTuple):
+    """The statements of one key (one, or the chunks of an all-plans
+    union) and the registry key of every view lookup their compilation
+    made — the touches a rerun repeats."""
+
+    statements: tuple[Statement, ...]
+    views: tuple
+
+
+class _Request(NamedTuple):
+    """One query of a batch. ``key``: its statement key (``None``: not
+    templated); ``history``: its entry in the registry's request
+    history; ``seen``: how often that entry was noted before."""
+
+    query: ConjunctiveQuery
+    targets: Sequence[Plan]
+    parameters: Parameters
+    key: "_StatementKey | None" = None
+    history: int = 0
+    seen: int = 0
+
+
+class Snapshot:
+    """One thread's SQLite copy of the database, its temp-view registry,
+    its statistics catalog and the statement templates compiled against
+    them (their text names the registry's views and is prepared on the
+    connection, so they live and die with it)."""
+
+    __slots__ = ("backend", "registry", "catalog", "statements")
 
     def __init__(self, backend: SQLiteBackend) -> None:
         self.backend = backend
         self.registry = backend.view_registry
         self.catalog = SQLiteStatisticsCatalog(backend)
+        self.statements = StatsLRU(MAX_STATEMENT_TEMPLATES)
 
 
 class SQLiteExecutor:
@@ -188,7 +238,9 @@ class SQLiteExecutor:
         self.faults = faults
         self._lock = threading.Lock()
         self._snapshots: dict[threading.Thread, Snapshot] = {}
-        self._released = {"hits": 0, "misses": 0, "evictions": 0}
+        # what released snapshots counted
+        self._released_views = dict.fromkeys(_CUMULATIVE, 0)
+        self._released_statements = dict.fromkeys(_CUMULATIVE, 0)
 
     # ------------------------------------------------------------------
     # the per-thread snapshot
@@ -233,10 +285,12 @@ class SQLiteExecutor:
             snapshot = self._snapshots.pop(threading.current_thread(), None)
         if snapshot is None:
             return
-        stats = snapshot.registry.cache_stats()
+        views = snapshot.registry.cache_stats()
+        statements = snapshot.statements.stats()
         with self._lock:
-            for key in self._released:
-                self._released[key] += stats[key]
+            for key in _CUMULATIVE:
+                self._released_views[key] += views[key]
+                self._released_statements[key] += statements[key]
         # closing the connection destroys the temp views; tell the
         # shared namespace so its live-view census stays exact
         snapshot.registry.detach()
@@ -251,16 +305,29 @@ class SQLiteExecutor:
         """
         with self._lock:
             live = dict(self._snapshots)
-            out = dict(self._released)
+            released = dict(self._released_views)
         if thread is not None:
             live = {thread: live[thread]} if thread in live else {}
-            out = dict.fromkeys(out, 0)
-        out.update(size=0, max_size=self.cache_size)
-        for snapshot in live.values():
-            stats = snapshot.registry.cache_stats()
-            for key in ("hits", "misses", "evictions", "size"):
-                out[key] += stats[key]
-        return out
+            released = dict.fromkeys(released, 0)
+        return _totals(
+            released,
+            [snapshot.registry.cache_stats() for snapshot in live.values()],
+            self.cache_size,
+        )
+
+    def statement_stats(self) -> dict:
+        """Counters of the statement templates, in the shape of
+        :meth:`cache_stats`: a hit ran a stored statement, a miss
+        compiled one (requests that are not templated count as
+        neither); summed over the live snapshots and the released."""
+        with self._lock:
+            live = list(self._snapshots.values())
+            released = dict(self._released_statements)
+        return _totals(
+            released,
+            [snapshot.statements.stats() for snapshot in live],
+            MAX_STATEMENT_TEMPLATES,
+        )
 
     # ------------------------------------------------------------------
     # Algorithm-3 pricing
@@ -304,16 +371,101 @@ class SQLiteExecutor:
             plan, stats_for, catalog.code_of, memo
         )
 
-    def explain_materialization(self, targets: Sequence[Plan]) -> list[dict]:
-        """Per shared subplan of ``targets``: references, cost estimate,
-        and whether the policy would materialize it against the calling
-        thread's current view registry."""
-        registry = self.snapshot().registry
+    # ------------------------------------------------------------------
+    # statement templates
+    # ------------------------------------------------------------------
+    def _request(self, snapshot: Snapshot, query, targets) -> _Request:
+        """``query`` as a request of the template store (counters and
+        request history untouched).
+
+        With equal statement keys ``estimate_plan``, ``greedy_order``
+        and ``MaterializationPolicy`` cannot tell two requests apart, so
+        a stored statement is byte for byte the one a compile would
+        produce. No key when the request cannot be templated: an engine
+        without a plan memo has no shape identity (``targets.key``), and
+        a constant ``sqlite3`` cannot bind is part of the text.
+        """
+        parameters = Parameters(query)
+        memo_key = getattr(targets, "key", None)
+        if memo_key is None or not all(
+            map(bindable, parameters.constants)
+        ):
+            return _Request(query, targets, parameters)
+        backend, catalog = snapshot.backend, snapshot.catalog
+        frequencies = []
+        for (relation, position), value in zip(
+            parameters.slots, parameters.constants
+        ):
+            epoch = backend.table_epoch(relation)
+            columns = (
+                catalog.table_stats(relation, epoch).columns
+                if epoch is not None
+                else ()
+            )
+            if position >= len(columns):
+                # unknown relation or wrong arity: compiling says which
+                return _Request(query, targets, parameters)
+            frequencies.append(columns[position].frequency(value))
+        _, (atoms, _), _ = memo_key
+        key = _StatementKey(
+            memo_key,
+            tuple(frequencies),
+            tuple(backend.table_epoch(relation) for relation, _, _ in atoms),
+            self.write_factor,
+            snapshot.registry.generation,
+        )
+        # the request in the registry's history (a hint, keyed by hash
+        # like its subplans): shape and constants, not epochs
+        history = hash((memo_key, parameters.constants))
+        seen = snapshot.registry.request_count(history)
+        return _Request(query, targets, parameters, key, history, seen)
+
+    def _run_template(self, snapshot: Snapshot, request: _Request):
+        """Answer ``request`` with its stored statements, or ``None``.
+
+        A request that came before goes to the compiler, where the
+        policy may promote what its constant selected; so does one whose
+        key holds no template (nothing stored yet, or an epoch, the
+        write factor or the registry moved). A hit repeats the registry
+        lookups the compilation made: hits counted, LRU touched, views
+        pinned until the statements ran.
+        """
+        statements, registry = snapshot.statements, snapshot.registry
+        if request.seen:
+            statements.add_miss()
+            template = None
+        else:
+            template = statements.get(request.key)
+        if self.observer.enabled:
+            outcome = "misses" if template is None else "hits"
+            self.observer.inc("sql.template." + outcome)
+        if template is None:
+            return None
+        scores: dict[tuple, float] = {}
+        with registry.pin_scope():
+            for view in template.views:
+                registry.lookup(view)
+            executed = [
+                _execute(snapshot.backend, statement, request, scores, "hit")
+                for statement in template.statements
+            ]
+        return scores, ";\n\n".join(executed)
+
+    def explain(self, query, targets: Sequence[Plan]) -> dict:
+        """What :meth:`run` would do with the request, against the
+        calling thread's current registry and template store:
+        ``"statement_template"`` — whether a stored statement would
+        serve it — and ``"materialization"`` — per shared subplan of
+        ``targets``, its references, cost estimate, and whether the
+        policy would materialize it."""
+        snapshot = self.snapshot()
+        registry = snapshot.registry
+        request = self._request(snapshot, query, targets)
         estimator = self.plan_estimator()
         policy = MaterializationPolicy(estimator=estimator)
         decisions = []
         for node, count in subplan_reference_counts(targets).items():
-            prior = registry.request_count(hash(node))
+            prior = max(registry.request_count(hash(node)), request.seen)
             estimate = estimator(node)
             decisions.append(
                 {
@@ -326,33 +478,58 @@ class SQLiteExecutor:
                     or policy.should_materialize(node, count, prior),
                 }
             )
-        return decisions
+        return {
+            "statement_template": not request.seen
+            and request.key in snapshot.statements,
+            "materialization": decisions,
+        }
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, batch: Batch, opts) -> list[tuple[dict, str]]:
-        backend = self.snapshot().backend
+        snapshot = self.snapshot()
         if opts.semijoin or not opts.reuse_views:
             # Semi-join reduction rebuilds the per-query temp tables, so
             # those queries run back to back (their cross-query sharing
             # happens through the content-token registry keys); without
             # view reuse there is nothing to share by construction.
             return [
-                self._run_query(backend, query, targets, opts)
+                self._run_query(snapshot, query, targets, opts)
                 for query, targets in batch
             ]
-        compiler = SQLCompiler(
-            self.db.schema,
-            reuse_views=True,
-            native_ior=backend.has_math_functions,
-            estimator=self.plan_estimator(),
-        )
-        return self._run_selective(backend, compiler, batch, lambda node: node)
+        # Requests whose statement is stored are answered first; the
+        # rest are compiled together, so what the batch shares is priced
+        # batch-wide as before.
+        out: list = []
+        pending: dict[int, _Request] = {}  # by position in the batch
+        for query, targets in batch:
+            request = self._request(snapshot, query, targets)
+            pair = None
+            if request.key is not None:
+                snapshot.registry.note_request(request.history)
+                pair = self._run_template(snapshot, request)
+            if pair is None:
+                pending[len(out)] = request
+            out.append(pair)
+        if pending:
+            compiler = SQLCompiler(
+                self.db.schema,
+                reuse_views=True,
+                native_ior=snapshot.backend.has_math_functions,
+                estimator=self.plan_estimator(),
+            )
+            pairs = self._run_selective(
+                snapshot, compiler, list(pending.values()), lambda node: node
+            )
+            for at, pair in zip(pending, pairs):
+                out[at] = pair
+        return out
 
     def _run_query(
-        self, backend: SQLiteBackend, query, targets, opts
+        self, snapshot: Snapshot, query, targets, opts
     ) -> tuple[dict[tuple, float], str]:
+        backend = snapshot.backend
         table_names: dict[str, str] = {}
         token = None
         if opts.semijoin:
@@ -382,23 +559,24 @@ class SQLiteExecutor:
         # the views carry a content token of the reduction, so
         # structurally identical subplans over *differently* reduced
         # inputs can never collide while repeats of the same reduction
-        # reuse their views.
+        # reuse their views. The tables are rebuilt per query, so the
+        # request is compiled per query too: it has no statement key.
         [pair] = self._run_selective(
-            backend,
+            snapshot,
             compiler,
-            [(query, targets)],
+            [_Request(query, targets, Parameters(query))],
             lambda node: (node, token),
         )
         return pair
 
     def _run_selective(
         self,
-        backend: SQLiteBackend,
+        snapshot: Snapshot,
         compiler: SQLCompiler,
-        batch: Batch,
+        batch: Sequence[_Request],
         key_of,
     ) -> list[tuple[dict[tuple, float], str]]:
-        """Compile and run a batch of (query, target plans) selectively.
+        """Compile and run a batch of requests selectively.
 
         Opt. 2 + Algorithm 3 across statements and queries: subplans
         worth sharing are materialized once as temp views on the
@@ -416,9 +594,15 @@ class SQLiteExecutor:
         factored into per-statement CTEs (:class:`StatementScope`), so
         they are computed once per statement rather than once per union
         branch.
+
+        A request with a statement key (its views are keyed by plan
+        node) leaves its statements behind as the key's template when
+        compiling it was a **fixed point** — no later request of the key
+        would come out differently: the registry did not move since the
+        key was taken (no DDL ran) and :func:`_fixed_point` holds.
         """
-        registry = backend.view_registry
-        all_targets = [t for _, targets in batch for t in targets]
+        backend, registry = snapshot.backend, snapshot.registry
+        all_targets = [t for request in batch for t in request.targets]
         references = subplan_reference_counts(all_targets)
         # Request history is keyed by hash, not by structural equality:
         # repeated deep-plan comparisons would dominate the warm path,
@@ -431,9 +615,10 @@ class SQLiteExecutor:
         }
         for node in references:
             registry.note_request(hash(key_of(node)))
+        estimator = compiler.estimator
         policy = MaterializationPolicy(
             # the compiler's: one memo prices a subplan and orders its joins
-            estimator=compiler.estimator,
+            estimator=estimator,
             write_factor=(
                 self.write_factor
                 if self.write_factor is not None
@@ -441,53 +626,125 @@ class SQLiteExecutor:
             ),
             observer=self.observer,
         )
-
-        def decide(node: Plan) -> bool:
-            return policy.should_materialize(
-                node, references.get(node, 1), prior.get(node, 0)
-            )
-
         out: list[tuple[dict[tuple, float], str]] = []
         # The outer pin scope keeps every view alive until the combining
         # SELECTs have run (pin_scope is re-entrant); the LRU cap is
         # enforced when it exits.
         with registry.pin_scope():
-            for query, targets in batch:
+            for request in batch:
+                query, targets = request.query, request.targets
+                first_seen: list[Plan] = []
+
+                def decide(node: Plan) -> bool:
+                    # a request that came before asked for all its subplans
+                    before = max(prior.get(node, 0), request.seen)
+                    if not before:
+                        first_seen.append(node)
+                    return policy.should_materialize(
+                        node, references.get(node, 1), before
+                    )
+
                 executed: list[str] = []
+                statements: list[Statement] = []
+                views: list = []
                 scores: dict[tuple, float] = {}
                 for start in range(0, len(targets), _MAX_UNION_BRANCHES):
                     chunk = list(targets[start : start + _MAX_UNION_BRANCHES])
                     scope = StatementScope(
-                        subplan_reference_counts(chunk, include_joins=True)
+                        subplan_reference_counts(chunk, include_joins=True),
+                        request.parameters,
                     )
                     compiled: list[str] = []
                     for plan in chunk:
                         created, ref = compiler.compile_selective(
-                            plan, registry, decide, key_of=key_of, scope=scope
+                            plan, registry, decide, key_of, scope
                         )
                         executed.extend(created)
                         compiled.append(ref)
                     if len(chunk) == 1:
-                        sql = compiler.select_statement(
+                        statement = compiler.select_statement(
                             compiled[0], query, scope=scope
                         )
                     else:
                         # min-combine the per-answer scores inside the
                         # engine with UNION ALL + MIN instead of one
                         # fetch-and-merge round trip per plan
-                        sql = compiler.min_union_sql(
+                        statement = compiler.min_union_sql(
                             compiled, query, scope=scope
                         )
-                    executed.append(sql)
                     if self.observer.enabled and scope.cte_count:
                         self.observer.inc(
                             "sql.ctes_shared", scope.cte_count
                         )
-                    _merge_min(
-                        scores, _collect(backend.execute(sql), query)
+                    statements.append(statement)
+                    views.extend(scope.views)
+                    executed.append(
+                        _execute(
+                            backend,
+                            statement,
+                            request,
+                            scores,
+                            "none" if request.key is None else "miss",
+                        )
+                    )
+                if (
+                    request.key is not None
+                    and request.key.generation == registry.generation
+                    and _fixed_point(estimator, first_seen, views)
+                ):
+                    snapshot.statements.put(
+                        request.key,
+                        _StatementTemplate(tuple(statements), tuple(views)),
                     )
                 out.append((scores, ";\n\n".join(executed)))
         return out
+
+
+def _execute(
+    backend: SQLiteBackend,
+    statement: Statement,
+    request: _Request,
+    scores: dict[tuple, float],
+    template: str,
+) -> str:
+    """Run one finished statement with the request's constants bound and
+    min-merge its rows into ``scores``; returns the statement as it
+    reads with the constants written out."""
+    literal = statement.literal(request.parameters.constants)
+    rows = backend.execute(
+        statement.text,
+        request.parameters.values,
+        literal=literal,
+        template=template,
+    )
+    _merge_min(scores, _collect(rows, request.query))
+    return literal
+
+
+def _fixed_point(
+    estimator, first_seen: Sequence[Plan], views: Sequence[Plan]
+) -> bool:
+    """Whether a compilation that executed no DDL would come out the
+    same for the next request of its statement key: every subplan the
+    policy saw for the first time sits beneath a constant (a
+    constant-free one counts an extra reference from its second request
+    on and may then earn a view), and no view it read does (such a view
+    belongs to this request's constants)."""
+    try:
+        return all(
+            estimator(node).selective for node in first_seen
+        ) and not any(estimator(view).selective for view in set(views))
+    except KeyError:
+        return False  # a relation without statistics
+
+
+def _totals(released: dict, live: Sequence[Mapping], max_size) -> dict:
+    """``released`` plus every live cache's counters and size."""
+    out = dict(released, size=0, max_size=max_size)
+    for stats in live:
+        for key in (*_CUMULATIVE, "size"):
+            out[key] += stats[key]
+    return out
 
 
 def _merge_min(

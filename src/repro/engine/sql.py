@@ -23,6 +23,13 @@ plans of an "all plans" evaluation and by later queries on the same
 connection, while one-shot subplans stay inline and never pay the
 temp-table write cost.
 
+A selection constant is compiled as the named parameter of its *slot*
+(``:k<i>``, ``i`` its index among the query's constants in canonical
+order — :class:`Parameters`), so the text of a statement depends on the
+query's shape and not on the values it selects; :class:`Statement` is a
+finished statement, executable with the parameters bound and spelled
+out with literals for everything that reports it.
+
 The compiler also produces the deterministic baselines of Sec. 5:
 ``deterministic_sql`` (``SELECT DISTINCT`` of the answers) and
 ``lineage_sql`` (retrieve all join witnesses — the minimum work any
@@ -34,6 +41,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
+from ..core.canonical import canonical_shape
 from ..core.plans import Join, MinPlan, Plan, Project, Scan
 from ..core.query import ConjunctiveQuery
 from ..core.symbols import Constant, Variable
@@ -42,8 +50,11 @@ from ..db.sqlite_backend import PROB_COLUMN, sql_literal
 from .stats import greedy_order
 
 __all__ = [
+    "Parameters",
     "SQLCompiler",
+    "Statement",
     "StatementScope",
+    "bindable",
     "deterministic_sql",
     "lineage_sql",
     "subplan_reference_counts",
@@ -55,8 +66,104 @@ def _q(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+#: Delimits a slot number in text under compilation. ``sqlite3`` refuses
+#: a statement that contains NUL, so no identifier or literal of an
+#: executable statement can hold one and splitting on it is exact — no
+#: pattern is ever matched against names the schema chose.
+_SLOT = "\x00"
+
+
+def bindable(value: object) -> bool:
+    """Whether ``sqlite3`` binds ``value`` as the very value it is.
+
+    Exactly ``str``, ``float`` and an ``int`` that fits SQLite's 64-bit
+    INTEGER. Everything else — ``bool`` (spelled ``1``/``0``), ``None``
+    (``= NULL`` selects nothing), a wider ``int`` (``OverflowError`` on
+    bind; the literal compares as a REAL), any other type — keeps the
+    spelling :func:`~repro.db.sqlite_backend.sql_literal` gives it.
+    """
+    kind = type(value)
+    return (
+        kind is str
+        or kind is float
+        or (kind is int and -(1 << 63) <= value < (1 << 63))
+    )
+
+
+class Parameters:
+    """One query's selection constants, by slot.
+
+    Slot ``i`` is the ``i``-th constant of the canonical scan
+    (:func:`~repro.core.canonical.canonical_shape`): every spelling of a
+    query — and every query of its shape — numbers its constants alike.
+    A relation name identifies its atom, so ``(relation, column
+    position)`` identifies the slot and no placeholder term is needed.
+    ``Parameters()`` knows no slot: every constant is then a literal.
+    """
+
+    __slots__ = ("constants", "slots", "values")
+
+    def __init__(self, query: ConjunctiveQuery | None = None) -> None:
+        atoms, constants = (), ()
+        if query is not None:
+            (atoms, _), constants, _ = canonical_shape(query)
+        #: the constant values in slot order
+        self.constants: tuple = constants
+        #: ``(relation, column position) -> slot``, in slot order
+        self.slots: dict[tuple[str, int], int] = {
+            (relation, position): term[1]
+            for relation, terms, _ in atoms
+            for position, term in enumerate(terms)
+            if term[0] == "c"
+        }
+        #: what ``sqlite3`` binds: a mapping may name more than a
+        #: statement uses, positional values may not
+        self.values: dict[str, object] = {
+            f"k{slot}": value for slot, value in enumerate(constants)
+        }
+
+    def render(self, relation: str, position: int, value: object) -> str:
+        """The one place a selection constant is rendered: its slot's
+        parameter when it has one and the value binds, else a literal."""
+        slot = self.slots.get((relation, position))
+        if slot is None or not bindable(value):
+            return sql_literal(value)
+        return f"{_SLOT}{slot}{_SLOT}"
+
+
+class Statement:
+    """A finished statement: executable text plus its literal spelling.
+
+    Built once from compiler output, which marks every bound constant
+    with its slot number; :attr:`text` names the slots ``:k<i>`` for
+    ``sqlite3``, :meth:`literal` joins the same segments around the
+    values — what ``EvaluationResult.sql``, the ``"statement"`` fault
+    hook and the ``sqlite.statement`` span show, and what runs as it
+    reads on a bare connection.
+    """
+
+    __slots__ = ("text", "_segments", "_slots")
+
+    def __init__(self, marked: str) -> None:
+        parts = marked.split(_SLOT)
+        self._segments = parts[0::2]
+        self._slots = [int(slot) for slot in parts[1::2]]
+        self.text = self._spell([f":k{slot}" for slot in self._slots])
+
+    def _spell(self, fills: Sequence[str]) -> str:
+        out = [self._segments[0]]
+        for fill, segment in zip(fills, self._segments[1:]):
+            out += (fill, segment)
+        return "".join(out)
+
+    def literal(self, constants: Sequence) -> str:
+        """The text with ``constants[slot]`` written into every slot."""
+        return self._spell([sql_literal(constants[s]) for s in self._slots])
+
+
 class StatementScope:
-    """Shared common-table-expressions of one SQL statement.
+    """What the plans compiled into one SQL statement share: its common
+    table expressions, its parameters, the views it reads.
 
     The Algorithm-3 cost gate keeps cheap subplans *inline* — but a
     subplan referenced from several branches of the same statement (the
@@ -79,19 +186,35 @@ class StatementScope:
     ``references`` maps plan nodes to their statement-wide reference-site
     counts (:func:`subplan_reference_counts` over every plan of the
     statement); nodes with at least two sites earn a CTE, single-use
-    nodes stay pasted inline as before.
+    nodes stay pasted inline as before. ``parameters`` are the
+    statement's query's (none: constants compile to literals).
     """
 
-    __slots__ = ("references", "names", "defs", "cte_nodes")
+    __slots__ = (
+        "references",
+        "parameters",
+        "names",
+        "defs",
+        "cte_nodes",
+        "views",
+    )
 
-    def __init__(self, references: Mapping[Plan, int] | None = None) -> None:
+    def __init__(
+        self,
+        references: Mapping[Plan, int] | None = None,
+        parameters: Parameters | None = None,
+    ) -> None:
         self.references: Mapping[Plan, int] = references or {}
+        self.parameters = parameters or Parameters()
         #: node -> CTE name, shared by all plans of the statement
         self.names: dict[Plan, str] = {}
         #: CTE definitions in dependency (bottom-up emission) order
         self.defs: list[tuple[str, str]] = []
         #: the nodes that were factored into CTEs (observability/tests)
         self.cte_nodes: list[Plan] = []
+        #: registry key of every view lookup that hit, in lookup order —
+        #: the registry touches a rerun of the statement has to repeat
+        self.views: list = []
 
     @property
     def cte_count(self) -> int:
@@ -184,6 +307,14 @@ class SQLCompiler:
         with ``CROSS JOIN`` (see :meth:`_join_sql`); without it — or for
         a join over a relation that has no statistics — joins are plain
         comma joins and SQLite's planner orders the loops.
+
+    One emitter serves both ways out. :meth:`compile` returns text with
+    its constants as literals, ready for a bare ``execute``;
+    :meth:`compile_selective` followed by :meth:`select_statement` /
+    :meth:`min_union_sql` returns a :class:`Statement` whose constants
+    are the named parameters of their :class:`Parameters` slots. There
+    is no mode to set: a constant is a parameter exactly when the
+    statement's scope knows its slot and ``sqlite3`` can bind its value.
     """
 
     def __init__(
@@ -214,13 +345,17 @@ class SQLCompiler:
         (repeated subplans recomputed, as when evaluating plans naively).
         CTE form also keeps expression nesting flat, which deep single
         plans need (fully inlined SQL overflows SQLite's parser stack).
+
+        The text carries its constants as literals: it runs as it reads
+        on a bare connection.
         """
         views: list[tuple[str, str]] = []
         emitted: dict[int, str] = {}
+        literals = Parameters()
 
         def reference(node: Plan) -> str:
             if isinstance(node, Scan):
-                return "(\n" + self._scan_sql(node) + "\n)"
+                return "(\n" + self._scan_sql(node, literals) + "\n)"
             if self._reuse_views:
                 cached = emitted.get(id(node))
                 if cached is not None:
@@ -275,17 +410,25 @@ class SQLCompiler:
         statement (see :class:`StatementScope`); it also carries the
         node → reference memo across the several plans of one statement,
         so a plan top emitted for one union branch is referenced — not
-        recompiled — by every later branch.
+        recompiled — by every later branch. With the scope's
+        ``parameters`` every constant that has a slot there compiles to
+        that slot's parameter; a view registered on the way is created
+        with them bound.
 
-        Returns ``(executed DDL statements, reference)`` where the
-        reference is a view name, CTE name, or an inline subquery for
-        the plan's top. Runs inside ``registry.pin_scope()`` so LRU
-        eviction can never drop a view a pending statement references.
+        Returns ``(executed DDL statements, reference)``: the DDL with
+        its constants spelled out, and a view name, CTE name, or inline
+        subquery for the plan's top, to be finished by
+        :meth:`select_statement` / :meth:`min_union_sql`. Runs inside
+        ``registry.pin_scope()`` so LRU eviction can never drop a view a
+        pending statement references.
         """
         if not self._reuse_views:
             raise ValueError("compile_selective() requires reuse_views=True")
         if key_of is None:
             key_of = lambda node: node  # noqa: E731 - trivial default
+        if scope is None:
+            scope = StatementScope()  # nothing is shared, nothing bound
+        parameters = scope.parameters
         created: list[str] = []
         # per-plan memo; the scope's CTE name map spans plans, while
         # registry views are re-looked-up per plan so the hit counters
@@ -297,14 +440,14 @@ class SQLCompiler:
             if cached is not None:
                 return cached
             if isinstance(node, Scan):
-                return "(\n" + self._scan_sql(node) + "\n)"
+                return "(\n" + self._scan_sql(node, parameters) + "\n)"
+            shared = scope.names.get(node)
+            if shared is not None:
+                emitted[node] = shared
+                return shared
             if isinstance(node, Join):
-                shared = scope.names.get(node) if scope is not None else None
-                if shared is not None:
-                    emitted[node] = shared
-                    return shared
                 sql = self._join_sql(node, reference)
-                if scope is not None and scope.wants_cte(node):
+                if scope.wants_cte(node):
                     # a join shared by structurally distinct parents the
                     # cost gate kept inline: compute it once per statement
                     name = scope.add_cte(node, sql)
@@ -312,23 +455,26 @@ class SQLCompiler:
                     name = "(\n" + sql + "\n)"
                 emitted[node] = name
                 return name
-            shared = scope.names.get(node) if scope is not None else None
-            if shared is not None:
-                emitted[node] = shared
-                return shared
             key = key_of(node)
             name = registry.lookup(key)
-            if name is None:
+            if name is not None:
+                scope.views.append(key)
+            else:
                 sql = self._node_sql(node, reference)
                 if decide(node):
                     # the DDL runs as its own statement: scope CTEs the
                     # subtree references must be inlined into it (they
                     # only exist in the final statement's WITH clause)
-                    if scope is not None:
-                        sql = scope.inline_into(sql)
-                    name, ddl = registry.register(key, sql)
-                    created.append(ddl)
-                elif scope is not None and scope.wants_cte(node):
+                    body = Statement(scope.inline_into(sql))
+                    name, ddl = registry.register(
+                        key, body.text, parameters.values
+                    )
+                    # reported as it reads with the constants written out
+                    created.append(
+                        ddl.removesuffix(body.text)
+                        + body.literal(parameters.constants)
+                    )
+                elif scope.wants_cte(node):
                     name = scope.add_cte(node, sql)
                 else:
                     # inline: the parent (or final SELECT) computes it
@@ -345,17 +491,17 @@ class SQLCompiler:
         reference: str,
         query: ConjunctiveQuery,
         scope: "StatementScope | None" = None,
-    ) -> str:
+    ) -> Statement:
         """The final ``SELECT`` over a compiled reference (view or inline)."""
         prefix = scope.with_clause() if scope is not None else ""
-        return prefix + self._final_select(reference, query)
+        return Statement(prefix + self._final_select(reference, query))
 
     def min_union_sql(
         self,
         references: Sequence[str],
         query: ConjunctiveQuery,
         scope: "StatementScope | None" = None,
-    ) -> str:
+    ) -> Statement:
         """Min-combine per-plan results inside the engine (all-plans mode).
 
         ``references`` are view names / inline subqueries that all
@@ -379,7 +525,9 @@ class SQLCompiler:
         )
         group = f"\nGROUP BY {', '.join(columns)}" if columns else ""
         prefix = scope.with_clause() if scope is not None else ""
-        return f"{prefix}SELECT {outer} FROM (\n{branches}\n) u{group}"
+        return Statement(
+            f"{prefix}SELECT {outer} FROM (\n{branches}\n) u{group}"
+        )
 
     # ------------------------------------------------------------------
     # node compilation
@@ -393,7 +541,7 @@ class SQLCompiler:
             return self._min_sql(node, reference)
         raise TypeError(f"unknown plan node {node!r}")  # pragma: no cover
 
-    def _scan_sql(self, node: Scan) -> str:
+    def _scan_sql(self, node: Scan, parameters: Parameters) -> str:
         atom = node.atom
         table_schema = self._schema[atom.relation]
         if table_schema.arity != atom.arity:
@@ -405,9 +553,14 @@ class SQLCompiler:
         selects: list[str] = []
         conditions: list[str] = []
         seen: dict[Variable, str] = {}
-        for column, term in zip(table_schema.columns, atom.terms):
+        for position, (column, term) in enumerate(
+            zip(table_schema.columns, atom.terms)
+        ):
             if isinstance(term, Constant):
-                conditions.append(f"{_q(column)} = {sql_literal(term.value)}")
+                constant = parameters.render(
+                    atom.relation, position, term.value
+                )
+                conditions.append(f"{_q(column)} = {constant}")
             elif term in seen:
                 conditions.append(f"{_q(column)} = {_q(seen[term])}")
             else:

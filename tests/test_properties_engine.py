@@ -13,7 +13,10 @@ pairs:
   its shape gets exactly what a memo-less engine computes;
 * join order — the nested-loop order the SQL compiler pins from the
   cost model's estimates never changes an answer, however wrong the
-  estimates are.
+  estimates are;
+* statement templates — an engine that serves requests from stored
+  statements stays in lockstep with one that compiles every request:
+  same floats, same text, same objects left on the connection.
 """
 
 from __future__ import annotations
@@ -484,3 +487,187 @@ def test_pinned_join_order_never_changes_an_answer(case):
     db, query, primer = case
     assert_backends_agree(query, db, tolerance=1e-12)
     assert_backends_agree(query, db, tolerance=1e-12, primed_with=primer)
+
+
+# ----------------------------------------------------------------------
+# statement templates ≡ compile per request
+# ----------------------------------------------------------------------
+MERGED, ALL_PLANS = Optimizations(), Optimizations(single_plan=False)
+
+
+@st.composite
+def request_streams(draw):
+    """``(db, strict, requests, respelled)`` over one chain / star /
+    k-ary body of 3–5 atoms: one to three *groups* — a choice of one or
+    two constant positions, a head (Boolean, one variable, or two in
+    either order) and merged-plan or all-plans ``Optimizations`` — and a
+    stream of ``(query, opts)`` requests drawn from them, constants
+    repeating freely *within* a group (so requests come back and are
+    promoted). With ``strict`` two requests share a constant only when
+    they are the same request (same group, same constants), so they
+    share no selection-bearing subplan either. ``respelled`` is
+    a tail of further requests, some under other variable names with
+    the atoms reversed."""
+    shape = draw(st.sampled_from(["chain", "star", "kary"]))
+    atoms = _join_body(shape, draw(st.integers(3, 5)))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    # more than eight values a column, so most of them — and every
+    # absent one — share the MCV sketch's uniform remainder: requests
+    # of one frequency class, which is what a template serves
+    domain = draw(st.integers(10, 16))
+    db = ProbabilisticDatabase()
+    for atom in atoms:
+        rows = sorted(
+            {
+                tuple(rng.randint(1, domain) for _ in atom.terms)
+                for _ in range(draw(st.integers(12, 48)))
+            }
+        )
+        db.add_table(
+            atom.relation, [(row, rng.uniform(0.05, 0.8)) for row in rows]
+        )
+
+    positions = [
+        (index, column)
+        for index, atom in enumerate(atoms)
+        for column in range(atom.arity)
+    ]
+    strict = draw(st.booleans())
+    groups = []
+    for number in range(draw(st.integers(1, 3))):
+        slots = draw(
+            st.lists(
+                st.sampled_from(positions), min_size=1, max_size=2, unique=True
+            )
+        )
+        body = []
+        for index, atom in enumerate(atoms):
+            terms = [
+                None if (index, column) in slots else term
+                for column, term in enumerate(atom.terms)
+            ]
+            body.append((atom.relation, terms))
+        used = sorted(
+            {t for _, terms in body for t in terms if t is not None}
+        )
+        head = draw(st.permutations(used))[: draw(st.integers(0, 2))]
+        opts = draw(st.sampled_from([MERGED, MERGED, ALL_PLANS]))
+        # values 1..domain occur (most of them), the sixteen above do not
+        values = [
+            v
+            for v in range(1, domain + 17)
+            if not strict or v % 3 == number
+        ]
+        groups.append((body, head, opts, values))
+
+    def request(spelling: str):
+        body, head, opts, values = draw(st.sampled_from(groups))
+        rename = (
+            (lambda v: v)
+            if spelling == "first"
+            else (lambda v: Variable("other_" + v.name))
+        )
+        # the seed's choice, not hypothesis's: it would send the same
+        # few constants again and again. Strict requests put one value
+        # in all their slots, so two of them share a constant only when
+        # they are the same request.
+        tied = rng.choice(values)
+        atoms_ = [
+            Atom(
+                relation,
+                [
+                    Constant(tied if strict else rng.choice(values))
+                    if term is None
+                    else rename(term)
+                    for term in terms
+                ],
+            )
+            for relation, terms in body
+        ]
+        if spelling != "first":
+            atoms_.reverse()
+        return ConjunctiveQuery(atoms_, [rename(v) for v in head]), opts
+
+    requests = [
+        request("first") for _ in range(draw(st.integers(8, 40)))
+    ]
+    respelled = [
+        request(draw(st.sampled_from(["first", "other"])))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return db, strict, requests, respelled
+
+
+def _connection_state(engine) -> tuple:
+    [(objects,)] = engine.sqlite.execute(
+        "SELECT count(*) FROM sqlite_temp_master"
+    )
+    views = engine.cache_stats()
+    return objects, views["size"], views["hits"], views["misses"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(request_streams())
+def test_statement_templates_equal_compile_per_request(case):
+    """A templated SQLite engine and one with ``plan_memo_size=0`` (no
+    shape identity, so every request is compiled) over one stream.
+
+    While every request is in its shape's first spelling the two agree
+    to the bit and to the byte: scores, ``result.sql`` (DDL included).
+    When no two different requests share a constant they also leave the
+    same objects on their connections and touch their view registries
+    alike after every request; with a shared constant the templated
+    engine — a hit leaves no per-subplan request history — may promote a
+    shared selection-bearing subplan later than the reference, never
+    earlier, and scores then agree within 1e-12. Respelled requests are served by the
+    text of whichever spelling filled the template and agree within
+    1e-12, like everything after them. No executed or reported text
+    ever holds an unbound placeholder.
+    """
+    db, strict, requests, respelled = case
+    templated = DissociationEngine(db, EngineConfig(backend="sqlite"))
+    plain = DissociationEngine(
+        db, EngineConfig(backend="sqlite", plan_memo_size=0)
+    )
+    memory = DissociationEngine(db)
+    executed: list[str] = []
+    templated.sqlite.connection.set_trace_callback(executed.append)
+    try:
+        for query, opts in requests:
+            got = templated.evaluate(query, opts)
+            want = plain.evaluate(query, opts)
+            assert got.plan_count == want.plan_count
+            if strict:
+                assert got.scores == want.scores, (query, opts)
+                assert got.sql == want.sql, (query, opts)
+                assert _connection_state(templated) == _connection_state(
+                    plain
+                ), (query, opts)
+            else:
+                _assert_close(got.scores, want.scores, 1e-12)
+                assert (
+                    _connection_state(templated)[0]
+                    <= _connection_state(plain)[0]
+                )
+            _assert_close(got.scores, memory.evaluate(query, opts).scores, 1e-12)
+            assert ":k" not in got.sql and "\x00" not in got.sql
+        for query, opts in respelled:
+            got = templated.evaluate(query, opts)
+            _assert_close(got.scores, plain.evaluate(query, opts).scores, 1e-12)
+            _assert_close(got.scores, memory.evaluate(query, opts).scores, 1e-12)
+        # sqlite3 traces statements with their parameters expanded: a
+        # placeholder left in one was never bound
+        assert not [text for text in executed if ":k" in text]
+        stats = templated.statement_stats()
+        assert stats["hits"] + stats["misses"] == len(requests) + len(respelled)
+        assert plain.statement_stats()["misses"] == 0
+    finally:
+        templated.sqlite.connection.set_trace_callback(None)
+        templated.release()
+        plain.release()
+
+
+def _assert_close(got: dict, want: dict, tolerance: float) -> None:
+    assert got.keys() == want.keys()
+    for answer, score in want.items():
+        assert abs(got[answer] - score) <= tolerance, (answer, got[answer], score)
