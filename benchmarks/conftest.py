@@ -10,7 +10,7 @@ PostgreSQL / SQL Server.
 Figure output goes to stdout (visible with ``pytest -s``) *and* is
 appended to ``bench_figures.txt`` at the repository root, so a plain
 ``pytest benchmarks/ --benchmark-only`` still leaves the full reproduction
-record behind (``EXPERIMENTS.md`` embeds from it).
+record behind (``bench_figures.txt`` is the record; CI uploads it).
 """
 
 from __future__ import annotations
@@ -40,3 +40,23 @@ def emit(title: str, body: str) -> None:
 @pytest.fixture
 def report():
     return emit
+
+
+@pytest.fixture
+def best_seconds():
+    """``best_seconds(query, db, modes, first)``: per mode of ``modes``,
+    the best of ``first`` (the sweep's own timings of the instance) and
+    two more cold runs on fresh engines — what a timing gate asserts
+    on, so one scheduler hiccup on a 10 ms measurement cannot fail it."""
+    from repro.experiments import dissociation_timings
+
+    def best(query, db, modes, first):
+        runs = [first] + [
+            dissociation_timings(
+                query, db, modes=modes, include_standard_sql=False
+            ).seconds
+            for _ in range(2)
+        ]
+        return {mode: min(run[mode] for run in runs) for mode in modes}
+
+    return best

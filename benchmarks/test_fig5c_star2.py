@@ -5,15 +5,18 @@ Opt1-2 coincide (no shared subplans to reuse in the 2-star) and everything
 stays close to deterministic SQL.
 """
 
+import math
+
 from repro import EngineConfig
 from repro.engine import DissociationEngine, Optimizations
-from repro.experiments import dissociation_timings, format_table
+from repro.experiments import OPTIMIZATION_MODES, dissociation_timings, format_table
 from repro.workloads import star_database, star_query
 
 SIZES = (100, 300, 1000, 3000)
+GATED = {m: OPTIMIZATION_MODES[m] for m in ("opt12", "opt123")}
 
 
-def test_fig5c(report, benchmark):
+def test_fig5c(report, benchmark, best_seconds):
     q = star_query(2)
     rows = []
     for n in SIZES:
@@ -41,6 +44,20 @@ def test_fig5c(report, benchmark):
     # Opt1 ≈ Opt1-2 for the 2-star (nothing to share)
     last = rows[-1]
     assert last.seconds["opt12"] < last.seconds["opt1"] * 3 + 0.05
+
+    # shape (Sec. 4.3): the semi-join reduction is a near-constant
+    # overhead — within 2.5x of Opt1-2 at the largest size (three
+    # indexed copies against a ~10 ms query), and linear in n between
+    # the two largest sizes
+    mid, big = (
+        best_seconds(
+            q, star_database(2, n, seed=43, p_max=0.5), GATED, row.seconds
+        )
+        for n, row in zip(SIZES[-2:], rows[-2:])
+    )
+    assert big["opt123"] <= 2.5 * big["opt12"] + 0.005, big
+    growth = math.log(big["opt123"] / mid["opt123"]) / math.log(3)
+    assert growth <= 1.3, (mid, big)
 
     db = star_database(2, 1000, seed=43, p_max=0.5)
     engine = DissociationEngine(db, EngineConfig(backend="sqlite"))

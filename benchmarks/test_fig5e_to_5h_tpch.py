@@ -23,12 +23,16 @@ from repro.workloads import TPCHParameters, filtered_instance, tpch_database, tp
 SCALE = 0.02
 SUPPKEY_SWEEP = (50, 100, 200)
 PATTERNS = ("%red%green%", "%red%", "%")
+GATED = {
+    "diss": Optimizations.none(),
+    "diss_opt3": Optimizations(single_plan=False, reuse_views=False, semijoin=True),
+}
 
 
-def test_fig5e_to_5h(report, benchmark):
+def test_fig5e_to_5h(report, benchmark, best_seconds):
     base = tpch_database(scale=SCALE, seed=45, p_max=0.5)
     q = tpch_query()
-    rows = []
+    rows, instances = [], []
     for pattern in PATTERNS:
         for suppkey_max in SUPPKEY_SWEEP:
             db = filtered_instance(base, TPCHParameters(suppkey_max, pattern))
@@ -39,6 +43,7 @@ def test_fig5e_to_5h(report, benchmark):
                 mc_samples=1000,
             )
             rows.append(row)
+            instances.append((pattern, db))
 
     headers = [
         "params",
@@ -95,6 +100,15 @@ def test_fig5e_to_5h(report, benchmark):
     largest = by_lineage[-1]
     if not math.isnan(largest.seconds["exact"]):
         assert largest.seconds["exact"] > largest.seconds["diss"] * 0.5
+
+    # shape 3 (Sec. 4.3): the semi-join reduction is a bounded overhead
+    # where nothing is selective, and free where the pattern is
+    for row, (pattern, db) in zip(rows, instances):
+        seconds = best_seconds(q, db, GATED, row.seconds)
+        assert seconds["diss_opt3"] <= 2 * seconds["diss"] + 0.01, row.label
+        if pattern == "%red%green%":
+            limit = 1.25 * seconds["diss"] + 0.005
+            assert seconds["diss_opt3"] <= limit, row.label
 
     # benchmarked kernel: dissociation on the big-lineage configuration
     db = filtered_instance(base, TPCHParameters(100, "%"))

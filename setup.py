@@ -1,7 +1,8 @@
-"""Setup shim for environments without PEP 517 wheel support.
+"""Bare setuptools entry point; the package declares no install metadata.
 
-``pip install -e .`` normally reads ``pyproject.toml``; this shim lets
-``python setup.py develop`` work on minimal toolchains (no ``wheel``).
+Everything runs from a checkout with ``PYTHONPATH=src`` (``make test``,
+``python -m repro``); the benchmark suite puts ``src`` on the path
+itself.
 """
 
 from setuptools import setup

@@ -10,7 +10,6 @@ aggregate ``ior`` so generated plans are plain ``GROUP BY`` queries.
 
 from __future__ import annotations
 
-import hashlib
 import sqlite3
 import threading
 import time
@@ -25,6 +24,7 @@ __all__ = [
     "SQLiteBackend",
     "SQLiteViewRegistry",
     "IorAggregate",
+    "index_statements",
     "sql_literal",
     "PROB_COLUMN",
 ]
@@ -71,28 +71,23 @@ def _quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _key_relations(key: Hashable) -> frozenset[str] | None:
-    """The relation footprint of a registry key, or ``None`` if unknown.
+def index_statements(table: str, columns: Iterable[str]) -> list[str]:
+    """One single-column index per data column of ``table``: the index
+    rule for base tables, subplan views and semi-join-reduced copies
+    alike (without it SQLite joins temp tables by nested full scans)."""
+    return [
+        f"CREATE INDEX {_quote_ident(f'ix_{table}_{column}')} "
+        f"ON {_quote_ident(table)} ({_quote_ident(column)})"
+        for column in columns
+        if column != PROB_COLUMN
+    ]
 
-    Keys are plan nodes, or ``(plan node, content token)`` tuples in
-    semi-join mode — unwrap tuples to their first element and ask the
-    plan for its relations.
-    """
-    while isinstance(key, tuple) and key:
-        key = key[0]
+
+def _key_relations(key: Hashable) -> frozenset[str] | None:
+    """The relation footprint of a registry key (a plan node), or
+    ``None`` if unknown."""
     relations = getattr(key, "relations", None)
-    if callable(relations):
-        try:
-            return frozenset(relations())
-        except Exception:
-            return None
-    atoms = getattr(key, "atoms", None)
-    if callable(atoms):
-        try:
-            return frozenset(a.relation for a in atoms())
-        except Exception:
-            return None
-    return None
+    return frozenset(relations()) if callable(relations) else None
 
 
 class SQLiteViewRegistry:
@@ -260,15 +255,13 @@ class SQLiteViewRegistry:
             ddl = f"CREATE TEMP TABLE {name} AS\n{sql}"
             with self._observer.span("sqlite.materialize_view", view=name):
                 self._connection.execute(ddl, parameters)
-                for (column,) in self._connection.execute(
+                columns = self._connection.execute(
                     f"SELECT name FROM pragma_table_info('{name}')"
-                ).fetchall():
-                    if column == PROB_COLUMN:
-                        continue
-                    self._connection.execute(
-                        f"CREATE INDEX {_quote_ident(f'ix_{name}_{column}')} "
-                        f"ON {name} ({_quote_ident(column)})"
-                    )
+                ).fetchall()
+                for statement in index_statements(
+                    name, [column for (column,) in columns]
+                ):
+                    self._connection.execute(statement)
             if self._observer.enabled:
                 self._observer.inc("sqlite.views_materialized")
             self._names.add(name)
@@ -373,10 +366,6 @@ class SQLiteBackend:
         The source database.
     path:
         SQLite database path; defaults to a private in-memory database.
-    index_columns:
-        Create one single-column index per data column of every table
-        (cheap at our scales and lets the engine pick hash-free join
-        strategies). Disable for insert-heavy micro-benchmarks.
     view_cache_size:
         LRU cap of the materialized-subplan view registry
         (:class:`SQLiteViewRegistry`); ``None`` means unbounded.
@@ -395,7 +384,6 @@ class SQLiteBackend:
         self,
         db: ProbabilisticDatabase,
         path: str = ":memory:",
-        index_columns: bool = True,
         view_cache_size: int | None = None,
         view_namespace=None,
         fault_injector=None,
@@ -422,11 +410,9 @@ class SQLiteBackend:
         self._view_cache_size = view_cache_size
         self._view_namespace = view_namespace
         self._has_math_functions: bool | None = None
-        self._reduction_tokens: dict[str, str] = {}
-        self._index_columns = index_columns
         self._table_epochs: dict[str, tuple] = {}
         self._table_schemas: dict[str, tuple] = {}
-        self._materialize(index_columns)
+        self._materialize()
 
     @property
     def has_math_functions(self) -> bool:
@@ -447,7 +433,7 @@ class SQLiteBackend:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def _materialize(self, index_columns: bool) -> None:
+    def _materialize(self) -> None:
         cur = self.connection.cursor()
         for table in self.source:
             self._create_table(cur, table)
@@ -469,12 +455,8 @@ class SQLiteBackend:
         )
         cur.execute(f"CREATE TABLE {_quote_ident(table.name)} ({decls})")
         self._insert_rows(cur, table)
-        if self._index_columns:
-            for c in cols:
-                cur.execute(
-                    f"CREATE INDEX {_quote_ident(f'ix_{table.name}_{c}')} "
-                    f"ON {_quote_ident(table.name)} ({_quote_ident(c)})"
-                )
+        for statement in index_statements(table.name, cols):
+            cur.execute(statement)
         self._table_epochs[table.name] = table.epoch
         self._table_schemas[table.name] = self._schema_signature(table)
 
@@ -503,9 +485,7 @@ class SQLiteBackend:
         re-insert when the schema is unchanged, so their indexes
         survive; drop + recreate otherwise). Registered subplan views
         whose relation footprint intersects the changed tables are
-        invalidated; all others stay warm. The per-recipe reduction
-        token memo is cleared whenever anything changed — same recipe
-        text no longer implies same contents.
+        invalidated; all others stay warm.
 
         Returns the set of relations whose snapshot copies were
         rebuilt (empty when the source has not moved).
@@ -543,7 +523,6 @@ class SQLiteBackend:
             else:
                 self._create_table(cur, self.source.table(name))
         self.connection.commit()
-        self._reduction_tokens.clear()
         if self._view_registry is not None and changed:
             self._view_registry.invalidate_relations(changed)
         self.source_version = version
@@ -596,46 +575,6 @@ class SQLiteBackend:
         cur = self.connection.execute(sql, parameters)
         return cur.fetchall()
 
-    def content_token(self, names: Iterable[str]) -> str:
-        """A digest of the current contents of the named tables.
-
-        Row order does not matter (rows are hashed in sorted order), so
-        two identically reduced semi-join table sets — e.g. repeats of
-        the same query on unchanged data — produce the same token, while
-        any content difference changes it. Used to key registry views
-        over per-query reduced tables by *content* instead of by name.
-        """
-        digest = hashlib.blake2b(digest_size=8)
-        for name in sorted(names):
-            rows = self.execute(f"SELECT * FROM {_quote_ident(name)}")
-            digest.update(name.encode())
-            digest.update(str(len(rows)).encode())
-            for row in sorted(rows, key=repr):
-                digest.update(repr(row).encode())
-        return digest.hexdigest()
-
-    def reduction_token(
-        self, statements: Iterable[str], names: Iterable[str]
-    ) -> str:
-        """:meth:`content_token` memoized per reduction recipe.
-
-        The backend is a snapshot of its source database, so the
-        reduced tables' contents are a pure function of the (already
-        executed) ``statements`` that built them; repeats of the same
-        reduction — the warm path — reuse the content digest without
-        re-reading the tables.
-        """
-        recipe = hashlib.blake2b(digest_size=8)
-        for statement in statements:
-            recipe.update(statement.encode())
-            recipe.update(b";")
-        key = recipe.hexdigest()
-        token = self._reduction_tokens.get(key)
-        if token is None:
-            token = self.content_token(names)
-            self._reduction_tokens[key] = token
-        return token
-
     # ------------------------------------------------------------------
     # pure-SQL statistics (no in-RAM encodings)
     # ------------------------------------------------------------------
@@ -651,8 +590,6 @@ class SQLiteBackend:
         deployment never builds in-RAM encodings of its tables. The
         sketch keeps the same convention as the in-memory catalog:
         values occurring once enter it only when the whole column fits.
-        Works for base tables and ``TEMP`` tables (e.g. the semi-join
-        reduced ``_red_*`` copies) alike.
         """
         quoted = _quote_ident(name)
         (rows,) = self.execute(f"SELECT COUNT(*) FROM {quoted}")[0]
@@ -721,20 +658,11 @@ class SQLiteBackend:
             return 2.0
         return min(max(write_time / read_time, 0.5), 16.0)
 
-    def executescript(self, sql: str) -> None:
-        self.connection.executescript(sql)
-
     def run_statements(self, statements: Iterable[str]) -> None:
         cur = self.connection.cursor()
         for stmt in statements:
             cur.execute(stmt)
         self.connection.commit()
-
-    def table_count(self, name: str) -> int:
-        (count,) = self.execute(
-            f"SELECT COUNT(*) FROM {_quote_ident(name)}"
-        )[0]
-        return count
 
     def close(self) -> None:
         self.connection.close()

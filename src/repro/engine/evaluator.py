@@ -640,9 +640,8 @@ class DissociationEngine:
         against the current view registry) and ``"statement_template"``:
         whether the request would be served from a stored statement
         template instead of being compiled. Semi-join mode is excluded
-        from both — its registry keys carry a per-call content token of
-        the reduced tables, so there is no meaningful registry state to
-        report without performing the reduction.
+        from both: its requests never touch the registry or the
+        template store.
         """
         opts = optimizations or _DEFAULT_OPTIMIZATIONS
         db = reduce_database(query, self.db) if opts.semijoin else self.db

@@ -332,44 +332,40 @@ class SQLiteExecutor:
     # ------------------------------------------------------------------
     # Algorithm-3 pricing
     # ------------------------------------------------------------------
-    def plan_estimator(
-        self,
-        table_names: Mapping[str, str] | None = None,
-        stats_token: object = None,
-    ):
+    def plan_estimator(self):
         """A memoized ``Plan -> PlanEstimate`` closure for the
-        materialization policy.
+        materialization policy and the join order.
 
         Statistics come from SQL aggregates on the snapshot's own
         connection (:class:`SQLiteStatisticsCatalog`), so a sqlite-only
         deployment never builds in-RAM encodings of its tables just to
-        price subplans. ``table_names`` redirects scans to their
-        physical tables — semi-join mode passes the reduced ``_red_*``
-        map together with the reduction's content token
-        (``stats_token``), so reduced instances are priced with the
-        *reduced* tables' statistics instead of the base tables'
-        pessimistic upper bounds.
+        price subplans. They are the base tables' — a semi-join request
+        orders its joins over the reduced copies with them too: the
+        reduction only shrinks what they estimate.
         """
         snapshot = self.snapshot()
         backend, catalog = snapshot.backend, snapshot.catalog
-        names = dict(table_names or {})
 
         def stats_for(relation: str):
-            physical = names.get(relation, relation)
-            # Base tables are tokened by their snapshot epoch, not the
-            # whole source version: statistics of untouched tables
-            # survive an incremental refresh.
-            token = (
-                stats_token
-                if relation in names
-                else backend.table_epoch(relation)
+            # tokened by the snapshot epoch, not the whole source
+            # version: statistics of untouched tables survive an
+            # incremental refresh
+            return catalog.table_stats(
+                relation, backend.table_epoch(relation)
             )
-            return catalog.table_stats(physical, token)
 
         memo: dict[Plan, object] = {}
         return lambda plan: estimate_plan(
             plan, stats_for, catalog.code_of, memo
         )
+
+    def _policy(self, estimator, observer=None) -> MaterializationPolicy:
+        """The Algorithm-3 policy under the write factor in force — the
+        one :meth:`run` decides with and :meth:`explain` reports."""
+        factor = self.write_factor
+        if factor is None:
+            factor = DEFAULT_WRITE_FACTOR
+        return MaterializationPolicy(estimator, factor, observer)
 
     # ------------------------------------------------------------------
     # statement templates
@@ -462,7 +458,7 @@ class SQLiteExecutor:
         registry = snapshot.registry
         request = self._request(snapshot, query, targets)
         estimator = self.plan_estimator()
-        policy = MaterializationPolicy(estimator=estimator)
+        policy = self._policy(estimator)
         decisions = []
         for node, count in subplan_reference_counts(targets).items():
             prior = max(registry.request_count(hash(node)), request.seen)
@@ -491,8 +487,7 @@ class SQLiteExecutor:
         snapshot = self.snapshot()
         if opts.semijoin or not opts.reuse_views:
             # Semi-join reduction rebuilds the per-query temp tables, so
-            # those queries run back to back (their cross-query sharing
-            # happens through the content-token registry keys); without
+            # those queries run back to back and share nothing; without
             # view reuse there is nothing to share by construction.
             return [
                 self._run_query(snapshot, query, targets, opts)
@@ -520,7 +515,7 @@ class SQLiteExecutor:
                 estimator=self.plan_estimator(),
             )
             pairs = self._run_selective(
-                snapshot, compiler, list(pending.values()), lambda node: node
+                snapshot, compiler, list(pending.values())
             )
             for at, pair in zip(pending, pairs):
                 out[at] = pair
@@ -529,52 +524,83 @@ class SQLiteExecutor:
     def _run_query(
         self, snapshot: Snapshot, query, targets, opts
     ) -> tuple[dict[tuple, float], str]:
+        """A request that touches no view registry: a semi-join request
+        reduces, runs and keeps nothing; without view reuse every plan
+        is its own statement."""
         backend = snapshot.backend
         table_names: dict[str, str] = {}
-        token = None
         if opts.semijoin:
             statements, table_names = semijoin_statements(
                 query, self.db.schema
             )
             backend.run_statements(statements)
-            token = backend.reduction_token(statements, table_names.values())
         compiler = SQLCompiler(
             self.db.schema,
             table_names=table_names,
             reuse_views=opts.reuse_views,
             native_ior=backend.has_math_functions,
-            # a reduced instance is priced — and its joins ordered — with
-            # the *reduced* tables' statistics, keyed by their content
-            estimator=self.plan_estimator(table_names, token),
+            estimator=self.plan_estimator(),
         )
+        executed: list[str] = []
+        scores: dict[tuple, float] = {}
         if not opts.reuse_views:
-            executed: list[str] = []
-            scores: dict[tuple, float] = {}
             for plan in targets:
                 sql = compiler.compile(plan, query)
                 executed.append(sql)
                 _merge_min(scores, _collect(backend.execute(sql), query))
-            return scores, ";\n\n".join(executed)
-        # Opt. 2 + Algorithm 3 over the per-query reduced temp tables:
-        # the views carry a content token of the reduction, so
-        # structurally identical subplans over *differently* reduced
-        # inputs can never collide while repeats of the same reduction
-        # reuse their views. The tables are rebuilt per query, so the
-        # request is compiled per query too: it has no statement key.
-        [pair] = self._run_selective(
-            snapshot,
-            compiler,
-            [_Request(query, targets, Parameters(query))],
-            lambda node: (node, token),
-        )
-        return pair
+        else:
+            request = _Request(query, targets, Parameters(query))
+            for _, statement, _ in self._statements(compiler, request):
+                executed.append(
+                    _execute(backend, statement, request, scores, "none")
+                )
+        return scores, ";\n\n".join(executed)
+
+    def _statements(
+        self,
+        compiler: SQLCompiler,
+        request: _Request,
+        registry=None,
+        decide=None,
+    ):
+        """Compile ``request`` into one statement per
+        ``_MAX_UNION_BRANCHES`` targets, yielding ``(DDL executed,
+        statement, scope)`` per chunk before compiling the next."""
+        targets = request.targets
+        for start in range(0, len(targets), _MAX_UNION_BRANCHES):
+            chunk = list(targets[start : start + _MAX_UNION_BRANCHES])
+            scope = StatementScope(
+                subplan_reference_counts(chunk, include_joins=True),
+                request.parameters,
+            )
+            created: list[str] = []
+            compiled: list[str] = []
+            for plan in chunk:
+                ddl, ref = compiler.compile_selective(
+                    plan, registry, decide, scope
+                )
+                created.extend(ddl)
+                compiled.append(ref)
+            if len(chunk) == 1:
+                statement = compiler.select_statement(
+                    compiled[0], request.query, scope=scope
+                )
+            else:
+                # min-combine the per-answer scores inside the engine
+                # with UNION ALL + MIN instead of one fetch-and-merge
+                # round trip per plan
+                statement = compiler.min_union_sql(
+                    compiled, request.query, scope=scope
+                )
+            if self.observer.enabled and scope.cte_count:
+                self.observer.inc("sql.ctes_shared", scope.cte_count)
+            yield created, statement, scope
 
     def _run_selective(
         self,
         snapshot: Snapshot,
         compiler: SQLCompiler,
         batch: Sequence[_Request],
-        key_of,
     ) -> list[tuple[dict[tuple, float], str]]:
         """Compile and run a batch of requests selectively.
 
@@ -595,11 +621,11 @@ class SQLiteExecutor:
         they are computed once per statement rather than once per union
         branch.
 
-        A request with a statement key (its views are keyed by plan
-        node) leaves its statements behind as the key's template when
-        compiling it was a **fixed point** — no later request of the key
-        would come out differently: the registry did not move since the
-        key was taken (no DDL ran) and :func:`_fixed_point` holds.
+        A request with a statement key leaves its statements behind as
+        the key's template when compiling it was a **fixed point** — no
+        later request of the key would come out differently: the
+        registry did not move since the key was taken (no DDL ran) and
+        :func:`_fixed_point` holds.
         """
         backend, registry = snapshot.backend, snapshot.registry
         all_targets = [t for request in batch for t in request.targets]
@@ -610,29 +636,19 @@ class SQLiteExecutor:
         # registry stays structurally keyed, so correctness never
         # depends on this map.
         prior = {
-            node: registry.request_count(hash(key_of(node)))
-            for node in references
+            node: registry.request_count(hash(node)) for node in references
         }
         for node in references:
-            registry.note_request(hash(key_of(node)))
+            registry.note_request(hash(node))
+        # the compiler's: one memo prices a subplan and orders its joins
         estimator = compiler.estimator
-        policy = MaterializationPolicy(
-            # the compiler's: one memo prices a subplan and orders its joins
-            estimator=estimator,
-            write_factor=(
-                self.write_factor
-                if self.write_factor is not None
-                else DEFAULT_WRITE_FACTOR
-            ),
-            observer=self.observer,
-        )
+        policy = self._policy(estimator, self.observer)
         out: list[tuple[dict[tuple, float], str]] = []
         # The outer pin scope keeps every view alive until the combining
         # SELECTs have run (pin_scope is re-entrant); the LRU cap is
         # enforced when it exits.
         with registry.pin_scope():
             for request in batch:
-                query, targets = request.query, request.targets
                 first_seen: list[Plan] = []
 
                 def decide(node: Plan) -> bool:
@@ -648,34 +664,10 @@ class SQLiteExecutor:
                 statements: list[Statement] = []
                 views: list = []
                 scores: dict[tuple, float] = {}
-                for start in range(0, len(targets), _MAX_UNION_BRANCHES):
-                    chunk = list(targets[start : start + _MAX_UNION_BRANCHES])
-                    scope = StatementScope(
-                        subplan_reference_counts(chunk, include_joins=True),
-                        request.parameters,
-                    )
-                    compiled: list[str] = []
-                    for plan in chunk:
-                        created, ref = compiler.compile_selective(
-                            plan, registry, decide, key_of, scope
-                        )
-                        executed.extend(created)
-                        compiled.append(ref)
-                    if len(chunk) == 1:
-                        statement = compiler.select_statement(
-                            compiled[0], query, scope=scope
-                        )
-                    else:
-                        # min-combine the per-answer scores inside the
-                        # engine with UNION ALL + MIN instead of one
-                        # fetch-and-merge round trip per plan
-                        statement = compiler.min_union_sql(
-                            compiled, query, scope=scope
-                        )
-                    if self.observer.enabled and scope.cte_count:
-                        self.observer.inc(
-                            "sql.ctes_shared", scope.cte_count
-                        )
+                for created, statement, scope in self._statements(
+                    compiler, request, registry, decide
+                ):
+                    executed.extend(created)
                     statements.append(statement)
                     views.extend(scope.views)
                     executed.append(

@@ -12,7 +12,8 @@ non-selective queries (the trade-off visible in Figs. 5e–5g).
 Both backends are served: :func:`reduce_database` produces a reduced
 in-memory database; :func:`semijoin_statements` produces the SQL script
 creating reduced ``TEMP`` tables, plus the scan redirection map for the
-compiler.
+compiler. Either reduction belongs to one request: nothing derived from
+it is cached or reused by another.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..core.query import ConjunctiveQuery
 from ..core.symbols import Constant, Variable
 from ..db.database import ProbabilisticDatabase, Table
 from ..db.schema import TableSchema
-from ..db.sqlite_backend import sql_literal
+from ..db.sqlite_backend import index_statements, sql_literal
 
 __all__ = ["reduce_database", "semijoin_statements", "reduced_name"]
 
@@ -154,6 +155,11 @@ def semijoin_statements(
 ) -> tuple[list[str], dict[str, str]]:
     """SQL statements creating reduced TEMP tables, and the rename map.
 
+    Each ``_red_<R>`` copy is indexed like a base table right after it
+    is created (:func:`~repro.db.sqlite_backend.index_statements`), so
+    the ``NOT EXISTS`` probes and the plan's joins over the copies are
+    index searches — unindexed, both made Opt. 3 quadratic.
+
     ``passes`` controls how many rounds of pairwise ``DELETE ... WHERE NOT
     EXISTS`` semi-joins run; two passes fully reduce acyclic queries when
     the pair list is swept forward then backward, which the statement order
@@ -183,6 +189,7 @@ def semijoin_statements(
             f"CREATE TEMP TABLE {_q(target)} AS "
             f"SELECT * FROM {_q(atom.relation)}{where}"
         )
+        statements.extend(index_statements(target, table_schema.columns))
 
     var_columns: dict[str, dict[Variable, str]] = {}
     for atom in query.atoms:

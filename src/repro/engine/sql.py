@@ -21,7 +21,9 @@ temp views (``dissoc_<structural-hash>`` tables managed by a
 :class:`~repro.db.sqlite_backend.SQLiteViewRegistry`), shared by all
 plans of an "all plans" evaluation and by later queries on the same
 connection, while one-shot subplans stay inline and never pay the
-temp-table write cost.
+temp-table write cost. Without a registry (semi-join requests, whose
+scans read per-request reduced copies) it emits one self-contained
+statement: shared nodes become CTEs, everything else is inlined.
 
 A selection constant is compiled as the named parameter of its *slot*
 (``:k<i>``, ``i`` its index among the query's constants in canonical
@@ -39,6 +41,7 @@ probabilistic method outside the engine must pay for).
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from typing import Mapping, Sequence
 
 from ..core.canonical import canonical_shape
@@ -288,7 +291,10 @@ class SQLCompiler:
         Table schemas (column names per relation).
     table_names:
         Optional physical-name override per relation — how Optimization 3
-        redirects scans to the semi-join-reduced temporary tables.
+        redirects scans to the semi-join-reduced temporary tables. A
+        compiler with overrides must not feed a view registry (its views
+        would be keyed by plan but read the request's reduced copies):
+        call :meth:`compile_selective` without one.
     reuse_views:
         Emit shared plan nodes as ``WITH`` views (Optimization 2).
     native_ior:
@@ -379,9 +385,8 @@ class SQLCompiler:
     def compile_selective(
         self,
         plan: Plan,
-        registry,
-        decide,
-        key_of=None,
+        registry=None,
+        decide=None,
         scope: "StatementScope | None" = None,
     ) -> tuple[list[str], str]:
         """Compile ``plan`` with Algorithm-3 selective materialization.
@@ -398,12 +403,10 @@ class SQLCompiler:
         one grouped node, so storing it pays its full write cost for no
         reuse).
 
-        ``key_of`` maps a node to its registry key (default: the node
-        itself). Semi-join mode passes ``node -> (node, content token)``
-        so views over per-query reduced tables are keyed by the reduced
-        tables' *content* and can never be confused across differently
-        reduced queries — which also makes scan redirection
-        (``table_names``) safe here, unlike in :meth:`materialize`.
+        Without a ``registry`` nothing is looked up, decided or
+        registered: the statement is self-contained, which is what a
+        semi-join request needs — its scans read per-request reduced
+        copies (``table_names``), so no view over them may outlive it.
 
         ``scope``, when given, factors inline nodes with two or more
         statement-wide reference sites into shared CTEs of the enclosing
@@ -424,8 +427,6 @@ class SQLCompiler:
         """
         if not self._reuse_views:
             raise ValueError("compile_selective() requires reuse_views=True")
-        if key_of is None:
-            key_of = lambda node: node  # noqa: E731 - trivial default
         if scope is None:
             scope = StatementScope()  # nothing is shared, nothing bound
         parameters = scope.parameters
@@ -445,29 +446,21 @@ class SQLCompiler:
             if shared is not None:
                 emitted[node] = shared
                 return shared
-            if isinstance(node, Join):
-                sql = self._join_sql(node, reference)
-                if scope.wants_cte(node):
-                    # a join shared by structurally distinct parents the
-                    # cost gate kept inline: compute it once per statement
-                    name = scope.add_cte(node, sql)
-                else:
-                    name = "(\n" + sql + "\n)"
-                emitted[node] = name
-                return name
-            key = key_of(node)
-            name = registry.lookup(key)
+            # a join is never a view, only a CTE when structurally
+            # distinct parents share it: computed once per statement
+            viewable = registry is not None and not isinstance(node, Join)
+            name = registry.lookup(node) if viewable else None
             if name is not None:
-                scope.views.append(key)
+                scope.views.append(node)
             else:
                 sql = self._node_sql(node, reference)
-                if decide(node):
+                if viewable and decide(node):
                     # the DDL runs as its own statement: scope CTEs the
                     # subtree references must be inlined into it (they
                     # only exist in the final statement's WITH clause)
                     body = Statement(scope.inline_into(sql))
                     name, ddl = registry.register(
-                        key, body.text, parameters.values
+                        node, body.text, parameters.values
                     )
                     # reported as it reads with the constants written out
                     created.append(
@@ -482,7 +475,7 @@ class SQLCompiler:
             emitted[node] = name
             return name
 
-        with registry.pin_scope():
+        with registry.pin_scope() if registry is not None else nullcontext():
             top = reference(plan)
         return created, top
 
@@ -728,19 +721,15 @@ def subplan_reference_counts(
 # deterministic baselines
 # ----------------------------------------------------------------------
 def _query_join_parts(
-    query: ConjunctiveQuery,
-    schema: Schema,
-    table_names: Mapping[str, str] | None = None,
+    query: ConjunctiveQuery, schema: Schema
 ) -> tuple[list[str], list[str], dict[Variable, str]]:
     """FROM items, WHERE conditions, and variable → ``alias.column`` map."""
-    table_names = dict(table_names or {})
     froms: list[str] = []
     conditions: list[str] = []
     provider: dict[Variable, str] = {}
     for i, atom in enumerate(query.atoms):
         alias = f"a{i}"
-        physical = table_names.get(atom.relation, atom.relation)
-        froms.append(f"{_q(physical)} {alias}")
+        froms.append(f"{_q(atom.relation)} {alias}")
         table_schema = schema[atom.relation]
         local_seen: dict[Variable, str] = {}
         for column, term in zip(table_schema.columns, atom.terms):
@@ -758,13 +747,9 @@ def _query_join_parts(
     return froms, conditions, provider
 
 
-def deterministic_sql(
-    query: ConjunctiveQuery,
-    schema: Schema,
-    table_names: Mapping[str, str] | None = None,
-) -> str:
+def deterministic_sql(query: ConjunctiveQuery, schema: Schema) -> str:
     """``SELECT DISTINCT`` of the answers — the standard-SQL baseline."""
-    froms, conditions, provider = _query_join_parts(query, schema, table_names)
+    froms, conditions, provider = _query_join_parts(query, schema)
     if query.head_order:
         select_list = ", ".join(
             f"{provider[v]} AS {_q(v.name)}" for v in query.head_order
@@ -775,17 +760,13 @@ def deterministic_sql(
     return f"SELECT DISTINCT {select_list}\nFROM {', '.join(froms)}{where}"
 
 
-def lineage_sql(
-    query: ConjunctiveQuery,
-    schema: Schema,
-    table_names: Mapping[str, str] | None = None,
-) -> str:
+def lineage_sql(query: ConjunctiveQuery, schema: Schema) -> str:
     """Retrieve every join witness (head values + all atom columns).
 
     The cost of this query lower-bounds any probabilistic method that
     computes probabilities outside the database engine (Sec. 5.1).
     """
-    froms, conditions, provider = _query_join_parts(query, schema, table_names)
+    froms, conditions, provider = _query_join_parts(query, schema)
     selects: list[str] = [
         f"{provider[v]} AS {_q(v.name)}" for v in query.head_order
     ]

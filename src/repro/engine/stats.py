@@ -211,11 +211,11 @@ class SQLiteStatisticsCatalog:
     catalog's (interning is a bijection), so both catalogs drive the
     cost model to the same estimates up to MCV tie-breaking.
 
-    Entries are keyed by an explicit ``token`` — the backend's source
-    version for base tables, the reduction's content token for
-    semi-join-reduced ``_red_*`` temp tables — so repeats of the same
-    reduction reuse their summaries while a different reduction (or a
-    rebuilt snapshot) transparently recomputes.
+    Entries are keyed by an explicit ``token`` — the executor passes
+    the snapshot's per-table epoch — so a table's summary is computed
+    once per epoch and recomputed transparently after it moves. Only
+    base tables are summarized: the semi-join-reduced ``_red_*`` copies
+    are priced with their base tables' statistics.
     """
 
     __slots__ = ("backend", "mcv_size", "_stats", "recomputations")

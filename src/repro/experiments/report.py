@@ -1,7 +1,7 @@
 """Plain-text table/series rendering shared by the benchmark harnesses.
 
 Benchmarks print the same rows/series the paper reports; these helpers
-keep that output aligned and diff-friendly (``EXPERIMENTS.md`` embeds it).
+keep that output aligned and diff-friendly (``bench_figures.txt`` records it).
 """
 
 from __future__ import annotations

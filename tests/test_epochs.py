@@ -316,16 +316,6 @@ class TestSQLiteRefresh:
         ).fetchone()[0]
         assert columns == 2
 
-    def test_refresh_clears_reduction_token_memo(self):
-        db = two_table_db()
-        backend = SQLiteBackend(db)
-        recipe = ["DELETE FROM R WHERE 0"]
-        first = backend.reduction_token(recipe, ["R"])
-        assert backend.reduction_token(recipe, ["R"]) == first  # memo warm
-        db.table("R").insert((7, 8), 0.125)
-        backend.refresh()
-        assert backend.reduction_token(recipe, ["R"]) != first
-
     def test_view_invalidation_drops_only_intersecting_footprints(self):
         db = two_table_db()
         backend = SQLiteBackend(db)

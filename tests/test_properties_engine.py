@@ -480,13 +480,74 @@ def test_pinned_join_order_never_changes_an_answer(case):
     """SQLite — its joins emitted in the estimator's nested-loop order
     and pinned — returns the memory executor's and the row-at-a-time
     reference's answers: same answer sets, scores within 1e-12, under
-    all eight optimisation combinations (semi-join mode orders by the
-    reduced tables' statistics), on cold engines and on engines that
-    just served another constant of the shape (the constant-free views
-    then exist, so joins mix views, CTEs and selective scans)."""
+    all eight optimisation combinations (semi-join mode orders the
+    reduced copies by the base tables' statistics), on cold engines and
+    on engines that just served another constant of the shape (the
+    constant-free views then exist, so joins mix views, CTEs and
+    selective scans)."""
     db, query, primer = case
     assert_backends_agree(query, db, tolerance=1e-12)
     assert_backends_agree(query, db, tolerance=1e-12, primed_with=primer)
+
+
+# ----------------------------------------------------------------------
+# Opt. 3 on SQLite ≡ no reduction
+# ----------------------------------------------------------------------
+@st.composite
+def reducible_joins(draw):
+    """``(db, query, nulls)``: a :func:`selective_joins` case, optionally
+    with two of one atom's variables merged (a repeated variable) and
+    with ``NULL`` written into a join column of a few rows."""
+    db, query, _ = draw(selective_joins())
+    atoms = list(query.atoms)
+    if draw(st.booleans()):
+        atom = draw(st.sampled_from(atoms))
+        own = sorted(atom.own_variables)
+        if len(own) >= 2:
+            keep, merge = own[0], own[1]
+            rename = lambda t: keep if t == merge else t  # noqa: E731
+            atoms = [Atom(a.relation, [rename(t) for t in a.terms]) for a in atoms]
+            head = dict.fromkeys(rename(v) for v in query.head_order)
+            query = ConjunctiveQuery(atoms, list(head))
+    nulls = draw(st.booleans())
+    if nulls:
+        shared = [
+            (atom, position)
+            for atom in atoms
+            for position, term in enumerate(atom.terms)
+            if isinstance(term, Variable)
+            and any(term in other.own_variables for other in atoms if other != atom)
+        ]
+        if shared:
+            atom, position = draw(st.sampled_from(shared))
+            table = db.table(atom.relation)
+            for row, p in list(table)[: draw(st.integers(1, 3))]:
+                table.insert(row[:position] + (None,) + row[position + 1 :], p)
+    return db, query, nulls
+
+
+@settings(max_examples=30, deadline=None)
+@given(reducible_joins())
+def test_sqlite_semijoin_equals_no_reduction(case):
+    """The reduced copies change no float beyond 1e-12 under every
+    optimisation combination: against SQLite without the reduction and,
+    where no ``NULL`` is stored, against the memory executor (which
+    joins ``None`` to ``None``; SQL never joins ``NULL``, and neither
+    the reducer's ``NOT EXISTS`` sweeps)."""
+    db, query, nulls = case
+    sqlite = DissociationEngine(db, EngineConfig(backend="sqlite"))
+    memory = DissociationEngine(db)
+    try:
+        for opts in ALL_OPTIMIZATION_COMBOS:
+            if not opts.semijoin:
+                continue
+            got = sqlite.propagation_score(query, opts)
+            plain = Optimizations(opts.single_plan, opts.reuse_views)
+            _assert_close(got, sqlite.propagation_score(query, plain), 1e-12)
+            if not nulls:
+                _assert_close(got, memory.propagation_score(query, opts), 1e-12)
+    finally:
+        sqlite.release()
 
 
 # ----------------------------------------------------------------------

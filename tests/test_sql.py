@@ -59,7 +59,7 @@ class TestBackendMaterialization:
         db = ProbabilisticDatabase()
         db.add_table("R", [((1,), 0.5), ((2,), 0.5)])
         with SQLiteBackend(db) as backend:
-            assert backend.table_count("R") == 2
+            assert backend.execute('SELECT COUNT(*) FROM "R"') == [(2,)]
 
     def test_probability_column(self):
         db = ProbabilisticDatabase()

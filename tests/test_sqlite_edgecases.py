@@ -126,3 +126,15 @@ class TestCompilerDetails:
         first = engine.propagation_score(q, Optimizations.all())
         second = engine.propagation_score(q, Optimizations.all())
         assert_scores_close(first, second)
+        # the request leaves exactly its reduced copies, indexed per
+        # column like the base tables — no view, no second copy
+        temp = engine.sqlite.execute(
+            "SELECT type, name, tbl_name FROM sqlite_temp_master"
+        )
+        assert sorted(temp) == [
+            ("index", "ix__red_R_c0", "_red_R"),
+            ("index", "ix__red_S_c0", "_red_S"),
+            ("index", "ix__red_S_c1", "_red_S"),
+            ("table", "_red_R", "_red_R"),
+            ("table", "_red_S", "_red_S"),
+        ]

@@ -157,23 +157,30 @@ class TestEngineViewReuse:
             "max_size": EngineConfig().cache_size,
         }
 
-    def test_semijoin_mode_reuses_views_by_content(self):
-        # Opt. 3 + Opt. 2: views over per-query reduced tables are keyed
-        # by (plan, reduced-table content), so repeating the same query
-        # reuses them instead of bypassing the registry
+    def test_semijoin_mode_leaves_the_registry_untouched(self):
+        # Opt. 3 on SQLite keeps no cache of its own: its scans read the
+        # request's reduced copies, so a repeat reduces and runs again
+        # and neither the view registry nor the statement templates move
         q = parse_query("q(x0) :- R1(x0,x1), R2(x1,x2), R3(x2,x3)")
         db = _chain_db(3, 40, seed=11)
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
-        want = DissociationEngine(db).propagation_score(q, Optimizations.all())
-        first = engine.propagation_score(q, Optimizations.all())
-        assert_scores_close(first, want)
-        engine.propagation_score(q, Optimizations.all())  # may promote
-        steady = engine.cache_stats()
-        third = engine.propagation_score(q, Optimizations.all())
-        assert_scores_close(third, want)
-        after = engine.cache_stats()
-        assert after["misses"] == steady["misses"]
-        assert after["hits"] > steady["hits"]
+        for _ in range(3):  # views and a template to leave alone
+            engine.propagation_score(q, ALL_PLANS_REUSE)
+        views = engine.cache_stats()
+        statements = engine.sqlite_executor.statement_stats()
+        master = "SELECT name FROM sqlite_temp_master WHERE name LIKE 'dissoc%'"
+        objects = engine.sqlite.execute(master)
+        assert views["size"] and statements["size"]
+        for single_plan in (True, False):
+            for reuse_views in (True, False):
+                opts = Optimizations(single_plan, reuse_views, semijoin=True)
+                want = DissociationEngine(db).propagation_score(q, opts)
+                for _ in range(3):
+                    got = engine.propagation_score(q, opts)
+                    assert_scores_close(got, want)
+                assert engine.cache_stats() == views
+                assert engine.sqlite_executor.statement_stats() == statements
+                assert engine.sqlite.execute(master) == objects
 
     def test_semijoin_views_not_confused_across_different_reductions(self):
         # two queries with identical plan structure but different

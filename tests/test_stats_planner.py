@@ -460,7 +460,7 @@ class TestSQLiteStatisticsCatalog:
 
 
 class TestReducedTableStatistics:
-    """Satellite: semi-join pricing uses the *reduced* tables' stats."""
+    """Semi-join evaluation over a selective reduction stays correct."""
 
     def _selective_db(self):
         db = ProbabilisticDatabase()
@@ -470,25 +470,6 @@ class TestReducedTableStatistics:
         )
         db.add_table("S", [((1000, 5), 0.5)])
         return db
-
-    def test_reduced_stats_shrink_the_estimates(self):
-        from repro.engine.semijoin import semijoin_statements
-        from repro.core.plans import Scan
-
-        db = self._selective_db()
-        q = parse_query("q() :- R(x, y), S(y, z)")
-        engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
-        backend = engine.sqlite
-        statements, table_names = semijoin_statements(q, db.schema)
-        backend.run_statements(statements)
-        token = backend.reduction_token(statements, table_names.values())
-        reduced = engine.sqlite_executor.plan_estimator(
-            table_names=table_names, stats_token=token
-        )
-        base = engine.sqlite_executor.plan_estimator()
-        scan = Scan(q.atoms[0])
-        assert base(scan).rows == pytest.approx(200.0)
-        assert reduced(scan).rows == pytest.approx(1.0)
 
     def test_semijoin_evaluation_still_correct(self):
         db = self._selective_db()
@@ -548,3 +529,27 @@ class TestWriteFactorCalibration:
         eager = DissociationEngine(db, EngineConfig(backend="sqlite", write_factor=0.0))
         eager.propagation_score(q, all_plans)
         assert eager.cache_stats()["misses"] > 0  # every shared subplan
+
+    def test_explain_reports_the_write_factor_in_force(self):
+        from repro.workloads import chain_database, chain_query
+
+        q = chain_query(4)
+        db = chain_database(4, 30, seed=3, p_max=0.5)
+        all_plans = Optimizations(single_plan=False, reuse_views=True)
+        for factor in (0.0, 1000.0):
+            engine = DissociationEngine(
+                db, EngineConfig(backend="sqlite", write_factor=factor)
+            )
+            nodes, stack = {}, list(engine.minimal_plans(q))
+            while stack:
+                node = stack.pop()
+                nodes[str(node)] = node
+                stack.extend(node.children())
+            engine.propagation_score(q, all_plans)  # a request history
+            decisions = engine.explain(q, all_plans)["materialization"]
+            assert any(d["references"] >= 2 for d in decisions)
+            engine.propagation_score(q, all_plans)
+            registry = engine.sqlite.view_registry
+            for decision in decisions:
+                made = nodes[decision["subplan"]] in registry
+                assert decision["materialize"] == made, (factor, decision)
