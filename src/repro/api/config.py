@@ -1,7 +1,7 @@
 """Frozen, hashable configuration for the unified session API.
 
 :class:`EngineConfig` replaces the loose kwarg sprawl of
-``DissociationEngine(backend=..., cache_size=..., join_ordering=...,
+``DissociationEngine(backend=..., cache_size=..., write_factor=...,
 ...)`` with one immutable value object. Because it is frozen and
 hashable it doubles as a *cache key component*: the session-level
 :class:`~repro.api.cache.ResultCache` keys results by
@@ -66,13 +66,6 @@ class EngineConfig:
         selection constant never is, so plain LRU drops the right
         entries. ``None`` is unbounded, ``0`` disables cross-statement
         reuse.
-    join_ordering:
-        ``"cost"`` (Selinger DP over the statistics catalog) or
-        ``"greedy"`` (smallest-connected-input ablation baseline).
-    join_dp_threshold:
-        Join arity above which the DP enumerator falls back to greedy.
-        ``None`` uses the engine default
-        (:data:`repro.engine.stats.DEFAULT_DP_THRESHOLD`).
     write_factor:
         Write-vs-read cost ratio of the Algorithm-3 materialization
         gate; ``None`` uses the engine default (or the service's
@@ -94,8 +87,6 @@ class EngineConfig:
     backend: str = "memory"
     use_schema_knowledge: bool = True
     cache_size: int | None = 1024
-    join_ordering: str = "cost"
-    join_dp_threshold: int | None = None
     write_factor: float | None = None
     plan_memo_size: int | None = 256
     observer: object | None = dataclasses.field(
@@ -105,19 +96,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.join_ordering not in ("cost", "greedy"):
-            raise ValueError(
-                "join_ordering must be 'cost' or 'greedy', "
-                f"got {self.join_ordering!r}"
-            )
         if self.cache_size is not None and self.cache_size < 0:
             raise ValueError(
                 f"cache_size must be None or >= 0, got {self.cache_size!r}"
-            )
-        if self.join_dp_threshold is not None and self.join_dp_threshold < 0:
-            raise ValueError(
-                "join_dp_threshold must be None or >= 0, "
-                f"got {self.join_dp_threshold!r}"
             )
         if self.write_factor is not None and self.write_factor < 0:
             raise ValueError(

@@ -24,7 +24,6 @@ from .stats import (
     StatisticsCatalog,
     estimate_plan,
     greedy_order,
-    selinger_order,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "plan_scores_reference",
     "reduce_database",
     "reduced_name",
-    "selinger_order",
     "semijoin_statements",
     "subplan_reference_counts",
 ]

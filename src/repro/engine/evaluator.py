@@ -156,7 +156,7 @@ class DissociationEngine:
     config:
         A frozen :class:`~repro.api.EngineConfig` — the canonical way to
         configure the engine (backend, schema knowledge, cache sizes,
-        join ordering, write factor). ``None`` uses the defaults.
+        write factor). ``None`` uses the defaults.
     view_namespace:
         Optional shared temp-view name authority handed through to the
         SQLite view registries — the service layer passes one so every
@@ -204,7 +204,6 @@ class DissociationEngine:
         self.backend: str = config.backend
         self.use_schema_knowledge = config.use_schema_knowledge
         self.cache_size = config.cache_size
-        self.join_ordering = config.join_ordering
         self.faults = faults
         #: The instrumentation sink (``repro.obs``): spans for
         #: evaluation stages and per-subplan work, counters for
@@ -221,7 +220,6 @@ class DissociationEngine:
             "memory": self.memory_executor,
             "sqlite": self.sqlite_executor,
         }[config.backend]
-        self.join_dp_threshold = self.memory_executor.dp_threshold
         #: Queries actually evaluated by this engine (``evaluate`` adds
         #: one, ``evaluate_batch`` adds the batch size). The session
         #: result cache's acceptance tests assert this stays flat on a
@@ -628,9 +626,8 @@ class DissociationEngine:
 
         Evaluates the plan(s) on the columnar engine with a recorder
         attached and returns, per plan, one entry for every executed
-        join: the scheduling method (``cost-dp``, ``greedy``, or
-        ``greedy-fallback`` above the DP threshold), the chosen order,
-        and the **estimated vs. actual** cardinality of every fold step.
+        join: the fold order and the **estimated vs. actual**
+        cardinality of every fold step.
         Shared subplans are evaluated (and reported) once per plan.
 
         For the SQLite backend the report additionally carries the
@@ -670,8 +667,6 @@ class DissociationEngine:
         report = {
             "query": str(query),
             "backend": self.backend,
-            "join_ordering": self.join_ordering,
-            "dp_threshold": self.join_dp_threshold,
             "optimizations": opts,
             "plan_count": plan_count,
             "plans": entries,

@@ -48,7 +48,6 @@ from .sql import (
     subplan_reference_counts,
 )
 from .stats import (
-    DEFAULT_DP_THRESHOLD,
     DEFAULT_WRITE_FACTOR,
     MaterializationPolicy,
     SQLiteStatisticsCatalog,
@@ -75,12 +74,6 @@ class MemoryExecutor:
     def __init__(self, db: ProbabilisticDatabase, config, observer) -> None:
         self.db = db
         self.cache_size = config.cache_size
-        self.join_ordering = config.join_ordering
-        self.dp_threshold = (
-            config.join_dp_threshold
-            if config.join_dp_threshold is not None
-            else DEFAULT_DP_THRESHOLD
-        )
         self.observer = observer
         #: The persistent cross-query cache of ``db`` (built on first
         #: use). Assigning ``None`` drops it; the forked pool workers
@@ -99,12 +92,7 @@ class MemoryExecutor:
         if cache is not None and cache.db is db:
             cache.validate()
             return cache
-        cache = EvaluationCache(
-            db,
-            max_plans=self.cache_size,
-            join_ordering=self.join_ordering,
-            dp_threshold=self.dp_threshold,
-        )
+        cache = EvaluationCache(db, max_plans=self.cache_size)
         cache.observer = self.observer
         if db is self.db:
             self.cache = cache

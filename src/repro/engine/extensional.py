@@ -9,13 +9,10 @@ set-at-a-time operators instead of the seed's row-at-a-time interpreter
   (:class:`_Columnar`); tuple values are interned once per database into
   a shared dictionary, so all joins and group-bys run on integers;
 * scan — mask-filter the cached encoded relation (tuple probability);
-* join — vectorized hash join (sort + ``searchsorted`` match expansion),
-  driven by a Selinger-style dynamic-programming join-order enumerator
-  over the statistics catalog (:mod:`repro.engine.stats`), falling back
-  to the previous smallest-connected-input greedy heuristic above a
-  configurable arity threshold; scores multiply (independence
-  assumption), and the multiplication runs in *canonical part order* so
-  every join schedule produces bit-identical scores;
+* join — vectorized hash join (sort + ``searchsorted`` match expansion)
+  folded in the order :func:`_fold_order` picks; scores multiply
+  (independence assumption), and the multiplication runs in *canonical
+  part order* so every join schedule produces bit-identical scores;
 * projection with duplicate elimination — grouped independent-or
   ``1 − ∏(1 − s_i)`` via ``np.multiply.reduceat`` over stably sorted
   group runs;
@@ -45,13 +42,11 @@ from ..core.symbols import Constant, Variable
 from ..db.database import ProbabilisticDatabase
 from ..obs import NULL_OBSERVER, StatsLRU
 from .stats import (
-    DEFAULT_DP_THRESHOLD,
     JoinProfile,
     StatisticsCatalog,
     greedy_order,
     join_profile,
     profile_of_columnar,
-    selinger_order,
 )
 
 __all__ = [
@@ -139,16 +134,6 @@ class EvaluationCache:
     backend's view registry reports, so both backends share one cache
     interface.
 
-    ``join_ordering`` selects the join scheduler: ``"cost"`` (default)
-    runs the Selinger DP over the statistics catalog for joins of up to
-    ``dp_threshold`` inputs (greedy above it); ``"greedy"`` keeps the
-    smallest-connected-input heuristic throughout — the ablation
-    baseline. Both schedules produce bit-identical scores: the join
-    multiplies part scores in canonical part order and projections
-    combine group members in canonical row order, so the schedule can
-    only change *when* rows are produced, never the floating-point
-    result.
-
     The cache is **thread-safe** at the entry level: interning, encoded
     tables, and the plan-result LRU are guarded by one re-entrant lock
     (scopes share their parent's lock, since they share the underlying
@@ -165,8 +150,6 @@ class EvaluationCache:
 
     __slots__ = (
         "db",
-        "join_ordering",
-        "dp_threshold",
         "_code_of",
         "_values",
         "_tables",
@@ -181,16 +164,10 @@ class EvaluationCache:
         self,
         db: ProbabilisticDatabase,
         max_plans: int | None = None,
-        join_ordering: str = "cost",
-        dp_threshold: int = DEFAULT_DP_THRESHOLD,
         _share_with: "EvaluationCache | None" = None,
     ) -> None:
         if max_plans is not None and max_plans < 0:
             raise ValueError("max_plans must be None or >= 0")
-        if join_ordering not in ("cost", "greedy"):
-            raise ValueError(
-                f"join_ordering must be 'cost' or 'greedy', got {join_ordering!r}"
-            )
         self.db = db
         if _share_with is None:
             self._code_of: dict = {}
@@ -215,10 +192,6 @@ class EvaluationCache:
             self.observer = _share_with.observer
             if max_plans is None:
                 max_plans = _share_with.max_plans
-            join_ordering = _share_with.join_ordering
-            dp_threshold = _share_with.dp_threshold
-        self.join_ordering = join_ordering
-        self.dp_threshold = dp_threshold
         # plan -> (epoch vector of the plan's relations at store time,
         #          result); the vector makes each entry self-describing,
         #          so scopes sharing encoded tables can each validate
@@ -369,7 +342,7 @@ def evaluate_plan(
     across calls; it must have been built for the same ``db``.
 
     ``recorder``, when given, collects one dict per *executed* join node
-    (chosen order, scheduling method, and estimated vs. actual
+    (chosen order and estimated vs. actual
     cardinality per fold step) — the raw material of
     ``DissociationEngine.explain``. Joins served from the plan cache do
     not re-execute and are not recorded.
@@ -619,40 +592,14 @@ def _join(
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
     results = [_evaluate(part, cache, local, recorder) for part in plan.parts]
-    k = len(results)
+    order = _fold_order(results)
     profiles: "list[JoinProfile] | None" = None
-    # Join-order selection: Selinger DP over the inputs' exact profiles
-    # (cost = summed estimated intermediate cardinality plus the
-    # sort/probe work of each folded input) up to the DP threshold, the
-    # smallest-connected-input greedy heuristic beyond it or when the
-    # cache is configured for the greedy ablation baseline. A binary
-    # join needs no profiles: both orders produce the same rows, and the
-    # DP's fold-cost term reduces to accumulating on the larger side so
-    # the smaller input is the one sorted and probed.
-    if cache.join_ordering == "cost" and k <= cache.dp_threshold:
-        if k == 2:
-            order = [0, 1] if len(results[0]) >= len(results[1]) else [1, 0]
-        else:
-            profiles = [r.profile() for r in results]
-            order = selinger_order(profiles)
-        method = "cost-dp"
-    else:
-        order = greedy_order(
-            [len(r) for r in results],
-            [frozenset(r.order) for r in results],
-        )
-        method = (
-            "greedy"
-            if cache.join_ordering == "greedy"
-            else "greedy-fallback"
-        )
     record: dict | None = None
     fold_started = 0.0
     if recorder is not None:
-        profiles = profiles or [r.profile() for r in results]
+        profiles = [r.profile() for r in results]
         record = {
             "join": str(plan),
-            "method": method,
             "order": list(order),
             "parts": [str(p) for p in plan.parts],
             "input_rows": [len(r) for r in results],
@@ -665,8 +612,8 @@ def _join(
         fold_started = time.perf_counter()
     # Fold in the chosen order, tracking per-part gather indices instead
     # of multiplying scores pairwise: the final score column multiplies
-    # the parts in canonical (plan) order, so every schedule — greedy or
-    # DP — produces bit-identical floating-point scores.
+    # the parts in canonical (plan) order, so every schedule produces
+    # bit-identical floating-point scores.
     first = order[0]
     state_order = results[first].order
     state_columns = results[first].columns
@@ -710,6 +657,21 @@ def _join(
         final_order,
         tuple(state_columns[i] for i in positions),
         scores,
+    )
+
+
+def _fold_order(results: "Sequence[_Columnar]") -> list[int]:
+    """The order ``_join`` folds its inputs in.
+
+    A binary join accumulates on the larger input, so the smaller one is
+    the side sorted and probed. A wider join takes ``greedy_order`` over
+    the inputs' actual row counts, the rule SQL emits its joins in over
+    estimated ones.
+    """
+    if len(results) == 2:
+        return [0, 1] if len(results[0]) >= len(results[1]) else [1, 0]
+    return greedy_order(
+        [len(r) for r in results], [frozenset(r.order) for r in results]
     )
 
 

@@ -597,11 +597,11 @@ class SQLCompiler:
         statistics, so the parts are emitted in the order an index
         nested-loop join wants — smallest estimated input outermost,
         then the smallest part sharing a variable with the ones before
-        it (:func:`~repro.engine.stats.greedy_order`) — and joined with
-        ``CROSS JOIN``, which SQLite documents as never reordered. The
-        memory executor's ``selinger_order`` charges the folded-in side
-        and so puts the *largest* input first: pinned here it is 4×
-        slower than no pin at all.
+        it (:func:`~repro.engine.stats.greedy_order`, the order
+        ``estimate_plan`` prices and the memory fold takes for three or
+        more parts) — and joined with ``CROSS JOIN``, which SQLite
+        documents as never reordered. The largest input first, pinned
+        here, is 4× slower than no pin at all.
         """
         # compiled in plan order whatever the loop order: shared CTEs
         # keep their numbering, an unknown relation its ``KeyError``

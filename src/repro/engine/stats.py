@@ -15,12 +15,11 @@ On top of the catalog sit the planning components of this module:
   largest applicable distinct count, estimates never exceed the product
   bound, and per-variable distinct counts are capped by the estimated
   row count;
-* :func:`selinger_order` — a Selinger-style dynamic-programming
-  enumerator over left-deep join orders, minimizing the summed estimated
-  intermediate cardinality (cross products only when the query graph
-  forces them); :func:`greedy_order` preserves the previous
-  smallest-connected-input heuristic as the fallback (above the DP
-  threshold) and the ablation baseline;
+* :func:`greedy_order` — the one join order: smallest input first, then
+  the smallest input connected to the ones taken (cross products only
+  when the query graph forces them). SQL emits every join in it, the
+  memory fold takes it for joins of three or more inputs, and
+  :func:`estimate_plan` prices every join in it;
 * :func:`estimate_plan` — bottom-up cost/cardinality estimation for a
   whole plan, used by the SQLite backend's Algorithm-3 materialization
   policy and by ``engine.explain()``;
@@ -44,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.database import ProbabilisticDatabase
 
 __all__ = [
-    "DEFAULT_DP_THRESHOLD",
     "DEFAULT_WRITE_FACTOR",
     "ColumnStats",
     "TableStats",
@@ -53,28 +51,17 @@ __all__ = [
     "JoinProfile",
     "scan_profile",
     "join_profile",
-    "selinger_order",
     "greedy_order",
     "PlanEstimate",
     "estimate_plan",
     "MaterializationPolicy",
 ]
 
-#: Join arity above which the DP enumerator falls back to the greedy
-#: scheduler (the DP is exponential in the number of join inputs).
-DEFAULT_DP_THRESHOLD = 10
-
 #: Default write-vs-read cost ratio of the Algorithm-3 materialization
 #: gate; :meth:`~repro.db.sqlite_backend.SQLiteBackend.measure_write_factor`
 #: replaces it with a measured value (``DissociationEngine.
 #: calibrate_write_factor`` / service startup calibration).
 DEFAULT_WRITE_FACTOR = 2.0
-
-#: Relative cost of *folding* an input (sorting/probing its rows) vs.
-#: producing an intermediate row. Charging folded inputs makes the DP
-#: prefer accumulating on the larger side and sorting the smaller —
-#: for a binary join this degenerates to "fold the smaller input".
-FOLD_COST_FACTOR = 0.5
 
 #: Size of the most-common-value sketch kept per column.
 DEFAULT_MCV_SIZE = 8
@@ -352,16 +339,17 @@ def profile_of_columnar(order, columns, n: int) -> JoinProfile:
 
 
 # ----------------------------------------------------------------------
-# join-order enumeration
+# join order
 # ----------------------------------------------------------------------
 def greedy_order(
     sizes: Sequence[float], varsets: Sequence[frozenset[Variable]]
 ) -> list[int]:
-    """The smallest-connected-input heuristic (the pre-stats scheduler).
+    """The smallest-connected-input order.
 
     Starts from the smallest input, then repeatedly folds in the
     smallest input sharing a variable with the ones taken so far,
     falling back to the smallest disconnected one (a cross product).
+    Ties keep input order.
     """
     by_size = sorted(range(len(sizes)), key=lambda i: sizes[i])
     taken = [False] * len(sizes)
@@ -383,58 +371,6 @@ def greedy_order(
         order.append(choice)
         bound.update(varsets[choice])
     return order
-
-
-def selinger_order(profiles: Sequence[JoinProfile]) -> list[int]:
-    """Selinger-style DP over left-deep join orders.
-
-    ``dp[S]`` holds the cheapest way to join the input subset ``S``,
-    where the cost of one fold step is the estimated cardinality of the
-    intermediate it produces (the rows the fold has to gather) plus
-    :data:`FOLD_COST_FACTOR` times the folded input's rows (the
-    sort/probe work of bringing that input in). Extensions prefer
-    connected inputs; a cross product is considered only when no
-    remaining input connects to the subset. Ties break on the order
-    tuple, keeping the choice deterministic.
-
-    Exponential in ``len(profiles)`` — callers fall back to
-    :func:`greedy_order` above :data:`DEFAULT_DP_THRESHOLD`.
-    """
-    k = len(profiles)
-    if k <= 1:
-        return list(range(k))
-    varsets = [p.variables for p in profiles]
-    full = (1 << k) - 1
-    # mask -> (cost, order, profile)
-    dp: dict[int, tuple[float, tuple[int, ...], JoinProfile]] = {
-        1 << i: (0.0, (i,), profiles[i]) for i in range(k)
-    }
-    for mask in range(1, full):
-        entry = dp.get(mask)
-        if entry is None:
-            continue
-        cost, order, profile = entry
-        bound = profile.variables
-        connected = [
-            j
-            for j in range(k)
-            if not mask & (1 << j) and bound & varsets[j]
-        ]
-        candidates = connected or [
-            j for j in range(k) if not mask & (1 << j)
-        ]
-        for j in candidates:
-            joined = join_profile(profile, profiles[j])
-            new_cost = cost + joined.rows + FOLD_COST_FACTOR * profiles[j].rows
-            new_order = order + (j,)
-            new_mask = mask | (1 << j)
-            existing = dp.get(new_mask)
-            if existing is None or (new_cost, new_order) < (
-                existing[0],
-                existing[1],
-            ):
-                dp[new_mask] = (new_cost, new_order, joined)
-    return list(dp[full][1])
 
 
 # ----------------------------------------------------------------------
@@ -512,13 +448,10 @@ def estimate_plan(
             for part in plan.parts
         ]
         profiles = [c.profile for c in children]
-        if len(profiles) <= DEFAULT_DP_THRESHOLD:
-            order = selinger_order(profiles)
-        else:
-            order = greedy_order(
-                [p.rows for p in profiles],
-                [p.variables for p in profiles],
-            )
+        # priced in the order SQL emits the join (``SQLCompiler._join_sql``)
+        order = greedy_order(
+            [p.rows for p in profiles], [p.variables for p in profiles]
+        )
         cost = sum(c.cost for c in children)
         profile = profiles[order[0]]
         for j in order[1:]:

@@ -15,15 +15,6 @@ from .lower import (
     symmetric_lower_probability,
 )
 from .mc import monte_carlo_many, monte_carlo_probability
-from .readonce import (
-    RAnd,
-    ROr,
-    RVar,
-    ReadOnceTree,
-    is_read_once,
-    read_once_probability,
-    try_read_once,
-)
 
 __all__ = [
     "DNF",
@@ -41,11 +32,4 @@ __all__ = [
     "plan_lower_bounds",
     "symmetric_lower_probability",
     "monte_carlo_probability",
-    "RAnd",
-    "ROr",
-    "RVar",
-    "ReadOnceTree",
-    "is_read_once",
-    "read_once_probability",
-    "try_read_once",
 ]

@@ -33,22 +33,18 @@ def exact_probability(
     probabilities: Mapping[Hashable, float],
     use_components: bool = True,
     use_memo: bool = True,
-    use_read_once: bool = False,
 ) -> float:
     """``P(F)`` under independent variables with the given marginals.
 
-    ``use_components`` / ``use_memo`` / ``use_read_once`` exist for the
-    ablation benchmark; the read-once fast path (factor the formula, then
-    multiply/ior along the tree in linear time — the tractable data-level
-    cases of Sen et al. / Roy et al.) is off by default because the
-    recursion discovers the same structure anyway; it shines on large
-    read-once lineages.
+    ``use_components`` / ``use_memo`` exist for the ablation benchmark.
+    There is no separate read-once path. On a read-once formula (the
+    tractable data-level cases of Sen et al. / Roy et al.) the component
+    split is the factorization's independent-or, and a variable common
+    to every clause is the most frequent one, so expanding on it leaves
+    a false negative cofactor.
     """
     return ExactEvaluator(
-        probabilities,
-        use_components=use_components,
-        use_memo=use_memo,
-        use_read_once=use_read_once,
+        probabilities, use_components=use_components, use_memo=use_memo
     ).probability(formula)
 
 
@@ -64,12 +60,10 @@ class ExactEvaluator:
         probabilities: Mapping[Hashable, float],
         use_components: bool = True,
         use_memo: bool = True,
-        use_read_once: bool = False,
     ) -> None:
         self._p = probabilities
         self._use_components = use_components
         self._use_memo = use_memo
-        self._use_read_once = use_read_once
         self._memo: dict[frozenset[frozenset], float] = {}
 
     def probability(self, formula: DNF) -> float:
@@ -78,12 +72,6 @@ class ExactEvaluator:
             return 1.0
         if not clauses:
             return 0.0
-        if self._use_read_once:
-            from .readonce import try_read_once
-
-            tree = try_read_once(DNF(clauses))
-            if tree is not None:
-                return tree.probability(self._p)
         return self._prob(frozenset(clauses))
 
     # ------------------------------------------------------------------

@@ -14,7 +14,8 @@ probability a **lower** bound: ``P(F'[p']) ≤ P(F) ≤ P(F'[p])``.
 Lifted to queries: every minimal plan ``P`` of ``q`` determines the
 dissociation ``∆_P``; replaying it on the lineage with copy-adjusted
 probabilities yields per-answer lower bounds. The dissociated formula of a
-*safe* dissociation is read-once, so the evaluation stays cheap. Taking
+*safe* dissociation is read-once, and the exact evaluator's component
+split finds the same structure, so the evaluation stays cheap. Taking
 the max over minimal plans and pairing it with the propagation score gives
 certified intervals ``low ≤ P ≤ ρ`` for every answer —
 :meth:`repro.engine.DissociationEngine.probability_bounds`.
@@ -114,8 +115,7 @@ def plan_lower_bounds(
     out: dict[tuple, float] = {}
     for answer in lineage.by_answer:
         formula, adjusted = dissociated_lineage_by_plan(lineage, answer, plan)
-        evaluator = ExactEvaluator(adjusted, use_read_once=True)
-        out[answer] = evaluator.probability(formula)
+        out[answer] = ExactEvaluator(adjusted).probability(formula)
     return out
 
 

@@ -175,8 +175,6 @@ def assert_backends_agree(
     tolerance: float = 1e-9,
     use_schema_knowledge: bool = True,
     cache_size: int | None = EngineConfig().cache_size,
-    join_ordering: str = "cost",
-    compare_orderings: bool = False,
     compare_facade: bool = False,
     primed_with: ConjunctiveQuery | None = None,
 ) -> dict[tuple, float]:
@@ -188,12 +186,6 @@ def assert_backends_agree(
     ``tolerance``. The two engines persist across combinations, so
     cross-query cache and temp-view-registry reuse is exercised too.
     Returns the reference scores of the last combination.
-
-    ``join_ordering`` selects the memory engine's scheduler; with
-    ``compare_orderings`` a second memory engine runs the *other*
-    scheduler on every combination and its scores must be **bit
-    identical** (the canonical combine-order guarantee — the schedule
-    may change the work, never the floats).
 
     With ``compare_facade`` a ``repro.connect()`` :class:`Session` per
     backend (same config) evaluates every combination too, and its
@@ -209,9 +201,7 @@ def assert_backends_agree(
     the primer left behind, while the reference enumerates afresh.
     """
     memory_config = EngineConfig(
-        use_schema_knowledge=use_schema_knowledge,
-        cache_size=cache_size,
-        join_ordering=join_ordering,
+        use_schema_knowledge=use_schema_knowledge, cache_size=cache_size
     )
     sqlite_config = EngineConfig(
         backend="sqlite",
@@ -224,14 +214,6 @@ def assert_backends_agree(
         for engine in (memory, sqlite):
             engine.minimal_plans(primed_with)
             engine.single_plan(primed_with)
-    other = None
-    if compare_orderings:
-        other = DissociationEngine(
-            db,
-            memory_config.replace(
-                join_ordering="greedy" if join_ordering == "cost" else "cost"
-            ),
-        )
     sessions: list[Session] = []
     if compare_facade:
         sessions = [
@@ -264,15 +246,6 @@ def assert_backends_agree(
                 assert close(direct_scores["sqlite"][answer], score, tolerance), (
                     f"sqlite vs memory, {opts}, {query}: {answer}: "
                     f"{direct_scores['sqlite'][answer]} != {score}"
-                )
-            if other is not None:
-                mine = memory.propagation_score(query, opts)
-                theirs = other.propagation_score(query, opts)
-                context = f"{opts}, {query}"
-                assert mine == theirs, (
-                    f"join orderings disagree (must be bit-identical): "
-                    f"{context}: "
-                    f"{ {k: (mine[k], theirs.get(k)) for k in mine if mine.get(k) != theirs.get(k)} }"
                 )
             for engine, session in zip((memory, sqlite), sessions):
                 direct = direct_scores[engine.backend]

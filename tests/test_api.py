@@ -107,15 +107,17 @@ class TestConfigs:
         "kwargs",
         [
             {"backend": "pg"},
-            {"join_ordering": "random"},
+            {"join_ordering": "greedy"},
             {"cache_size": -1},
-            {"join_dp_threshold": -2},
+            {"join_dp_threshold": 10},
             {"write_factor": -0.5},
             {"plan_memo_size": -1},
         ],
     )
     def test_engine_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # the two join-order knobs are gone: passing one fails loudly
+        removed = {"join_ordering", "join_dp_threshold"}
+        with pytest.raises(TypeError if removed & kwargs.keys() else ValueError):
             EngineConfig(**kwargs)
 
     @pytest.mark.parametrize(

@@ -7,8 +7,7 @@ every join in nested-loop order — smallest estimated input outermost,
 every next part connected (``greedy_order``) — and pins it with
 ``CROSS JOIN``. These tests read the plan SQLite actually runs, and
 the order the one join emitter actually writes; both fail when the
-*memory* fold's order (``selinger_order``, largest input first) is
-pinned instead.
+largest estimated part is pinned outermost instead.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.engine import (
     DissociationEngine,
     Optimizations,
     SQLCompiler,
-    selinger_order,
 )
 from repro.workloads import chain_database
 
@@ -103,7 +101,7 @@ class TestEmittedOrder:
         query = parse_query(_chain5(constants[0]))
         estimator = engine.sqlite_executor.plan_estimator()
         compiler = SQLCompiler(db.schema, estimator=estimator)
-        selinger_disagrees = 0
+        largest_first_disagrees = 0
         for node in self._joins(engine, query):
             marker = {part: f"part_{i}" for i, part in enumerate(node.parts)}
             sql = compiler._join_sql(node, marker.__getitem__)
@@ -119,12 +117,11 @@ class TestEmittedOrder:
                 variables = estimates[int(name[5:])].profile.variables
                 assert bound & variables
                 bound |= variables
-            # the trap: the memory fold's order leads with a larger part
-            first = selinger_order([e.profile for e in estimates])[0]
-            selinger_disagrees += rows[first] > min(rows)
-        assert selinger_disagrees, (
+            # the trap: largest estimated part first
+            largest_first_disagrees += max(rows) > min(rows)
+        assert largest_first_disagrees, (
             "no join of this plan set tells the two orders apart — the "
-            "test would pass with selinger_order pinned"
+            "test would pass with the largest part pinned first"
         )
         engine.release()
 

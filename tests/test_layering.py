@@ -4,11 +4,13 @@ The engine enumerates plans and hands them to an executor
 (``repro/engine/executors.py``); no other layer may fork on the backend
 name. Walked with :mod:`ast`, so a new ``if backend == "sqlite"``
 anywhere else in ``src/repro`` fails here, whatever it is spelled like.
+Every module's ``__all__`` must also resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -44,6 +46,24 @@ def test_backend_names_are_compared_in_three_modules_only():
                 ):
                     offenders.append(f"{name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_every_exported_name_resolves():
+    """Every module imports and every name in every ``__all__`` exists:
+    deleting a module or a function must not leave a dangling export
+    in a package no other test imports."""
+    dangling = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__main__":
+            continue
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        for name in getattr(module, "__all__", ()):
+            if not hasattr(module, name):
+                dangling.append(f"{module.__name__}.{name}")
+    assert not dangling, dangling
 
 
 def test_net_never_builds_an_evaluation_cache():

@@ -1,149 +1,139 @@
-"""Tests for read-once detection and factorization."""
+"""Read-once lineages under the generic model counter.
 
-import itertools
+A monotone formula is *read-once* when it factors into independent ands
+and ors that read every variable once. Safe queries have read-once
+lineages, and so do the dissociated formulas ``lineage/lower.py``
+evaluates. There is no separate factorizer for them: the plain
+:class:`~repro.lineage.ExactEvaluator` handles them, its component split
+playing the independent-or and the expansion on the most frequent
+variable the common factor. These tests pin that it is exact on
+read-once shapes — against their closed forms, brute force, and safe
+plans.
+"""
+
 import random
 
 import pytest
 
-from repro.lineage import (
-    DNF,
-    RAnd,
-    ROr,
-    RVar,
-    exact_probability,
-    is_read_once,
-    lineage_of,
-    read_once_probability,
-    try_read_once,
-)
+from repro.lineage import DNF, exact_probability, lineage_of
 
 from .test_formula import brute_force_probability
 
 
+def _ior(*values: float) -> float:
+    complement = 1.0
+    for value in values:
+        complement *= 1.0 - value
+    return 1.0 - complement
+
+
+def _random_read_once(rng: random.Random, variables: list, probs: dict):
+    """A random read-once formula over ``variables``: its DNF clauses and
+    its probability computed along the factor tree."""
+    if len(variables) == 1:
+        (v,) = variables
+        return [[v]], probs[v]
+    split = rng.randint(1, len(variables) - 1)
+    left, p_left = _random_read_once(rng, variables[:split], probs)
+    right, p_right = _random_read_once(rng, variables[split:], probs)
+    if rng.random() < 0.5:
+        return left + right, _ior(p_left, p_right)
+    return [a + b for a in left for b in right], p_left * p_right
+
+
 class TestPositiveCases:
     def test_single_variable(self):
-        tree = try_read_once(DNF([["a"]]))
-        assert isinstance(tree, RVar)
+        assert exact_probability(DNF([["a"]]), {"a": 0.3}) == 0.3
 
     def test_single_clause(self):
-        tree = try_read_once(DNF([["a", "b", "c"]]))
-        assert isinstance(tree, RAnd)
-        assert tree.variables() == {"a", "b", "c"}
+        probs = {"a": 0.5, "b": 0.3, "c": 0.8}
+        value = exact_probability(DNF([["a", "b", "c"]]), probs)
+        assert value == pytest.approx(0.5 * 0.3 * 0.8, abs=1e-15)
 
     def test_disjoint_or(self):
-        tree = try_read_once(DNF([["a", "b"], ["c"]]))
-        assert isinstance(tree, ROr)
+        probs = {"a": 0.5, "b": 0.3, "c": 0.8}
+        value = exact_probability(DNF([["a", "b"], ["c"]]), probs)
+        assert value == pytest.approx(_ior(0.5 * 0.3, 0.8), abs=1e-15)
 
     def test_common_factor(self):
         # x(y ∨ z) — the classic read-once shape
-        tree = try_read_once(DNF([["x", "y"], ["x", "z"]]))
-        assert tree is not None
         probs = {"x": 0.5, "y": 0.3, "z": 0.8}
-        assert abs(
-            tree.probability(probs) - exact_probability(DNF([["x", "y"], ["x", "z"]]), probs)
-        ) < 1e-12
+        value = exact_probability(DNF([["x", "y"], ["x", "z"]]), probs)
+        assert value == pytest.approx(0.5 * _ior(0.3, 0.8), abs=1e-15)
 
     def test_and_of_ors(self):
         # (a ∨ b)(c ∨ d) expanded
         f = DNF([["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
-        tree = try_read_once(f)
-        assert tree is not None
         probs = {v: 0.4 for v in "abcd"}
-        assert abs(
-            tree.probability(probs) - brute_force_probability(f, probs)
-        ) < 1e-12
+        value = exact_probability(f, probs)
+        assert value == pytest.approx(_ior(0.4, 0.4) ** 2, abs=1e-15)
+        assert value == pytest.approx(brute_force_probability(f, probs), abs=1e-12)
 
     def test_nested_structure(self):
         # x(y ∨ z) ∨ w : or of independent parts
-        f = DNF([["x", "y"], ["x", "z"], ["w"]])
-        assert is_read_once(f)
+        probs = {"x": 0.5, "y": 0.3, "z": 0.8, "w": 0.1}
+        value = exact_probability(DNF([["x", "y"], ["x", "z"], ["w"]]), probs)
+        assert value == pytest.approx(
+            _ior(0.5 * _ior(0.3, 0.8), 0.1), abs=1e-15
+        )
 
     def test_absorption_applied_first(self):
-        # xy ∨ x ≡ x is read-once after absorption
-        assert is_read_once(DNF([["x", "y"], ["x"]]))
+        # xy ∨ x ≡ x
+        assert exact_probability(DNF([["x", "y"], ["x"]]), {"x": 0.7, "y": 0.2}) == 0.7
 
     def test_hierarchical_query_lineage_is_read_once(self):
         # safe queries have read-once lineages on every instance
-        from repro.core import parse_query
+        from repro.core import parse_query, safe_plan
         from repro.db import ProbabilisticDatabase
+        from repro.engine import plan_scores
 
         db = ProbabilisticDatabase()
         db.add_table("R", [((1,), 0.5), ((2,), 0.6)])
         db.add_table("S", [((1, 3), 0.2), ((1, 4), 0.9), ((2, 3), 0.4)])
         q = parse_query("q() :- R(x), S(x,y)")
         lineage = lineage_of(q, db)
-        assert is_read_once(lineage.by_answer[()])
+        value = exact_probability(lineage.by_answer[()], lineage.probabilities)
+        closed_form = _ior(0.5 * _ior(0.2, 0.9), 0.6 * 0.4)
+        assert value == pytest.approx(closed_form, abs=1e-15)
+        assert value == pytest.approx(plan_scores(safe_plan(q), q, db)[()], abs=1e-15)
 
 
 class TestNegativeCases:
     def test_rst_lineage_not_read_once(self):
         # the canonical non-read-once formula: x1y1 ∨ y1x2 ∨ x2y2 (path P4)
+        # — no factorization exists, the expansion alone must be exact
         f = DNF([["x1", "y1"], ["x2", "y1"], ["x2", "y2"]])
-        assert not is_read_once(f)
-
-    def test_constants_return_none(self):
-        assert try_read_once(DNF()) is None
-        assert try_read_once(DNF([[]])) is None
-
-    def test_read_once_probability_none_for_hard(self):
-        f = DNF([["x1", "y1"], ["x2", "y1"], ["x2", "y2"]])
-        assert read_once_probability(f, {}) is None
+        probs = {"x1": 0.3, "y1": 0.6, "x2": 0.45, "y2": 0.8}
+        assert exact_probability(f, probs) == pytest.approx(
+            brute_force_probability(f, probs), abs=1e-12
+        )
 
 
 class TestSoundness:
-    """Whenever a tree is returned, its probability must be exact."""
+    """On every read-once formula the counter matches the factor tree."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_formulas(self, seed):
         rng = random.Random(seed)
-        n_vars = rng.randint(2, 6)
-        variables = [f"v{i}" for i in range(n_vars)]
+        variables = [f"v{i}" for i in range(rng.randint(2, 8))]
+        rng.shuffle(variables)
         probs = {v: rng.random() for v in variables}
-        clauses = [
-            rng.sample(variables, rng.randint(1, min(3, n_vars)))
-            for _ in range(rng.randint(1, 5))
-        ]
+        clauses, closed_form = _random_read_once(rng, variables, probs)
         f = DNF(clauses)
-        tree = try_read_once(f)
-        if tree is None:
-            return
-        assert abs(
-            tree.probability(probs) - brute_force_probability(f, probs)
-        ) < 1e-9
-
-    def test_tree_variables_unique(self):
-        """Read-once: each variable appears exactly once in the tree."""
-
-        def leaves(tree):
-            if isinstance(tree, RVar):
-                return [tree.variable]
-            return [v for part in tree.parts for v in leaves(part)]
-
-        rng = random.Random(77)
-        for _ in range(40):
-            n_vars = rng.randint(2, 6)
-            variables = [f"v{i}" for i in range(n_vars)]
-            clauses = [
-                rng.sample(variables, rng.randint(1, min(3, n_vars)))
-                for _ in range(rng.randint(1, 5))
-            ]
-            tree = try_read_once(DNF(clauses))
-            if tree is None:
-                continue
-            found = leaves(tree)
-            assert len(found) == len(set(found))
+        assert exact_probability(f, probs) == pytest.approx(closed_form, abs=1e-12)
+        assert exact_probability(f, probs) == pytest.approx(
+            brute_force_probability(f, probs), abs=1e-9
+        )
 
     def test_safe_query_lineages_random(self):
-        """Safe query lineages are read-once and the factored probability
-        matches the safe plan's score."""
-        import random as _random
-
+        """On safe query lineages the exact probability matches the safe
+        plan's score."""
         from repro.core import is_hierarchical, safe_plan
         from repro.engine import plan_scores
 
         from .helpers import random_database_for, random_query
 
-        rng = _random.Random(5)
+        rng = random.Random(5)
         checked = 0
         for _ in range(80):
             q = random_query(rng, max_atoms=3, head_vars=0)
@@ -154,10 +144,7 @@ class TestSoundness:
             if () not in lineage.by_answer:
                 continue
             formula = lineage.by_answer[()]
-            value = read_once_probability(formula, lineage.probabilities)
-            if value is None:
-                # detector may miss some shapes; soundness is what matters
-                continue
+            value = exact_probability(formula, lineage.probabilities)
             checked += 1
             score = plan_scores(safe_plan(q), q, db)[()]
             assert abs(value - score) < 1e-9

@@ -1,16 +1,19 @@
 """The statistics catalog, the cost model, and cost-based planning.
 
 Covers the :mod:`repro.engine.stats` units (column summaries, MCV
-sketches, incremental maintenance under the db-version token, the
-Selinger DP enumerator and its greedy fallback, the Algorithm-3
-materialization policy), ``engine.explain()``'s estimated-vs-actual
-reporting, and seeded hypothesis property tests asserting that
-cost-based join ordering produces **bit-identical** scores to the greedy
-scheduler across all eight optimization combinations on random chain and
-star workloads.
+sketches, incremental maintenance under the db-version token, the join
+order, the Algorithm-3 materialization policy), ``engine.explain()``'s
+estimated-vs-actual reporting, and seeded hypothesis property tests
+asserting that the memory fold's join order cannot change a score: a
+random connected order gives **bit-identical** scores across all eight
+optimization combinations on random chain and star workloads.
 """
 
 from __future__ import annotations
+
+import contextlib
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +23,9 @@ from repro.api import EngineConfig
 from repro.core import Variable, parse_query
 from repro.core.plans import Join, Project, Scan
 from repro.db import ProbabilisticDatabase
-from repro.engine import DissociationEngine, Optimizations
+from repro.engine import DissociationEngine, Optimizations, extensional
 from repro.engine.extensional import EvaluationCache
 from repro.engine.stats import (
-    DEFAULT_DP_THRESHOLD,
     JoinProfile,
     MaterializationPolicy,
     PlanEstimate,
@@ -32,10 +34,9 @@ from repro.engine.stats import (
     greedy_order,
     join_profile,
     scan_profile,
-    selinger_order,
 )
 
-from .helpers import assert_backends_agree
+from .helpers import ALL_OPTIMIZATION_COMBOS
 
 
 def _db() -> ProbabilisticDatabase:
@@ -129,94 +130,12 @@ class TestCardinalityModel:
         assert joined.distinct[x] == pytest.approx(10.0)
 
 
-class TestSelingerEnumerator:
-    def test_picks_selective_order_greedy_misses(self):
-        # three inputs: greedy starts from the smallest (A) and folds the
-        # smallest connected one; the DP instead avoids the high-fanout
-        # early join by cost
-        x, y = Variable("x"), Variable("y")
-        a = JoinProfile(10.0, {x: 1.0})       # tiny but x has fanout 10
-        b = JoinProfile(100.0, {x: 1.0, y: 100.0})
-        c = JoinProfile(50.0, {y: 50.0})
-        order = selinger_order([a, b, c])
-        # joining b ⋈ c first (y selective) is cheapest overall
-        cost_dp = _order_cost([a, b, c], order)
-        cost_greedy = _order_cost(
-            [a, b, c], greedy_order([10, 100, 50], [{x}, {x, y}, {y}])
-        )
-        assert cost_dp <= cost_greedy
-
+class TestGreedyOrder:
     def test_avoids_cross_products_when_connected(self):
         x, y = Variable("x"), Variable("y")
-        profiles = [
-            JoinProfile(10.0, {x: 10.0}),
-            JoinProfile(10.0, {y: 10.0}),
-            JoinProfile(10.0, {x: 10.0, y: 10.0}),
-        ]
-        order = selinger_order(profiles)
+        order = greedy_order([10.0, 10.0, 10.0], [{x}, {y}, {x, y}])
         # whichever side starts, the second input must connect to it
-        first_two = {order[0], order[1]}
-        assert 2 in first_two
-
-    def test_deterministic_on_ties(self):
-        x = Variable("x")
-        profiles = [JoinProfile(10.0, {x: 5.0}) for _ in range(4)]
-        assert selinger_order(profiles) == selinger_order(profiles)
-
-    def test_dp_threshold_falls_back_to_greedy(self):
-        # wide star join above the threshold: explain() reports the
-        # fallback method, below it reports the DP
-        k = 4
-        atoms = ", ".join(f"R{i}(x, y{i})" for i in range(k))
-        q = parse_query(f"q(x) :- {atoms}")
-        db = ProbabilisticDatabase()
-        for i in range(k):
-            db.add_table(f"R{i}", [((v, v + i), 0.5) for v in range(3)])
-        low = DissociationEngine(db, EngineConfig(join_dp_threshold=2))
-        high = DissociationEngine(db, EngineConfig(join_dp_threshold=DEFAULT_DP_THRESHOLD))
-        methods_low = {
-            j["method"]
-            for entry in low.explain(q)["plans"]
-            for j in entry["joins"]
-        }
-        methods_high = {
-            j["method"]
-            for entry in high.explain(q)["plans"]
-            for j in entry["joins"]
-        }
-        assert "greedy-fallback" in methods_low
-        assert methods_high == {"cost-dp"}
-
-    def test_greedy_engine_reports_greedy(self):
-        q = parse_query("q() :- R1(x0,x1), R2(x1,x2)")
-        db = ProbabilisticDatabase()
-        db.add_table("R1", [((1, 2), 0.5)])
-        db.add_table("R2", [((2, 3), 0.5)])
-        engine = DissociationEngine(db, EngineConfig(join_ordering="greedy"))
-        methods = {
-            j["method"]
-            for entry in engine.explain(q)["plans"]
-            for j in entry["joins"]
-        }
-        assert methods == {"greedy"}
-
-    def test_invalid_join_ordering_rejected(self):
-        db = _db()
-        with pytest.raises(ValueError):
-            DissociationEngine(db, EngineConfig(join_ordering="random"))
-        with pytest.raises(ValueError):
-            EvaluationCache(db, join_ordering="selinger")
-
-
-def _order_cost(profiles, order):
-    from repro.engine.stats import FOLD_COST_FACTOR
-
-    profile = profiles[order[0]]
-    cost = 0.0
-    for j in order[1:]:
-        profile = join_profile(profile, profiles[j])
-        cost += profile.rows + FOLD_COST_FACTOR * profiles[j].rows
-    return cost
+        assert 2 in order[:2]
 
 
 class TestExplain:
@@ -313,8 +232,63 @@ class TestMaterializationPolicy:
         assert policy.should_materialize(object(), 3, 0)
 
 
+@contextlib.contextmanager
+def _scrambled_fold(seed: int):
+    """Patch the memory fold's order function to a seeded random order.
+
+    Each join takes a connected input whenever one is left, as
+    ``greedy_order`` does, so no test pays a cross product. It never
+    gets the order the fold would pick when another connected one
+    exists. Yields a list that counts the joins whose order moved.
+    """
+    rng = random.Random(seed)
+    usual = extensional._fold_order
+    moved: list[int] = []
+
+    def random_connected(results) -> list[int]:
+        varsets = [frozenset(r.order) for r in results]
+        rest = list(range(len(results)))
+        order = [rest.pop(rng.randrange(len(rest)))]
+        bound = set(varsets[order[0]])
+        while rest:
+            pick = rng.choice([i for i in rest if bound & varsets[i]] or rest)
+            rest.remove(pick)
+            order.append(pick)
+            bound |= varsets[pick]
+        return order
+
+    def scrambled(results) -> list[int]:
+        default = usual(results)
+        for _ in range(8):
+            order = random_connected(results)
+            if order != default:
+                moved.append(1)
+                return order
+        return default
+
+    with mock.patch.object(extensional, "_fold_order", scrambled):
+        yield moved
+
+
 class TestDifferentialOrdering:
-    """Cost-based vs greedy must be bit-identical, across all 8 combos."""
+    """The memory fold's join order cannot change a score.
+
+    Respelled-query reuse and memory/SQLite agreement rest on this:
+    joins multiply part scores in canonical part order and projections
+    combine group members in canonical row order. Each test runs an
+    engine under :func:`_scrambled_fold` and asserts ``==`` against an
+    unpatched one.
+    """
+
+    @staticmethod
+    def _assert_schedule_free(q, db, seed):
+        plain = DissociationEngine(db)
+        want = [plain.propagation_score(q, o) for o in ALL_OPTIMIZATION_COMBOS]
+        with _scrambled_fold(seed) as moved:
+            engine = DissociationEngine(db)
+            for opts, scores in zip(ALL_OPTIMIZATION_COMBOS, want):
+                assert engine.propagation_score(q, opts) == scores, opts
+        assert moved, "no join ran in another order"
 
     @given(
         k=st.integers(2, 4),
@@ -325,9 +299,8 @@ class TestDifferentialOrdering:
     def test_chain_workloads_bit_identical(self, k, n, seed):
         from repro.workloads import chain_database, chain_query
 
-        q = chain_query(k)
         db = chain_database(k, n, seed=seed, p_max=0.6)
-        assert_backends_agree(q, db, compare_orderings=True)
+        self._assert_schedule_free(chain_query(k), db, seed)
 
     @given(
         k=st.integers(1, 3),
@@ -338,9 +311,26 @@ class TestDifferentialOrdering:
     def test_star_workloads_bit_identical(self, k, n, seed):
         from repro.workloads import star_database, star_query
 
-        q = star_query(k)
         db = star_database(k, n, seed=seed, p_max=0.6)
-        assert_backends_agree(q, db, compare_orderings=True)
+        self._assert_schedule_free(star_query(k), db, seed)
+
+    @given(
+        k=st.integers(3, 5),
+        n=st.integers(5, 25),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_wide_join_workloads_bit_identical(self, k, n, seed):
+        # chains and stars join two parts at a time, where the product
+        # commutes exactly; a (k+1)-part join is where the order shows
+        arms = ", ".join(f"R{i}(x,y{i})" for i in range(k))
+        q = parse_query(f"q(z) :- {arms}, S(x,z)")
+        rng = random.Random(seed)
+        db = ProbabilisticDatabase()
+        for atom in q.atoms:
+            rows = {(rng.randrange(6), rng.randrange(4)) for _ in range(n)}
+            db.add_table(atom.relation, [(r, rng.uniform(0.05, 0.95)) for r in rows])
+        self._assert_schedule_free(q, db, seed)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -349,11 +339,13 @@ class TestDifferentialOrdering:
 
         q = chain_query(3)
         db = chain_database(3, 20, seed=seed, p_max=0.6)
-        cost = DissociationEngine(db, EngineConfig(join_ordering="cost"))
-        greedy = DissociationEngine(db, EngineConfig(join_ordering="greedy"))
-        per_plan_cost = cost.score_per_plan(q)
-        per_plan_greedy = greedy.score_per_plan(q)
-        assert per_plan_cost == per_plan_greedy  # bit-identical
+        plain = DissociationEngine(db)
+        want = [plain.score_per_plan(q, semijoin=s) for s in (False, True)]
+        with _scrambled_fold(seed) as moved:
+            engine = DissociationEngine(db)
+            got = [engine.score_per_plan(q, semijoin=s) for s in (False, True)]
+        assert got == want
+        assert moved, "no join ran in another order"
 
 
 class TestEstimatePlan:
