@@ -1,6 +1,7 @@
 # Repro toolchain entry points.
 #
-#   make test        — tier-1 verification (full pytest suite). Every
+#   make test        — tier-1 verification (full pytest suite, the 15
+#                      slowest tests listed at the end). Every
 #                      test runs under a faulthandler watchdog
 #                      (REPRO_TEST_TIMEOUT seconds, default 300;
 #                      0 disables) so a hung worker/shutdown regression
@@ -42,7 +43,7 @@ export SUITE_SMOKE_VERDICT
 .PHONY: test suite suite-smoke examples serve
 
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=15
 
 suite:
 	@set -e; for workload in $(SUITE_WORKLOADS); do \

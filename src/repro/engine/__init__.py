@@ -9,7 +9,7 @@ from .extensional import (
     plan_scores_min_combined,
 )
 from .reference import evaluate_plan_reference, plan_scores_reference
-from .semijoin import reduce_database, reduced_name, semijoin_statements
+from .semijoin import reduced_name, semijoin_masks, semijoin_statements
 from .sql import (
     SQLCompiler,
     StatementScope,
@@ -47,8 +47,8 @@ __all__ = [
     "plan_scores",
     "plan_scores_min_combined",
     "plan_scores_reference",
-    "reduce_database",
     "reduced_name",
+    "semijoin_masks",
     "semijoin_statements",
     "subplan_reference_counts",
 ]

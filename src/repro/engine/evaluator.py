@@ -36,7 +36,7 @@ from ..lineage.mc import monte_carlo_many
 from ..obs import StatsLRU, resolve_observer
 from .executors import MemoryExecutor, SQLiteExecutor
 from .extensional import deterministic_answers, plan_scores
-from .semijoin import reduce_database
+from .semijoin import semijoin_masks
 from .sql import deterministic_sql, lineage_sql
 
 __all__ = ["Optimizations", "EvaluationResult", "DissociationEngine"]
@@ -609,11 +609,13 @@ class DissociationEngine:
         self, query: ConjunctiveQuery, semijoin: bool = False
     ) -> dict[Plan, dict[tuple, float]]:
         """Each minimal plan's scores separately (needed by the ``avg[d]``
-        ranking experiments, Result 6)."""
-        db = reduce_database(query, self.db) if semijoin else self.db
-        cache = self.memory_executor.cache_for(db)
+        ranking experiments, Result 6); with ``semijoin``, in a scope of
+        the persistent cache under ``query``'s Opt.-3 row masks."""
+        cache = self.memory_executor.cache_for()
+        if semijoin:
+            cache = cache.plan_scope(semijoin_masks(query, cache))
         return {
-            plan: plan_scores(plan, query, db, cache=cache)
+            plan: plan_scores(plan, query, self.db, cache=cache)
             for plan in self.minimal_plans(query)
         }
 
@@ -624,10 +626,11 @@ class DissociationEngine:
     ) -> dict:
         """The planning decisions for ``query``, with their quality.
 
-        Evaluates the plan(s) on the columnar engine with a recorder
-        attached and returns, per plan, one entry for every executed
-        join: the fold order and the **estimated vs. actual**
-        cardinality of every fold step.
+        Evaluates the plan(s) on the columnar engine (under the Opt.-3
+        row masks in semi-join mode) with a recorder attached and
+        returns, per plan, one entry for every executed join: the fold
+        order and the **estimated vs. actual** cardinality of every
+        fold step.
         Shared subplans are evaluated (and reported) once per plan.
 
         For the SQLite backend the report additionally carries the
@@ -641,8 +644,8 @@ class DissociationEngine:
         template store.
         """
         opts = optimizations or _DEFAULT_OPTIMIZATIONS
-        db = reduce_database(query, self.db) if opts.semijoin else self.db
-        base = self.memory_executor.cache_for(db)
+        base = self.memory_executor.cache_for()
+        masks = semijoin_masks(query, base) if opts.semijoin else None
         template, numbering = self._template(query, "minimal")
         plan_count = len(template.plans)
         if opts.single_plan:
@@ -654,9 +657,8 @@ class DissociationEngine:
             # (cached results would skip scheduling and leave gaps)
             recorder: list[dict] = []
             plan_started = time.perf_counter()
-            plan_scores(
-                plan, query, db, cache=base.plan_scope(), recorder=recorder
-            )
+            scope = base.plan_scope(masks)
+            plan_scores(plan, query, self.db, cache=scope, recorder=recorder)
             entries.append(
                 {
                     "plan": plan.pretty(),

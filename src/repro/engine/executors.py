@@ -38,7 +38,7 @@ from .extensional import (
     plan_scores,
     plan_scores_min_combined,
 )
-from .semijoin import reduce_database, semijoin_statements
+from .semijoin import semijoin_masks, semijoin_statements
 from .sql import (
     Parameters,
     SQLCompiler,
@@ -80,42 +80,37 @@ class MemoryExecutor:
         #: install a pre-seeded one after every snapshot (re)attach.
         self.cache: EvaluationCache | None = None
 
-    def cache_for(self, db: ProbabilisticDatabase) -> EvaluationCache:
-        """The persistent cross-query cache (for the executor's own ``db``).
-
-        Semi-join reduction materializes a throwaway database per call,
-        so those get a throwaway cache; the executor's database keeps
-        one long-lived cache that survives across queries and validates
-        itself per table when the database's version token moves.
-        """
-        cache = self.cache if db is self.db else None
-        if cache is not None and cache.db is db:
-            cache.validate()
-            return cache
-        cache = EvaluationCache(db, max_plans=self.cache_size)
-        cache.observer = self.observer
-        if db is self.db:
-            self.cache = cache
-        return cache
+    def cache_for(self) -> EvaluationCache:
+        """The persistent cross-query cache of ``db``: one long-lived
+        cache that validates itself per table when the database's
+        version token moves."""
+        if self.cache is None:
+            self.cache = EvaluationCache(self.db, max_plans=self.cache_size)
+            self.cache.observer = self.observer
+        else:
+            self.cache.validate()
+        return self.cache
 
     def run(self, batch: Batch, opts) -> list[tuple[dict, None]]:
         out = []
         for query, targets in batch:
             # Cross-query sharing is the structural plan-result layer of
-            # the one persistent cache; semi-join mode reduces per query,
-            # so each query then gets a per-reduction throwaway cache.
-            db = reduce_database(query, self.db) if opts.semijoin else self.db
-            base = self.cache_for(db)
+            # the one persistent cache. Opt. 3 masks that cache's rows
+            # per query, so a semi-join request evaluates in a masked
+            # scope whose memo lives for the request only.
+            base = self.cache_for()
+            if opts.semijoin:
+                base = base.plan_scope(semijoin_masks(query, base))
             # Opt. 2 (view reuse) is the shared plan-result memo: with it
             # on, one structural cache spans all plans of this call *and*
-            # — for the executor's own database — later calls. With it
-            # off, each plan gets a fresh memo scope (encoded relations
-            # are representation, not an optimization, so those stay
-            # shared either way); the DAG produced by Algorithm 2 still
-            # shares nodes within one plan.
+            # — without Opt. 3 — later calls. With it off, each plan gets
+            # a fresh memo scope (encoded relations are representation,
+            # not an optimization, so those stay shared either way); the
+            # DAG produced by Algorithm 2 still shares nodes within one
+            # plan.
             if opts.single_plan:
                 cache = base if opts.reuse_views else base.plan_scope()
-                scores = plan_scores(targets[0], query, db, cache=cache)
+                scores = plan_scores(targets[0], query, self.db, cache=cache)
             else:
                 # all-plans min-combining stays columnar (one decode for
                 # the whole call instead of one per plan — the warm
@@ -127,7 +122,7 @@ class MemoryExecutor:
                 )
                 with self.observer.span("combine.min", plans=len(targets)):
                     scores = plan_scores_min_combined(
-                        targets, query, db, caches
+                        targets, query, self.db, caches
                     )
             out.append((scores, None))
         return out

@@ -8,7 +8,8 @@ set-at-a-time operators instead of the seed's row-at-a-time interpreter
   per head variable plus a contiguous ``float64`` score column
   (:class:`_Columnar`); tuple values are interned once per database into
   a shared dictionary, so all joins and group-bys run on integers;
-* scan — mask-filter the cached encoded relation (tuple probability);
+* scan — mask-filter the cached encoded relation (tuple probability),
+  the scope's Opt.-3 row mask included;
 * join — vectorized hash join (sort + ``searchsorted`` match expansion)
   folded in the order :func:`_fold_order` picks; scores multiply
   (independence assumption), and the multiplication runs in *canonical
@@ -36,6 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.atoms import Atom
 from ..core.plans import Join, MinPlan, Plan, Project, Scan
 from ..core.query import ConjunctiveQuery
 from ..core.symbols import Constant, Variable
@@ -124,7 +126,8 @@ class EvaluationCache:
     drops the encoded tables and plan results whenever the token moved.
     :meth:`plan_scope` returns a view sharing the dictionary and encoded
     tables but with an empty plan memo — used when view reuse (Opt. 2)
-    is disabled but re-encoding relations per plan would be wasteful.
+    is disabled but re-encoding relations per plan would be wasteful —
+    and, optionally, a row mask per relation its scans apply (Opt. 3).
 
     ``max_plans`` bounds the plan-result layer LRU-style: ``None`` is
     unbounded, ``0`` retains nothing across calls (shared DAG nodes
@@ -158,6 +161,7 @@ class EvaluationCache:
         "_statistics",
         "_lock",
         "observer",
+        "masks",
     )
 
     def __init__(
@@ -192,6 +196,9 @@ class EvaluationCache:
             self.observer = _share_with.observer
             if max_plans is None:
                 max_plans = _share_with.max_plans
+        #: relation -> boolean row mask over its encoded rows, ANDed into
+        #: every scan (Opt. 3; set by :meth:`plan_scope`)
+        self.masks: dict[str, np.ndarray] = {}
         # plan -> (epoch vector of the plan's relations at store time,
         #          result); the vector makes each entry self-describing,
         #          so scopes sharing encoded tables can each validate
@@ -230,9 +237,17 @@ class EvaluationCache:
             )
             self._token = token
 
-    def plan_scope(self) -> "EvaluationCache":
-        """A cache sharing encodings but with a fresh plan-result memo."""
-        return EvaluationCache(self.db, _share_with=self)
+    def plan_scope(
+        self, masks: "dict[str, np.ndarray] | None" = None
+    ) -> "EvaluationCache":
+        """A cache sharing encodings but with a fresh plan-result memo.
+
+        ``masks`` restricts the scope's scans to the masked rows of each
+        named relation; without it the scope inherits this cache's.
+        """
+        scope = EvaluationCache(self.db, _share_with=self)
+        scope.masks = self.masks if masks is None else masks
+        return scope
 
     # ------------------------------------------------------------------
     # statistics catalog
@@ -512,7 +527,25 @@ def _evaluate(
 
 
 def _scan(plan: Scan, cache: EvaluationCache) -> _Columnar:
-    atom = plan.atom
+    positions, columns, scores, mask = _atom_selection(plan.atom, cache)
+    order = tuple(positions)
+    keep = [positions[v] for v in order]
+    if mask is None:
+        return _Columnar(order, tuple(columns[i] for i in keep), scores)
+    idx = np.flatnonzero(mask)
+    return _Columnar(order, tuple(columns[i][idx] for i in keep), scores[idx])
+
+
+def _atom_selection(atom: Atom, cache: EvaluationCache):
+    """The rows of ``atom``'s encoded relation that the atom selects.
+
+    Returns ``(positions, columns, scores, mask)``: the first column of
+    every variable, the relation's code and score columns, and the
+    boolean row mask of its constants, its repeated variables and the
+    scope's Opt.-3 mask (``None`` when nothing filters). :func:`_scan`
+    applies it; :func:`~repro.engine.semijoin.semijoin_masks` seeds its
+    fixpoint with it.
+    """
     table = cache.db.table(atom.relation)
     if table.arity != atom.arity:
         raise ValueError(
@@ -520,26 +553,18 @@ def _scan(plan: Scan, cache: EvaluationCache) -> _Columnar:
             f"{atom.relation} has arity {table.arity}"
         )
     columns, scores = cache.encoded_table(atom.relation)
-    var_positions: dict[Variable, int] = {}
-    all_positions: dict[Variable, list[int]] = {}
-    mask: np.ndarray | None = None
+    mask = cache.masks.get(atom.relation)
+    positions: dict[Variable, int] = {}
     for i, term in enumerate(atom.terms):
         if isinstance(term, Constant):
             check = columns[i] == cache.encode(term.value)
-            mask = check if mask is None else mask & check
+        elif term in positions:
+            check = columns[positions[term]] == columns[i]
         else:
-            all_positions.setdefault(term, []).append(i)
-            var_positions.setdefault(term, i)
-    for ps in all_positions.values():
-        for q in ps[1:]:
-            check = columns[ps[0]] == columns[q]
-            mask = check if mask is None else mask & check
-    order = tuple(var_positions)
-    keep = [var_positions[v] for v in order]
-    if mask is None:
-        return _Columnar(order, tuple(columns[i] for i in keep), scores)
-    idx = np.flatnonzero(mask)
-    return _Columnar(order, tuple(columns[i][idx] for i in keep), scores[idx])
+            positions[term] = i
+            continue
+        mask = check if mask is None else mask & check
+    return positions, columns, scores, mask
 
 
 def _project(
@@ -578,10 +603,13 @@ def _project(
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     grouped = np.multiply.reduceat((1.0 - child.scores)[perm], starts)
     representatives = perm[starts]
+    # a singleton group keeps its score, as in the duplicate-free case:
+    # ``1 − (1 − s)`` may round, and a group's score must not depend on
+    # whether other groups have duplicates
     return _Columnar(
         order,
         tuple(col[representatives] for col in key_cols),
-        1.0 - grouped,
+        np.where(counts == 1, child.scores[representatives], 1.0 - grouped),
     )
 
 

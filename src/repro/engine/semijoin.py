@@ -9,23 +9,29 @@ group-bys then run over far fewer tuples when the query is selective —
 at the price of a constant overhead that does not pay off for
 non-selective queries (the trade-off visible in Figs. 5e–5g).
 
-Both backends are served: :func:`reduce_database` produces a reduced
-in-memory database; :func:`semijoin_statements` produces the SQL script
-creating reduced ``TEMP`` tables, plus the scan redirection map for the
-compiler. Either reduction belongs to one request: nothing derived from
-it is cached or reused by another.
+Both backends are served. In memory the reduction only selects rows, so
+:func:`semijoin_masks` computes one boolean mask per relation over the
+persistent cache's code columns, and the request evaluates in a
+``plan_scope`` whose scans apply them: nothing is copied or re-encoded.
+Rows match by code equality, the columnar join's own semantics (``None``
+joins ``None``), so reducing changes no score. On SQLite
+:func:`semijoin_statements` produces the SQL script creating reduced
+``TEMP`` tables, plus the scan redirection map for the compiler. Either
+reduction belongs to one request: nothing derived from it is cached or
+reused by another.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
 from ..core.symbols import Constant, Variable
-from ..db.database import ProbabilisticDatabase, Table
-from ..db.schema import TableSchema
 from ..db.sqlite_backend import index_statements, sql_literal
+from .extensional import EvaluationCache, _atom_selection, _row_keys
 
-__all__ = ["reduce_database", "semijoin_statements", "reduced_name"]
+__all__ = ["semijoin_masks", "semijoin_statements", "reduced_name"]
 
 
 def reduced_name(relation: str) -> str:
@@ -33,112 +39,54 @@ def reduced_name(relation: str) -> str:
     return f"_red_{relation}"
 
 
-def _atom_filters(atom: Atom):
-    """Constant checks and repeated-variable groups for one atom."""
-    constant_checks: list[tuple[int, object]] = []
-    positions: dict[Variable, list[int]] = {}
-    for i, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            constant_checks.append((i, term.value))
-        else:
-            positions.setdefault(term, []).append(i)
-    repeat_groups = [ps for ps in positions.values() if len(ps) > 1]
-    first_position = {v: ps[0] for v, ps in positions.items()}
-    return constant_checks, repeat_groups, first_position
-
-
 # ----------------------------------------------------------------------
 # in-memory reducer
 # ----------------------------------------------------------------------
-def reduce_database(
-    query: ConjunctiveQuery, db: ProbabilisticDatabase
-) -> ProbabilisticDatabase:
-    """A database containing only the query's relations, fully reduced.
+def semijoin_masks(
+    query: ConjunctiveQuery, cache: EvaluationCache
+) -> dict[str, np.ndarray]:
+    """One boolean row mask per relation of ``query``, fully reduced.
 
-    Constants of the query are applied first; then pairwise semi-joins on
-    shared variables run until no table shrinks.
+    The masks index ``cache``'s encoded relations. Constants and repeated
+    variables of the query are applied first; then pairwise semi-joins on
+    shared variables run until no mask shrinks.
     """
-    working: dict[str, dict[tuple, float]] = {}
-    filters: dict[str, dict] = {}
+    masks: dict[str, np.ndarray] = {}
+    columns: dict[str, dict[Variable, np.ndarray]] = {}
     for atom in query.atoms:
-        table = db.table(atom.relation)
-        checks, repeats, first = _atom_filters(atom)
-        rows = {}
-        for row, p in table:
-            if any(row[i] != value for i, value in checks):
-                continue
-            if any(row[ps[0]] != row[j] for ps in repeats for j in ps[1:]):
-                continue
-            rows[row] = p
-        working[atom.relation] = rows
-        filters[atom.relation] = first
-
-    # Precompute, per ordered pair (a reduced by b), the column positions
-    # of the shared variables on both sides — no per-row dict lookups.
-    pairs: list[tuple[str, str, tuple[int, ...], tuple[int, ...]]] = []
-    for a in query.atoms:
-        for b in query.atoms:
-            if a.relation == b.relation:
-                continue
-            shared = sorted(a.own_variables & b.own_variables)
-            if shared:
-                first_a = filters[a.relation]
-                first_b = filters[b.relation]
-                pairs.append(
-                    (
-                        a.relation,
-                        b.relation,
-                        tuple(first_a[v] for v in shared),
-                        tuple(first_b[v] for v in shared),
-                    )
-                )
-
+        positions, codes, scores, mask = _atom_selection(atom, cache)
+        keep_all = np.ones(len(scores), dtype=bool)
+        masks[atom.relation] = keep_all if mask is None else mask
+        columns[atom.relation] = {v: codes[i] for v, i in positions.items()}
+    pairs = [
+        (a.relation, b.relation, sorted(a.own_variables & b.own_variables))
+        for a in query.atoms
+        for b in query.atoms
+        if a is not b and a.own_variables & b.own_variables
+    ]
     # Semi-naive fixpoint: a pair only needs re-running when its source
     # relation shrank in the previous round.
-    shrunk = {atom.relation for atom in query.atoms}
+    shrunk = set(masks)
     while shrunk:
         previous, shrunk = shrunk, set()
-        for target, source, key_a, key_b in pairs:
+        for target, source, shared in pairs:
             if source not in previous:
                 continue
-            rows = working[target]
-            if len(key_b) == 1:
-                (jb,) = key_b
-                (ja,) = key_a
-                keys = {row[jb] for row in working[source]}
-                reduced = {
-                    row: p for row, p in rows.items() if row[ja] in keys
-                }
-            else:
-                keys = {
-                    tuple(row[j] for j in key_b)
-                    for row in working[source]
-                }
-                reduced = {
-                    row: p
-                    for row, p in rows.items()
-                    if tuple(row[j] for j in key_a) in keys
-                }
-            if len(reduced) != len(rows):
-                working[target] = reduced
+            rows = np.flatnonzero(masks[target])
+            matches = np.flatnonzero(masks[source])
+            keys, probes = _row_keys(
+                cache,
+                [
+                    (tuple(columns[target][v][rows] for v in shared), rows.size),
+                    (tuple(columns[source][v][matches] for v in shared), matches.size),
+                ],
+            )
+            keep = np.isin(keys, probes)
+            if not keep.all():
+                masks[target] = np.zeros_like(masks[target])
+                masks[target][rows[keep]] = True
                 shrunk.add(target)
-
-    reduced = ProbabilisticDatabase()
-    for atom in query.atoms:
-        original = db.table(atom.relation)
-        schema = original.schema
-        new_schema = TableSchema(
-            schema.name,
-            schema.arity,
-            schema.columns,
-            schema.deterministic,
-            schema.fds,
-        )
-        table = Table(new_schema)
-        for row, p in working[atom.relation].items():
-            table.insert(row, p)
-        reduced._tables[atom.relation] = table  # noqa: SLF001 - same package
-    return reduced
+    return masks
 
 
 # ----------------------------------------------------------------------

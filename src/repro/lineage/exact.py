@@ -203,16 +203,24 @@ def _most_frequent_variable(clauses: frozenset[frozenset]) -> Hashable:
 def _condition(
     clauses: frozenset[frozenset], variable: Hashable, value: bool
 ) -> frozenset[frozenset]:
+    """The cofactor of the absorbed DNF ``clauses``, absorbed again.
+
+    Only a clause that lost the pivot can absorb another, and only one
+    that kept its form can be absorbed, so only those pairs are tested.
+    """
     out: set[frozenset] = set()
-    for clause in clauses:
-        if variable in clause:
-            if value:
-                reduced = clause - {variable}
-                out.add(reduced)
-        else:
+    reduced: set[frozenset] = set()
+    for clause in clauses:  # in order: it steers the rounding downstream
+        if variable not in clause:
             out.add(clause)
+        elif value:
+            shorter = clause - {variable}
+            reduced.add(shorter)
+            out.add(shorter)
     if value:
-        # re-absorb: removing the pivot may create subsumptions
-        minimal = [c for c in out if not any(o < c for o in out)]
+        # ``c > r``: ``r`` absorbs ``c``; ``map`` keeps the scan in C
+        minimal = [
+            c for c in out if c in reduced or not any(map(c.__gt__, reduced))
+        ]
         return frozenset(minimal)
     return frozenset(out)

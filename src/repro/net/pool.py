@@ -79,7 +79,7 @@ def _reseed(engine: DissociationEngine, snapshot) -> None:
     """
     executor = engine.memory_executor
     executor.cache = None
-    seed_cache(executor.cache_for(snapshot), snapshot)
+    seed_cache(executor.cache_for(), snapshot)
 
 
 def _worker_main(conn, meta, config) -> None:

@@ -20,9 +20,10 @@ from repro.core.singleplan import single_plan
 from repro.db import ProbabilisticDatabase
 from repro.engine import (
     DissociationEngine,
+    EvaluationCache,
     Optimizations,
     plan_scores_reference,
-    reduce_database,
+    semijoin_masks,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "close",
     "assert_scores_close",
     "reference_scores",
+    "masked_database",
     "assert_backends_agree",
 ]
 
@@ -145,9 +147,11 @@ def reference_scores(
     """The seed row-at-a-time evaluator run through the engine pipeline.
 
     Mirrors ``DissociationEngine.evaluate`` (plan enumeration, Opt. 1
-    merging, Opt. 3 reduction, min-combining in "all plans" mode) but
-    scores every plan with :func:`plan_scores_reference` — the oracle the
-    differential harness compares both real backends against.
+    merging, min-combining in "all plans" mode) but scores every plan
+    with :func:`plan_scores_reference` — the oracle the differential
+    harness compares both real backends against. Opt.-3 requests are
+    scored on the *unreduced* database: the oracle checks that the
+    reduction changes no score instead of running the reducer under test.
     """
     if use_schema_knowledge:
         schema = db.schema
@@ -155,17 +159,36 @@ def reference_scores(
         fds = schema.fds_by_relation
     else:
         deterministic, fds = frozenset(), {}
-    instance = reduce_database(query, db) if opts.semijoin else db
     if opts.single_plan:
         merged = single_plan(query, deterministic=deterministic, fds=fds)
-        return plan_scores_reference(merged, query, instance)
+        return plan_scores_reference(merged, query, db)
     combined: dict[tuple, float] = {}
     for plan in minimal_plans(query, deterministic=deterministic, fds=fds):
-        scored = plan_scores_reference(plan, query, instance)
+        scored = plan_scores_reference(plan, query, db)
         for answer, score in scored.items():
             if answer not in combined or score < combined[answer]:
                 combined[answer] = score
     return combined
+
+
+def masked_database(
+    query: ConjunctiveQuery, db: ProbabilisticDatabase
+) -> ProbabilisticDatabase:
+    """The relations of ``query`` cut to the rows its Opt.-3 masks keep."""
+    masks = semijoin_masks(query, EvaluationCache(db))
+    out = ProbabilisticDatabase()
+    for relation, mask in masks.items():
+        table = db.table(relation)
+        schema = table.schema
+        out.add_table(
+            relation,
+            [pair for pair, keep in zip(table, mask) if keep],
+            deterministic=schema.deterministic,
+            columns=schema.columns,
+            fds=schema.fds,
+            arity=schema.arity,
+        )
+    return out
 
 
 def assert_backends_agree(

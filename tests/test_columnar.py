@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.core import Atom, Variable, Scan, parse_query
+from repro.core import Atom, Project, Variable, Scan, parse_query
 from repro.core.minplans import minimal_plans
 from repro.core.singleplan import single_plan
 from repro.db import ProbabilisticDatabase
@@ -131,3 +132,28 @@ class TestEvaluationCache:
         evaluate_plan(Scan(Atom("R", (x, y))), db, cache=scope)
         assert len(scope._plans) == 1
         assert len(cache._plans) == 1  # untouched by the scope
+
+    def test_plan_scope_masks_its_scans_and_passes_them_on(self):
+        x, y = Variable("x"), Variable("y")
+        db = ProbabilisticDatabase()
+        db.add_table("R", [((1, 2), 0.5), ((3, 4), 0.25)])
+        cache = EvaluationCache(db)
+        scan = Scan(Atom("R", (x, y)))
+        masked = cache.plan_scope({"R": np.array([False, True])})
+        assert evaluate_plan(scan, db, cache=masked) == {(3, 4): 0.25}
+        assert evaluate_plan(scan, db, cache=masked.plan_scope()) == {
+            (3, 4): 0.25
+        }
+        assert len(evaluate_plan(scan, db, cache=cache)) == 2
+
+
+class TestProjection:
+    def test_singleton_group_keeps_its_score(self):
+        # 1 − (1 − 0.1) rounds to 0.09999999999999998: a one-member
+        # group scores its row whether or not another group has
+        # duplicates, so removing other groups' rows cannot move it
+        x, y = Variable("x"), Variable("y")
+        db = ProbabilisticDatabase()
+        db.add_table("R", [((1, 1), 0.1), ((2, 1), 0.5), ((2, 2), 0.5)])
+        scores = evaluate_plan(Project([x], Scan(Atom("R", (x, y)))), db)
+        assert scores == {(1,): 0.1, (2,): 0.75}

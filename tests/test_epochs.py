@@ -28,7 +28,6 @@ from repro import (
 from repro.db.database import ProbabilisticDatabase
 from repro.db.shm import SharedSnapshotManager, attach_snapshot
 from repro.db.sqlite_backend import SQLiteBackend
-from repro.engine.semijoin import reduce_database
 from repro.engine.stats import StatisticsCatalog
 from repro.workloads import chain_database, chain_query
 from repro.workloads.stars import ANCHOR, star_database, star_query
@@ -161,9 +160,6 @@ def _attached_snapshot():
 DATABASE_PRODUCERS = {
     "plain": lambda: contextlib.nullcontext(_contract_source()),
     "snapshot": _attached_snapshot,
-    "reduced": lambda: contextlib.nullcontext(
-        reduce_database(CONTRACT_QUERY, _contract_source())
-    ),
 }
 
 
@@ -364,7 +360,7 @@ class TestDisjointWriteEvictsNothing:
             engine = session.engine
             evaluations = engine.evaluation_count
             if backend == "memory":
-                cache = engine.memory_executor.cache_for(db)
+                cache = engine.memory_executor.cache_for()
                 recomputations = cache.statistics.recomputations
             else:
                 registry = engine.sqlite.view_registry

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lineage import (
     DNF,
@@ -12,6 +13,7 @@ from repro.lineage import (
     monte_carlo_many,
     monte_carlo_probability,
 )
+from repro.lineage.exact import _condition
 
 
 def brute_force_probability(formula: DNF, probs: dict) -> float:
@@ -132,6 +134,25 @@ class TestExactProbability:
         memo_before = len(ev._memo)
         ev.probability(f2)
         assert len(ev._memo) >= memo_before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_condition_equals_absorbed_naive_cofactor(clauses, variable, value):
+    """The cofactor tests only the pairs that can absorb, and still
+    yields the absorbed naive cofactor of an absorbed DNF."""
+    formula = DNF(clauses).absorb()
+    want = formula.condition(variable, value).absorb()
+    got = _condition(frozenset(formula.clauses), variable, value)
+    assert got == frozenset(want.clauses)
 
 
 class TestMonteCarlo:

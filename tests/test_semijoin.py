@@ -7,14 +7,20 @@ from repro.core import minimal_plans, parse_query
 from repro.db import ProbabilisticDatabase
 from repro.engine import (
     DissociationEngine,
+    EvaluationCache,
     Optimizations,
     plan_scores,
-    reduce_database,
+    semijoin_masks,
     semijoin_statements,
 )
 from repro.lineage import lineage_of
 
-from .helpers import assert_scores_close, random_database_for, random_query
+from .helpers import (
+    assert_scores_close,
+    masked_database,
+    random_database_for,
+    random_query,
+)
 
 
 class TestInMemoryReducer:
@@ -24,7 +30,7 @@ class TestInMemoryReducer:
         db.add_table("S", [((1, 2), 0.5)])
         db.add_table("T", [((2,), 0.5), ((7,), 0.5)])
         q = parse_query("q() :- R(x), S(x,y), T(y)")
-        reduced = reduce_database(q, db)
+        reduced = masked_database(q, db)
         assert set(reduced.table("R").rows) == {(1,)}
         assert set(reduced.table("T").rows) == {(2,)}
 
@@ -35,7 +41,7 @@ class TestInMemoryReducer:
         db.add_table("S", [((1, 2), 0.5), ((1, 3), 0.5)])
         db.add_table("T", [((2,), 0.5)])
         q = parse_query("q() :- R(x), S(x,y), T(y)")
-        reduced = reduce_database(q, db)
+        reduced = masked_database(q, db)
         assert set(reduced.table("S").rows) == {(1, 2)}
 
     def test_constants_pushed(self):
@@ -43,7 +49,7 @@ class TestInMemoryReducer:
         db.add_table("R", [(("a", 1), 0.5), (("b", 2), 0.5)])
         db.add_table("S", [((1,), 0.5), ((2,), 0.5)])
         q = parse_query("q() :- R('a', x), S(x)")
-        reduced = reduce_database(q, db)
+        reduced = masked_database(q, db)
         assert set(reduced.table("R").rows) == {("a", 1)}
         assert set(reduced.table("S").rows) == {(1,)}
 
@@ -53,7 +59,7 @@ class TestInMemoryReducer:
             q = random_query(rng, head_vars=rng.randint(0, 1))
             db = random_database_for(q, rng, domain_size=2, fill=0.5)
             full = lineage_of(q, db)
-            reduced = lineage_of(q, reduce_database(q, db))
+            reduced = lineage_of(q, masked_database(q, db))
             assert full.by_answer == reduced.by_answer, str(q)
 
     def test_reduction_preserves_scores(self):
@@ -61,21 +67,28 @@ class TestInMemoryReducer:
         for _ in range(20):
             q = random_query(rng, head_vars=rng.randint(0, 2))
             db = random_database_for(q, rng, domain_size=3, fill=0.4)
-            reduced = reduce_database(q, db)
+            cache = EvaluationCache(db)
+            masked = cache.plan_scope(semijoin_masks(q, cache))
             for plan in minimal_plans(q):
-                assert_scores_close(
-                    plan_scores(plan, q, db),
-                    plan_scores(plan, q, reduced),
-                    tolerance=1e-9,
-                )
+                assert plan_scores(plan, q, db) == plan_scores(
+                    plan, q, db, cache=masked.plan_scope()
+                ), str(q)
 
     def test_preserves_deterministic_flag(self):
+        # the masks select rows only: the schema knowledge that prunes
+        # plans reads the unreduced database, deterministic flags and all
+        # (a probabilistic R would leave two minimal plans)
         db = ProbabilisticDatabase()
-        db.add_table("R", [(1,)], deterministic=True)
-        db.add_table("S", [((1, 2), 0.5)])
-        q = parse_query("q() :- R(x), S(x,y)")
-        reduced = reduce_database(q, db)
-        assert reduced.table("R").schema.deterministic
+        db.add_table("R", [(1,), (9,)], deterministic=True)
+        db.add_table("S", [((1, 2), 0.5), ((1, 3), 0.5)])
+        db.add_table("T", [((2,), 0.5), ((3,), 0.25), ((4,), 0.5)])
+        q = parse_query("q() :- R(x), S(x,y), T(y)")
+        assert set(masked_database(q, db).table("R").rows) == {(1,)}
+        engine = DissociationEngine(db)
+        plain = engine.evaluate(q, Optimizations(semijoin=False))
+        reduced = engine.evaluate(q, Optimizations(semijoin=True))
+        assert reduced.plan_count == plain.plan_count == 1
+        assert reduced.scores == plain.scores
 
 
 class TestSQLReducer:
@@ -127,4 +140,4 @@ class TestSQLReducer:
         engine = DissociationEngine(db, EngineConfig(backend="memory"))
         plain = engine.propagation_score(q, Optimizations(semijoin=False))
         reduced = engine.propagation_score(q, Optimizations(semijoin=True))
-        assert_scores_close(plain, reduced, tolerance=1e-9)
+        assert plain == reduced
