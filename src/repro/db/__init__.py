@@ -1,6 +1,12 @@
 """Tuple-independent probabilistic databases: schemas, storage, SQLite."""
 
-from .database import MutationOutcome, ProbabilisticDatabase, Table, TupleRef
+from .database import (
+    MutationOutcome,
+    ProbabilisticDatabase,
+    Table,
+    TupleRef,
+    apply_record,
+)
 from .io import load_database, load_table_csv, save_database, save_table_csv
 from .journal import DurableStore, JournalError, load_snapshot, write_snapshot
 from .generators import (
@@ -31,6 +37,7 @@ __all__ = [
     "Table",
     "TableSchema",
     "TupleRef",
+    "apply_record",
     "constant_probabilities",
     "load_database",
     "load_snapshot",

@@ -16,7 +16,15 @@ from ..core.fds import ColumnFD
 from ..obs import NULL_OBSERVER
 from .schema import Schema, TableSchema
 
-__all__ = ["Table", "ProbabilisticDatabase", "TupleRef", "MutationOutcome"]
+__all__ = [
+    "Table",
+    "ProbabilisticDatabase",
+    "TupleRef",
+    "MutationOutcome",
+    "add_table_record",
+    "apply_record",
+    "normalize_rows",
+]
 
 #: A reference to one database tuple: ``(relation name, tuple value)``.
 #: Used as the Boolean-variable identity in lineage formulas.
@@ -32,6 +40,136 @@ def _pair_hash(row: tuple, probability: float) -> int:
     to hash collisions without ever scanning the rows.
     """
     return hash((row, probability))
+
+
+def normalize_rows(
+    name: str, rows: Iterable, arity: int | None = None
+) -> tuple[list[tuple[tuple, float]], int]:
+    """``add_table``'s rows as ``(row, probability)`` pairs, and the arity.
+
+    An entry is either a ``(tuple, probability)`` pair or a bare tuple
+    (probability 1). An arity-2 data row shaped like ``(tuple,
+    number)`` is indistinguishable from a pair. When the batch shows
+    evidence of that ambiguity — a pair-shaped entry whose number lies
+    outside [0, 1], a pair-shaped entry that only fits the declared
+    arity when read as a data row, or pair-shaped entries mixed with
+    bare ``(tuple, ...)`` arity-2 rows — a :class:`ValueError` is
+    raised instead of guessing; pass every entry as an explicit
+    ``(row, probability)`` pair to disambiguate. ``arity`` defaults to
+    the first row's length.
+    """
+    _AMBIGUOUS = (
+        f"table {name}: entry {{entry!r}} is ambiguous — an arity-2 "
+        f"data row (tuple, number) is indistinguishable from a "
+        f"(row, probability) pair. Pass every entry as an explicit "
+        f"(row, probability) pair to disambiguate."
+    )
+    normalized: list[tuple[tuple, float]] = []
+    pair_entries: list[tuple] = []
+    tuple_headed_bare = False
+    for entry in rows:
+        if (
+            isinstance(entry, tuple)
+            and len(entry) == 2
+            and isinstance(entry[0], tuple)
+            and isinstance(entry[1], (int, float))
+            and not isinstance(entry[1], bool)
+        ):
+            if not 0.0 <= entry[1] <= 1.0:
+                # A "probability" outside [0, 1] means this was a
+                # genuine data row all along; say so instead of
+                # failing later with a confusing probability error.
+                raise ValueError(_AMBIGUOUS.format(entry=entry))
+            pair_entries.append(entry)
+            normalized.append((entry[0], float(entry[1])))
+        else:
+            row = tuple(entry)
+            if len(row) == 2 and isinstance(row[0], tuple):
+                tuple_headed_bare = True
+            normalized.append((row, 1.0))
+    if pair_entries and tuple_headed_bare:
+        # The batch provably contains arity-2 data rows whose first
+        # column is a tuple; the pair-shaped entries are almost
+        # certainly more of the same, misread as (row, p) pairs.
+        raise ValueError(_AMBIGUOUS.format(entry=pair_entries[0]))
+    if arity is not None:
+        for entry in pair_entries:
+            if len(entry[0]) != arity and len(entry) == arity:
+                # Read as a pair the row has the wrong arity, read as
+                # a data row it fits the declared arity — the caller
+                # meant a data row.
+                raise ValueError(_AMBIGUOUS.format(entry=entry))
+    elif not normalized:
+        raise ValueError(
+            f"table {name}: pass arity= when creating an empty table"
+        )
+    else:
+        arity = len(normalized[0][0])
+    return normalized, arity
+
+
+def add_table_record(
+    name: str,
+    rows: Sequence[tuple[tuple, float]],
+    deterministic: bool,
+    columns: Sequence[str],
+    fds: Sequence[ColumnFD],
+    arity: int,
+) -> dict:
+    """The change record of an ``add_table`` over normalized ``rows``."""
+    return {
+        "op": "add_table",
+        "name": name,
+        "rows": [[list(row), p] for row, p in rows],
+        "deterministic": deterministic,
+        "columns": list(columns),
+        "fds": [[list(fd.lhs), list(fd.rhs)] for fd in fds],
+        "arity": arity,
+    }
+
+
+def _row(values: Sequence) -> tuple:
+    """A recorded row back as a tuple; JSON turned nested tuples into
+    lists, and a list is never a legal row value."""
+    return tuple(_row(v) if isinstance(v, list) else v for v in values)
+
+
+def apply_record(db: "ProbabilisticDatabase", record: Mapping) -> None:
+    """Apply one change record through the tracked helpers.
+
+    The records are the helpers' own redo dicts (the journal writes
+    them) plus two kinds only :class:`~repro.net.MutationRecorder`
+    sends: ``update_probability``, which fails on a missing row, and
+    ``touch``. Journal recovery and the server's remote ``mutate``
+    both replay through here.
+    """
+    kind = record.get("op")
+    if kind == "insert":
+        db.insert(record["rel"], _row(record["row"]), record["p"])
+    elif kind == "update_probability":
+        db.update_probability(
+            record["rel"], _row(record["row"]), record["p"]
+        )
+    elif kind == "delete":
+        db.delete(record["rel"], _row(record["row"]))
+    elif kind == "add_table":
+        db.add_table(
+            record["name"],
+            [(_row(row), p) for row, p in record["rows"]],
+            deterministic=record["deterministic"],
+            columns=tuple(record["columns"]),
+            fds=tuple(
+                ColumnFD(tuple(lhs), tuple(rhs))
+                for lhs, rhs in record["fds"]
+            ),
+            arity=record["arity"],
+        )
+    elif kind == "drop_table":
+        db.drop_table(record["name"])
+    elif kind == "touch":
+        db.touch()
+    else:
+        raise ValueError(f"unknown change record {kind!r}")
 
 
 class Table:
@@ -305,69 +443,13 @@ class ProbabilisticDatabase:
         """Create and populate a table.
 
         ``rows`` accepts either ``(tuple, probability)`` pairs or bare
-        tuples (probability 1, the deterministic convention). ``arity``
-        is inferred from the first row when omitted.
-
-        An arity-2 data row shaped like ``(tuple, number)`` is
-        indistinguishable from a ``(row, probability)`` pair. When the
-        batch shows evidence of that ambiguity — a pair-shaped entry
-        whose number lies outside [0, 1], a pair-shaped entry that
-        only fits the declared arity when read as a data row, or
-        pair-shaped entries mixed with bare ``(tuple, ...)`` arity-2
-        rows — a :class:`ValueError` is raised instead of guessing;
-        pass every entry as an explicit ``(row, probability)`` pair to
-        disambiguate.
+        tuples (probability 1, the deterministic convention), read by
+        :func:`normalize_rows`. ``arity`` is inferred from the first
+        row when omitted.
         """
         if name in self._tables:
             raise ValueError(f"table {name} already exists")
-        rows = list(rows)
-        _AMBIGUOUS = (
-            f"table {name}: entry {{entry!r}} is ambiguous — an arity-2 "
-            f"data row (tuple, number) is indistinguishable from a "
-            f"(row, probability) pair. Pass every entry as an explicit "
-            f"(row, probability) pair to disambiguate."
-        )
-        normalized: list[tuple[tuple, float]] = []
-        pair_entries: list[tuple] = []
-        tuple_headed_bare = False
-        for entry in rows:
-            if (
-                isinstance(entry, tuple)
-                and len(entry) == 2
-                and isinstance(entry[0], tuple)
-                and isinstance(entry[1], (int, float))
-                and not isinstance(entry[1], bool)
-            ):
-                if not 0.0 <= entry[1] <= 1.0:
-                    # A "probability" outside [0, 1] means this was a
-                    # genuine data row all along; say so instead of
-                    # failing later with a confusing probability error.
-                    raise ValueError(_AMBIGUOUS.format(entry=entry))
-                pair_entries.append(entry)
-                normalized.append((entry[0], float(entry[1])))
-            else:
-                row = tuple(entry)
-                if len(row) == 2 and isinstance(row[0], tuple):
-                    tuple_headed_bare = True
-                normalized.append((row, 1.0))
-        if pair_entries and tuple_headed_bare:
-            # The batch provably contains arity-2 data rows whose first
-            # column is a tuple; the pair-shaped entries are almost
-            # certainly more of the same, misread as (row, p) pairs.
-            raise ValueError(_AMBIGUOUS.format(entry=pair_entries[0]))
-        if arity is not None:
-            for entry in pair_entries:
-                if len(entry[0]) != arity and len(entry) == arity:
-                    # Read as a pair the row has the wrong arity, read
-                    # as a data row it fits the declared arity — the
-                    # caller meant a data row.
-                    raise ValueError(_AMBIGUOUS.format(entry=entry))
-        if arity is None:
-            if not normalized:
-                raise ValueError(
-                    f"table {name}: pass arity= when creating an empty table"
-                )
-            arity = len(normalized[0][0])
+        normalized, arity = normalize_rows(name, rows, arity)
         schema = TableSchema(
             name, arity, tuple(columns), deterministic, tuple(fds)
         )
@@ -377,15 +459,9 @@ class ProbabilisticDatabase:
         self._tables[name] = table
         self._version += 1
         self._record(
-            redo={
-                "op": "add_table",
-                "name": name,
-                "rows": [[list(row), p] for row, p in normalized],
-                "deterministic": deterministic,
-                "columns": list(columns),
-                "fds": [[list(fd.lhs), list(fd.rhs)] for fd in schema.fds],
-                "arity": arity,
-            },
+            redo=add_table_record(
+                name, normalized, deterministic, columns, schema.fds, arity
+            ),
             undo=("drop_new", name),
             expected={name: table._version},
         )

@@ -17,9 +17,10 @@ directory managed by a :class:`DurableStore`:
 
         <crc32 of payload, 8 lowercase hex> <payload JSON>\\n
 
-    Payloads are the tracked operations (``insert`` / ``delete`` /
-    ``add_table`` / ``drop_table``), each carrying a monotonically
-    increasing ``seq``, followed by one ``commit`` record per
+    Payloads are the tracked operations' change records (``insert`` /
+    ``delete`` / ``add_table`` / ``drop_table``, replayed by
+    :func:`~repro.db.database.apply_record`), each carrying a
+    monotonically increasing ``seq``, followed by one ``commit`` record per
     successful :meth:`~repro.db.database.ProbabilisticDatabase.mutate`
     (tracked helpers called outside ``mutate`` auto-commit as
     single-op groups). Recovery replays only operations that (a) sit
@@ -60,7 +61,7 @@ import zlib
 from pathlib import Path
 
 from ..core.fds import ColumnFD
-from .database import ProbabilisticDatabase, Table
+from .database import ProbabilisticDatabase, Table, apply_record
 from .schema import TableSchema
 
 __all__ = [
@@ -265,29 +266,6 @@ def _scan_journal(raw: bytes) -> tuple[list[list[dict]], int, dict]:
     return groups, valid_end, stats
 
 
-def _apply_op(db: ProbabilisticDatabase, op: dict) -> None:
-    kind = op.get("op")
-    if kind == "insert":
-        db.insert(op["rel"], tuple(op["row"]), op["p"])
-    elif kind == "delete":
-        db.delete(op["rel"], tuple(op["row"]))
-    elif kind == "add_table":
-        db.add_table(
-            op["name"],
-            [(tuple(row), p) for row, p in op["rows"]],
-            deterministic=op["deterministic"],
-            columns=tuple(op["columns"]),
-            fds=tuple(
-                ColumnFD(tuple(lhs), tuple(rhs)) for lhs, rhs in op["fds"]
-            ),
-            arity=op["arity"],
-        )
-    elif kind == "drop_table":
-        db.drop_table(op["name"])
-    else:
-        raise JournalError(f"unknown journal operation {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -382,7 +360,7 @@ class DurableStore:
                         # already folded into the snapshot (a crash hit
                         # between checkpoint-replace and truncation)
                         continue
-                    _apply_op(db, op)
+                    apply_record(db, op)
                     replayed += 1
                     self._committed_ops = max(self._committed_ops, seq)
             self._ops_since_checkpoint = replayed
@@ -403,33 +381,35 @@ class DurableStore:
     def commit(self, db: ProbabilisticDatabase, ops: list, faults=None) -> None:
         """Append one committed op group (called by ``db.mutate``).
 
-        Encodes every record *before* writing the first byte, so an
-        unencodable value fails the commit without touching the file;
-        the trailing ``commit`` record plus the fsync policy make the
-        group atomic and durable. Auto-checkpoints when due.
+        Checks and encodes every record *before* writing the first
+        byte, so a row value recovery could not give back (the
+        snapshot's scalar rule: JSON reads a tuple back as a list) or
+        an unencodable value fails the commit without touching the
+        file; the trailing ``commit`` record plus the fsync policy make
+        the group atomic and durable. Auto-checkpoints when due.
         """
         observer = db.observer
         if faults is not None:
             faults.fire("journal", ops)
         records = []
-        for op in ops:
-            record = dict(op)
-            self._committed_ops += 1
-            record["seq"] = self._committed_ops
-            records.append(_encode_record(record))
+        for seq, op in enumerate(ops, self._committed_ops + 1):
+            name = op.get("rel", op.get("name"))
+            if "row" in op:
+                _check_scalars(name, op["row"])
+            for row, _p in op.get("rows", ()):
+                _check_scalars(name, row)
+            records.append(_encode_record({**op, "seq": seq}))
         records.append(_encode_record({"op": "commit"}))
-        try:
-            with observer.span("journal.commit", ops=len(ops)):
-                fh = self._handle()
-                fh.write(b"".join(records))
-                fh.flush()
-                if self.fsync == "commit":
-                    os.fsync(fh.fileno())
-        except BaseException:
-            # the group may be half-written; recovery truncates it, and
-            # the in-memory rollback keeps memory == last durable state
-            self._committed_ops -= len(ops)
-            raise
+        # a failed write may leave the group half-written: recovery
+        # truncates it, and the in-memory rollback keeps memory == the
+        # last durable state
+        with observer.span("journal.commit", ops=len(ops)):
+            fh = self._handle()
+            fh.write(b"".join(records))
+            fh.flush()
+            if self.fsync == "commit":
+                os.fsync(fh.fileno())
+        self._committed_ops += len(ops)
         if observer.enabled:
             observer.inc("journal.commits")
             observer.inc("journal.ops", len(ops))

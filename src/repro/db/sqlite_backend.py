@@ -125,14 +125,9 @@ class SQLiteViewRegistry:
     internal re-entrant lock (``pin_scope`` holds it only around the
     depth bookkeeping, not across the scope's body), so a registry on a
     ``check_same_thread=False`` connection can serve concurrent callers
-    without corrupting the LRU or the counters. ``namespace``, when
-    given, is a shared view-name authority (the service layer's
-    :class:`~repro.service.session.SharedViewNamespace`): per-worker
-    connections then draw view names for the same structural key from
-    one map, keeping the temp-view namespace consistent across sessions
-    and giving the service a global picture of which subplans exist
-    where. It must provide ``name_for(digest, key)`` and
-    ``note_materialized(key, name)`` / ``note_evicted(key, name)``.
+    without corrupting the LRU or the counters. View names only have
+    to be unique on the one connection: ``dissoc_<digest>``, with a
+    local suffix on a hash collision.
     """
 
     #: Bound on the request-history map (not on the views themselves).
@@ -147,14 +142,12 @@ class SQLiteViewRegistry:
         self,
         connection: sqlite3.Connection,
         max_views: int | None = None,
-        namespace=None,
         observer=None,
     ) -> None:
         if max_views is not None and max_views < 0:
             raise ValueError("max_views must be None or >= 0")
         self._connection = connection
         self._lock = threading.RLock()
-        self._namespace = namespace
         self._observer = observer if observer is not None else NULL_OBSERVER
         # storage + counters in the shared StatsLRU core: dropping an
         # entry (cap eviction, invalidation, clear) tears the temp table
@@ -266,8 +259,6 @@ class SQLiteViewRegistry:
                 self._observer.inc("sqlite.views_materialized")
             self._names.add(name)
             self._relations[name] = _key_relations(plan)
-            if self._namespace is not None:
-                self._namespace.note_materialized(plan, name)
             self._pin(name)
             self.generation += 1
             self._views.put(plan, name)
@@ -306,24 +297,6 @@ class SQLiteViewRegistry:
         """Drop every registered view (the drops count as evictions)."""
         self._views.clear(count="eviction")
 
-    def detach(self) -> None:
-        """Forget all views without touching the connection.
-
-        Called when the owning snapshot is about to close (closing the
-        connection destroys every temp view wholesale): no ``DROP``
-        statements are issued and nothing counts as an LRU eviction,
-        but the shared namespace — the service-wide census of live
-        views — is told about every view that is going away, so
-        ``sessions_holding`` stays exact across snapshot rebuilds.
-        """
-        with self._lock:
-            if self._namespace is not None:
-                for plan, name in self._views.items():
-                    self._namespace.note_evicted(plan, name)
-            self._views.clear(count=None, callback=False)
-            self._names.clear()
-            self._relations.clear()
-
     # ------------------------------------------------------------------
     # internals (all called with the lock held)
     # ------------------------------------------------------------------
@@ -333,13 +306,6 @@ class SQLiteViewRegistry:
 
     def _name_for(self, plan: Hashable) -> str:
         digest = hash(plan) & 0xFFFFFFFFFFFFFFFF
-        if self._namespace is not None:
-            name = self._namespace.name_for(digest, plan)
-            if name not in self._names:
-                return name
-            # same key registered twice locally cannot happen (lookup
-            # precedes register); a namespace restart could recycle a
-            # name — fall through to local suffixing
         name = f"dissoc_{digest:016x}"
         suffix = 0
         while name in self._names:  # hash collision of a *different* plan
@@ -353,8 +319,6 @@ class SQLiteViewRegistry:
         self._names.discard(name)
         self._relations.pop(name, None)
         self._connection.execute(f"DROP TABLE IF EXISTS {name}")
-        if self._namespace is not None:
-            self._namespace.note_evicted(plan, name)
 
 
 class SQLiteBackend:
@@ -369,11 +333,6 @@ class SQLiteBackend:
     view_cache_size:
         LRU cap of the materialized-subplan view registry
         (:class:`SQLiteViewRegistry`); ``None`` means unbounded.
-    view_namespace:
-        Optional shared view-name authority handed to the registry —
-        the service layer passes one object to every worker session so
-        all per-worker connections share a consistent temp-view
-        namespace.
 
     The materialization is a snapshot: ``source_version`` records the
     source database's version token at build time, so callers (the
@@ -385,7 +344,6 @@ class SQLiteBackend:
         db: ProbabilisticDatabase,
         path: str = ":memory:",
         view_cache_size: int | None = None,
-        view_namespace=None,
         fault_injector=None,
     ) -> None:
         self.source = db
@@ -408,7 +366,6 @@ class SQLiteBackend:
         self.connection.create_aggregate("ior", 1, IorAggregate)
         self._view_registry: SQLiteViewRegistry | None = None
         self._view_cache_size = view_cache_size
-        self._view_namespace = view_namespace
         self._has_math_functions: bool | None = None
         self._table_epochs: dict[str, tuple] = {}
         self._table_schemas: dict[str, tuple] = {}
@@ -542,7 +499,6 @@ class SQLiteBackend:
             self._view_registry = SQLiteViewRegistry(
                 self.connection,
                 self._view_cache_size,
-                namespace=self._view_namespace,
                 observer=self.observer,
             )
         return self._view_registry

@@ -157,11 +157,6 @@ class DissociationEngine:
         A frozen :class:`~repro.api.EngineConfig` — the canonical way to
         configure the engine (backend, schema knowledge, cache sizes,
         write factor). ``None`` uses the defaults.
-    view_namespace:
-        Optional shared temp-view name authority handed through to the
-        SQLite view registries — the service layer passes one so every
-        worker thread's connection draws view names from one map.
-        (Runtime wiring, deliberately not part of the hashable config.)
     faults:
         Optional :class:`~repro.service.faults.FaultInjector`. When set,
         the engine fires the ``"evaluate"`` hook once per query (in
@@ -169,8 +164,8 @@ class DissociationEngine:
         :meth:`evaluate_batch`), the ``"batch"`` hook once per
         :meth:`evaluate_batch` call, and threads the injector into the
         SQLite backend's ``"statement"`` hook. ``None`` (the default)
-        costs a single ``is not None`` check. Runtime wiring like
-        ``view_namespace`` — not part of the hashable config.
+        costs a single ``is not None`` check. Runtime wiring, not part
+        of the hashable config.
 
     The resolved configuration is exposed as :attr:`config`; the
     individual fields stay readable as instance attributes
@@ -189,7 +184,6 @@ class DissociationEngine:
         db: ProbabilisticDatabase,
         config: EngineConfig | None = None,
         *,
-        view_namespace=None,
         faults=None,
     ) -> None:
         if config is None:
@@ -214,7 +208,7 @@ class DissociationEngine:
         #: lazy); :attr:`executor` is the one ``config.backend`` names.
         self.memory_executor = MemoryExecutor(db, config, self.observer)
         self.sqlite_executor = SQLiteExecutor(
-            db, config, self.observer, view_namespace, faults
+            db, config, self.observer, faults
         )
         self.executor = {
             "memory": self.memory_executor,

@@ -208,7 +208,6 @@ class SQLiteExecutor:
         db: ProbabilisticDatabase,
         config,
         observer,
-        view_namespace=None,
         faults=None,
     ) -> None:
         self.db = db
@@ -217,7 +216,6 @@ class SQLiteExecutor:
         #: constant); the engine's calibration installs a measured one.
         self.write_factor = config.write_factor
         self.observer = observer
-        self.view_namespace = view_namespace
         self.faults = faults
         self._lock = threading.Lock()
         self._snapshots: dict[threading.Thread, Snapshot] = {}
@@ -246,7 +244,6 @@ class SQLiteExecutor:
             backend = SQLiteBackend(
                 self.db,
                 view_cache_size=self.cache_size,
-                view_namespace=self.view_namespace,
                 fault_injector=self.faults,
             )
             backend.observer = self.observer
@@ -274,9 +271,7 @@ class SQLiteExecutor:
             for key in _CUMULATIVE:
                 self._released_views[key] += views[key]
                 self._released_statements[key] += statements[key]
-        # closing the connection destroys the temp views; tell the
-        # shared namespace so its live-view census stays exact
-        snapshot.registry.detach()
+        # closing the connection destroys the temp views with it
         snapshot.backend.close()
 
     def cache_stats(self, thread: threading.Thread | None = None) -> dict:

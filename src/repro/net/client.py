@@ -35,8 +35,9 @@ does not reveal whether the ops committed.
 
 ``mutate(fn)`` runs ``fn`` against a :class:`MutationRecorder` (both
 ``d.insert("R", row, p)`` tracked-helper style and
-``d.table("R").insert(row, p)`` table style), ships the recorded ops,
-and the server replays them transactionally — the response carries the
+``d.table("R").insert(row, p)`` table style), ships the recorded
+change records, and the server replays them transactionally with
+:func:`~repro.db.apply_record` — the response carries the
 post-commit epoch vector, so the very next ``evaluate`` keys into the
 new generation.
 """
@@ -46,12 +47,14 @@ from __future__ import annotations
 import socket
 import threading
 from concurrent.futures import Future
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
+from ..core.fds import ColumnFD
 from ..core.parser import parse_query
 from ..core.query import ConjunctiveQuery
 from ..core.safety import UnsafeQueryError
+from ..db.database import add_table_record, normalize_rows
 from ..engine import EvaluationResult, Optimizations
 from ..obs import StatsLRU
 from ..service import (
@@ -74,7 +77,6 @@ from .protocol import (
     result_from_wire,
     wire_optimizations,
     wire_query_key,
-    _value_to_wire,
 )
 
 __all__ = ["RemoteSession", "RemoteError", "MutationRecorder", "parse_url"]
@@ -139,78 +141,71 @@ class _RecordedTable:
 
 
 class MutationRecorder:
-    """Records tracked-helper calls for server-side transactional replay.
+    """Records tracked-helper calls as change records for server-side
+    transactional replay.
 
-    Supports the :class:`~repro.db.ProbabilisticDatabase` tracked
-    surface (``insert``/``delete``/``update_probability``/
-    ``add_table``/``drop_table``/``touch``) plus ``table(name)``
-    returning a minimal table proxy. Reads are *not* available — a
+    Takes the :class:`~repro.db.ProbabilisticDatabase` tracked surface
+    (``insert``/``delete``/``update_probability``/``add_table``/
+    ``drop_table``/``touch``, with the same parameters) plus
+    ``table(name)`` returning a minimal table proxy, and appends the
+    dicts the helpers journal (``update_probability`` and ``touch`` are
+    the two kinds only the wire sends); the server replays them with
+    :func:`~repro.db.apply_record`. Reads are *not* available — a
     remote mutation function must be write-only (the replay happens in
     the server's transaction, not here).
     """
 
     def __init__(self) -> None:
-        self.ops: list = []
+        self.ops: list[dict] = []
 
     def insert(
         self, relation: str, row: Sequence, probability: float = 1.0
     ) -> None:
         self.ops.append(
-            ["insert", relation, [_value_to_wire(v) for v in row],
-             float(probability)]
+            {
+                "op": "insert",
+                "rel": relation,
+                "row": list(row),
+                "p": probability,
+            }
         )
 
     def delete(self, relation: str, row: Sequence) -> None:
-        self.ops.append(
-            ["delete", relation, [_value_to_wire(v) for v in row]]
-        )
+        self.ops.append({"op": "delete", "rel": relation, "row": list(row)})
 
     def update_probability(
         self, relation: str, row: Sequence, probability: float
     ) -> None:
         self.ops.append(
-            [
-                "update_probability",
-                relation,
-                [_value_to_wire(v) for v in row],
-                float(probability),
-            ]
+            {
+                "op": "update_probability",
+                "rel": relation,
+                "row": list(row),
+                "p": probability,
+            }
         )
 
     def add_table(
         self,
         name: str,
-        rows=None,
-        *,
+        rows: Iterable = (),
         deterministic: bool = False,
         columns: Sequence[str] = (),
+        fds: Sequence[ColumnFD] = (),
         arity: "int | None" = None,
     ) -> None:
-        pairs = []
-        if rows:
-            items = rows.items() if hasattr(rows, "items") else rows
-            for row, probability in items:
-                pairs.append(
-                    [[_value_to_wire(v) for v in row], float(probability)]
-                )
+        normalized, arity = normalize_rows(name, rows, arity)
         self.ops.append(
-            [
-                "add_table",
-                name,
-                pairs,
-                {
-                    "deterministic": deterministic,
-                    "columns": list(columns),
-                    "arity": arity,
-                },
-            ]
+            add_table_record(
+                name, normalized, deterministic, columns, fds, arity
+            )
         )
 
     def drop_table(self, name: str) -> None:
-        self.ops.append(["drop_table", name])
+        self.ops.append({"op": "drop_table", "name": name})
 
     def touch(self) -> None:
-        self.ops.append(["touch"])
+        self.ops.append({"op": "touch"})
 
     def table(self, name: str) -> _RecordedTable:
         return _RecordedTable(self, name)

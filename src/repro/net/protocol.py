@@ -5,7 +5,7 @@ Frame layout (all integers big-endian)::
     0        2      4        8        12
     +--------+------+--------+--------+------------------+-------------+
     | magic  | ver  | length |  crc32 | head (JSON utf-8)| "\\n" + body |
-    | "RP"   | 0x02 | uint32 | uint32 |                  |  (optional) |
+    | "RP"   | 0x03 | uint32 | uint32 |                  |  (optional) |
     +--------+------+--------+--------+------------------+-------------+
 
 ``length`` counts every payload byte after the header and ``crc32``
@@ -14,7 +14,9 @@ covers all of them. The head is one JSON object. Requests carry
 server assigns ``trace`` (its trace id) to *every* response, success or
 failure. Compact JSON holds no raw newline, so the first ``\\n`` ends
 the head; what follows is the payload's ``"result"``: a pre-encoded
-result body (:func:`result_to_wire`) shipped verbatim.
+result body (:func:`result_to_wire`) shipped verbatim. A ``mutate``
+request's ``"ops"`` is a list of change records, the dicts the mutation
+journal writes (:func:`repro.db.apply_record` replays them).
 
 A result body is ``meta JSON + "\\n" + block``, the block laid out like
 a :mod:`repro.db.shm` segment: ``[col0 | col1 | ... | scores]``, int64
@@ -90,7 +92,7 @@ __all__ = [
 ]
 
 #: Protocol revision; bumped on incompatible frame/payload changes.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _MAGIC = b"RP"
 _HEADER = struct.Struct(">2sHII")  # magic, version, length, crc32

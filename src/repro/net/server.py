@@ -13,8 +13,9 @@ prove it. Misses parse once and evaluate through the pool backend
 (:func:`repro.net.pool.choose_pool`): the in-process session, or
 forked workers over shared-memory snapshots.
 
-Mutations serialize behind one lock: replay the recorded ops through
-``session.mutate`` (transactional, journaled when durable), run the
+Mutations serialize behind one lock: replay the client's change
+records (:func:`~repro.db.apply_record`) inside ``session.mutate``
+(transactional, journaled when durable), run the
 pool's epoch handshake (:meth:`ProcessWorkerPool.refresh`), evict
 stale wire-cache entries, and return the moved epoch vector so clients
 observe the new generation in the same round trip.
@@ -41,6 +42,7 @@ from ..api.config import EngineConfig, ServiceConfig
 from ..api.session import Session
 from ..core.parser import parse_query
 from ..core.safety import UnsafeQueryError
+from ..db import apply_record
 from ..obs import (
     Observer,
     merge_snapshots,
@@ -65,7 +67,6 @@ from .protocol import (
     jsonable,
     optimizations_from_wire,
     result_to_wire,
-    _value_from_wire,
 )
 
 __all__ = ["ReproServer", "serve"]
@@ -411,52 +412,11 @@ class ReproServer:
         return {"result": body, "cached": False}
 
     async def _op_mutate(self, request) -> dict:
-        ops = request.get("ops") or []
+        records = request.get("ops") or []
 
         def _replay(db):
-            outcome = None
-            for entry in ops:
-                name = entry[0]
-                if name == "insert":
-                    _, relation, row, probability = entry
-                    db.insert(
-                        relation,
-                        tuple(_value_from_wire(v) for v in row),
-                        probability,
-                    )
-                elif name == "delete":
-                    _, relation, row = entry
-                    outcome = db.delete(
-                        relation, tuple(_value_from_wire(v) for v in row)
-                    )
-                elif name == "update_probability":
-                    _, relation, row, probability = entry
-                    outcome = db.update_probability(
-                        relation,
-                        tuple(_value_from_wire(v) for v in row),
-                        probability,
-                    )
-                elif name == "add_table":
-                    _, table_name, rows, options = entry
-                    db.add_table(
-                        table_name,
-                        rows=[
-                            (tuple(_value_from_wire(v) for v in row), p)
-                            for row, p in rows
-                        ],
-                        **{
-                            key: value
-                            for key, value in (options or {}).items()
-                            if key in ("deterministic", "columns", "arity")
-                        },
-                    )
-                elif name == "drop_table":
-                    db.drop_table(entry[1])
-                elif name == "touch":
-                    db.touch()
-                else:
-                    raise ValueError(f"unknown mutation op {name!r}")
-            return outcome
+            for record in records:
+                apply_record(db, record)
 
         loop = asyncio.get_running_loop()
         async with self._mutate_lock:

@@ -235,21 +235,14 @@ class StatsLRU:
                     removed += 1
         return removed
 
-    def clear(
-        self, *, count: str | None = None, callback: bool = True
-    ) -> int:
-        """Remove everything; returns the number of entries dropped.
-
-        ``callback=False`` skips ``on_evict`` — the view registry's
-        ``detach()`` forgets views whose connection is closing, so no
-        per-entry teardown must run.
-        """
+    def clear(self, *, count: str | None = None) -> int:
+        """Remove everything; returns the number of entries dropped."""
         self._check_count(count)
         with self._lock:
             items = list(self._entries.items())
             self._entries.clear()
             for key, value in items:
-                self._removed(key, value, count, callback=callback)
+                self._removed(key, value, count)
             return len(items)
 
     # ------------------------------------------------------------------
@@ -283,18 +276,12 @@ class StatsLRU:
                 f"count must be one of {_COUNT_KINDS}, got {count!r}"
             )
 
-    def _removed(
-        self,
-        key: Hashable,
-        value,
-        count: str | None,
-        callback: bool = True,
-    ) -> None:
+    def _removed(self, key: Hashable, value, count: str | None) -> None:
         if count == "eviction":
             self._evictions += 1
         elif count == "invalidation":
             self._invalidations += 1
-        if callback and self._on_evict is not None:
+        if self._on_evict is not None:
             self._on_evict(key, value)
 
 

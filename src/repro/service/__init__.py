@@ -15,7 +15,6 @@ from .resilience import (
     is_transient_error,
 )
 from .service import DissociationService
-from .session import SharedViewNamespace
 
 __all__ = [
     "BatchDAGStats",
@@ -30,7 +29,6 @@ __all__ = [
     "RetryPolicy",
     "ServiceClosed",
     "ServiceOverloaded",
-    "SharedViewNamespace",
     "WorkerCrashed",
     "is_transient_error",
 ]

@@ -54,7 +54,6 @@ from .resilience import (
     ServiceClosed,
     WorkerCrashed,
 )
-from .session import SharedViewNamespace
 
 __all__ = ["DissociationService", "ServiceOverloaded"]
 
@@ -70,8 +69,8 @@ class DissociationService:
         The engine's frozen :class:`~repro.api.EngineConfig` (backend,
         cache sizes, join ordering, ...). ``None`` uses the defaults.
         All workers share one engine (one plan memo) on either backend;
-        on SQLite each worker thread holds its own connection over the
-        shared temp-view namespace and releases it when it exits.
+        on SQLite each worker thread holds its own connection (and the
+        temp views on it) and releases it when it exits.
     service:
         The serving-layer knobs as a frozen
         :class:`~repro.api.ServiceConfig` — worker count,
@@ -142,11 +141,8 @@ class DissociationService:
         )
         self.collect_dag_stats = service.collect_dag_stats
         self.faults = faults
-        self.namespace = SharedViewNamespace()
         #: The one engine every worker evaluates on.
-        self.engine = DissociationEngine(
-            db, config, view_namespace=self.namespace, faults=faults
-        )
+        self.engine = DissociationEngine(db, config, faults=faults)
         if (
             service.calibrate
             and self.engine.runs_sql
@@ -191,8 +187,8 @@ class DissociationService:
                 self._start_worker()
         if self.observer.enabled:
             # pull-model collectors: nothing on the hot path; the
-            # snapshot folds pool health, queue depth, and the shared
-            # view namespace into the one observability view
+            # snapshot folds pool health, queue depth, and the
+            # per-worker sessions into the one observability view
             self.observer.register_collector("service.health", self.health)
             self.observer.register_collector(
                 "service.queue",
@@ -201,9 +197,6 @@ class DissociationService:
                     "submitted": self._batcher.submitted,
                     "rejected": self._batcher.rejected,
                 },
-            )
-            self.observer.register_collector(
-                "service.namespace", self.namespace.stats
             )
             self.observer.register_collector(
                 "service.sessions", self._collect_sessions
@@ -896,7 +889,6 @@ class DissociationService:
             "worker_crashes": worker_crashes,
             "dag": dag,
             "write_factor": self.engine.write_factor,
-            "namespace": self.namespace.stats(),
             "sessions": self._collect_sessions(),
         }
         if self.faults is not None:

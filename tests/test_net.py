@@ -28,6 +28,7 @@ from repro import (
     Session,
     parse_query,
 )
+from repro.core.fds import ColumnFD
 from repro.db.shm import SharedSnapshotManager, attach_snapshot, seed_cache
 from repro.engine.extensional import EvaluationCache
 from repro.net import (
@@ -36,6 +37,7 @@ from repro.net import (
     FrameDecoder,
     FrameTooLarge,
     MalformedPayload,
+    MutationRecorder,
     RemoteSession,
     TruncatedFrame,
     decode_frame,
@@ -447,6 +449,97 @@ class TestDifferential:
         local = inspect.signature(getattr(Session, method))
         remote = inspect.signature(getattr(RemoteSession, method))
         assert list(remote.parameters) == list(local.parameters)
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "insert",
+            "delete",
+            "update_probability",
+            "add_table",
+            "drop_table",
+            "touch",
+        ],
+    )
+    def test_recorder_takes_the_parameters_the_tracked_helpers_take(
+        self, method
+    ):
+        def shape(function):
+            return [
+                (p.name, p.kind, p.default)
+                for p in inspect.signature(function).parameters.values()
+            ]
+
+        assert shape(getattr(MutationRecorder, method)) == shape(
+            getattr(ProbabilisticDatabase, method)
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d.insert("R", (4,), 0.125),
+            lambda d: d.table("S").insert((2, 1), 0.5),
+            lambda d: d.update_probability("T", (1,), 0.5),
+            lambda d: d.delete("S", (1, 2)),
+            lambda d: d.add_table("D", [(1,), (2,)]),
+            lambda d: d.add_table("D", [("x", 1), ("y", 2)]),
+            lambda d: d.add_table("D", [((1,), 0.5), ((2,), 0.25)]),
+            lambda d: d.add_table(
+                "D",
+                [((1, "a"), 0.5), ((2, "b"), 1)],
+                columns=("k", "v"),
+                fds=(ColumnFD((0,), (1,)),),
+            ),
+            lambda d: d.drop_table("T"),
+            lambda d: d.touch(),
+        ],
+        ids=[
+            "insert",
+            "table-insert",
+            "update_probability",
+            "delete",
+            "add_table-bare-rows",
+            "add_table-bare-pairs",
+            "add_table-pairs",
+            "add_table-fds",
+            "drop_table",
+            "touch",
+        ],
+    )
+    def test_remote_mutate_equals_local_mutate(self, change):
+        local = sample_database()
+        local.mutate(change)
+        db = sample_database()
+        with serve(db, EngineConfig(), port=0) as server, RemoteSession(
+            server.url
+        ) as remote:
+            epochs = remote.mutate(change)
+            assert epochs == local.epoch_vector(local.table_names)
+            assert {
+                t.name: (dict(t.rows), t.epoch, t.schema) for t in db
+            } == {t.name: (dict(t.rows), t.epoch, t.schema) for t in local}
+            session = Session(local, EngineConfig())
+            for text in QUERIES:
+                if "T" in db or "T(" not in text:
+                    assert remote.evaluate(text).scores == (
+                        session.evaluate(text).scores
+                    )
+
+    def test_remote_update_of_a_missing_row_rolls_back(self):
+        db = sample_database()
+        before = db.epoch_vector(db.table_names)
+        with serve(db, EngineConfig(), port=0) as server, RemoteSession(
+            server.url
+        ) as remote:
+            with pytest.raises(KeyError):
+                remote.mutate(
+                    lambda d: (
+                        d.insert("R", (4,), 0.5),
+                        d.update_probability("T", (9,), 0.5),
+                    )
+                )
+            assert (4,) not in db.table("R")
+            assert db.epoch_vector(db.table_names) == before
 
     def test_stats_trace_and_metrics_ops(self):
         db = sample_database()

@@ -140,7 +140,7 @@ class TestStatsLRU:
         assert lru.remove_where(lambda k, v: True, count=None) == 2
         assert lru.stats()["evictions"] == 0
 
-    def test_clear_counts_and_callback_opt_out(self):
+    def test_clear_counts_and_calls_back(self):
         dropped = []
         lru = StatsLRU(on_evict=lambda k, v: dropped.append(k))
         lru.put("a", 1)
@@ -148,8 +148,8 @@ class TestStatsLRU:
         assert lru.clear(count="eviction") == 2
         assert lru.stats()["evictions"] == 2 and dropped == ["a", "b"]
         lru.put("c", 3)
-        lru.clear(count=None, callback=False)
-        assert dropped == ["a", "b"]  # no callback for c
+        assert lru.clear(count=None) == 1
+        assert lru.stats()["evictions"] == 2 and dropped == ["a", "b", "c"]
 
     def test_counting_opt_outs(self):
         lru = StatsLRU()
@@ -736,7 +736,6 @@ class TestConcurrentTracing:
             "batch_retries",
             "timeouts",
             "dag",
-            "namespace",
             "sessions",
         ):
             assert key in stats

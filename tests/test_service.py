@@ -34,7 +34,6 @@ from repro.service import (
     MicroBatcher,
     QueryRequest,
     ServiceOverloaded,
-    SharedViewNamespace,
 )
 from repro.workloads import chain_database, chain_query
 
@@ -556,22 +555,6 @@ class TestConcurrencyStress:
             assert key in expected
             assert_scores_close(result.scores, expected[key], 1e-9)
 
-    def test_shared_namespace_consistent_across_sessions(self):
-        namespace = SharedViewNamespace()
-        first = namespace.name_for(42, "key-a")
-        again = namespace.name_for(42, "key-a")
-        other = namespace.name_for(42, "key-b")  # digest collision
-        assert first == again
-        assert other != first
-        namespace.note_materialized("key-a", first)
-        namespace.note_materialized("key-a", first)  # second session
-        assert namespace.sessions_holding("key-a") == 2
-        namespace.note_evicted("key-a", first)
-        assert namespace.sessions_holding("key-a") == 1
-        stats = namespace.stats()
-        assert stats["materializations"] == 2
-        assert stats["evictions"] == 1
-
 
 # ----------------------------------------------------------------------
 # regressions
@@ -679,8 +662,9 @@ class TestRegressions:
         assert service.stats()["mutations"] == 4
 
     def test_namespace_census_exact_across_snapshot_rebuilds(self):
-        """Dropping a SQLite snapshot (mutation-triggered rebuild) must
-        release its views from the shared namespace census."""
+        """The engine's live-view count is what the workers' registries
+        hold — across a mutation-triggered snapshot refresh, and after
+        the workers release their connections."""
         db = chain_database(3, 20, seed=27, p_max=0.5)
         # Boolean chain: its minimal plans share projections, so the
         # zero write factor materializes views on the first call
@@ -690,35 +674,22 @@ class TestRegressions:
             EngineConfig(backend="sqlite", write_factor=0.0),
             ServiceConfig(workers=1),
         ) as service:
+            engine = service.engine
             service.evaluate(query, ALL_PLANS)
-            before = service.namespace.stats()
-            assert before["live_views"] > 0
+            before = engine.cache_stats()
+            assert before["size"] > 0
             service.mutate(
                 lambda d: d.table("R1").insert((40_000, 40_001), 0.5)
             )
             service.evaluate(query, ALL_PLANS)
-            after = service.namespace.stats()
+            after = engine.cache_stats()
             sessions = service.stats()["sessions"]
-        # the refreshed snapshot invalidated (and re-registered) only
-        # the views scanning the mutated table: the census must equal
-        # what the live registries actually hold, and at least one view
-        # over R1 must have been released through the namespace
-        live_per_registry = sum(s["cache"]["size"] for s in sessions)
-        assert after["live_views"] == live_per_registry
-        assert after["evictions"] >= 1
-
-    def test_namespace_name_map_is_bounded(self):
-        namespace = SharedViewNamespace()
-        namespace.MAX_NAME_ENTRIES = 8
-        for i in range(50):
-            namespace.name_for(i, f"key-{i}")
-        assert namespace.stats()["known_names"] <= 8
-        # live entries survive the cap
-        live_name = namespace.name_for(999, "live-key")
-        namespace.note_materialized("live-key", live_name)
-        for i in range(100, 150):
-            namespace.name_for(i, f"key-{i}")
-        assert namespace.name_for(999, "live-key") == live_name
+        # the refreshed snapshot dropped the views scanning the mutated
+        # table and registered them again
+        assert after["size"] == sum(s["cache"]["size"] for s in sessions)
+        assert after["misses"] > before["misses"]
+        # closing the worker's connection took its views with it
+        assert engine.cache_stats()["size"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -789,9 +760,9 @@ class TestOneEnginePerDeployment:
             for _ in range(6):
                 assert service.evaluate(query, ALL_PLANS).scores
             assert service.health()["worker_restarts"] == 1
-            assert service.namespace.stats()["live_views"] > 0
+            assert service.engine.cache_stats()["size"] > 0
             assert executor.live_threads()
-        assert service.namespace.stats()["live_views"] == 0
+        assert service.engine.cache_stats()["size"] == 0
         assert executor.live_threads() == []
         # the released connections' counters were folded, not lost
         assert service.engine.cache_stats()["misses"] > 0

@@ -15,14 +15,19 @@ Four layers of guarantees:
 * **Differential interleavings** (hypothesis) — any mix of tracked
   mutations, failing mutations, and queries leaves the database equal
   to a twin that never saw the failing calls.
+* **Change records** (hypothesis) — the same mutate groups applied
+  through the tracked helpers, or recorded by ``MutationRecorder`` and
+  replayed by ``apply_record``, reopen to the same durable state.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
@@ -32,13 +37,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro import connect
 from repro.api import EngineConfig
+from repro.core.fds import ColumnFD
 from repro.db import (
     DurableStore,
+    JournalError,
     MutationOutcome,
     ProbabilisticDatabase,
+    apply_record,
     load_snapshot,
     write_snapshot,
 )
+from repro.net import MutationRecorder
 from repro.service import DissociationService, FaultInjector
 from repro.workloads import chain_database, chain_query
 
@@ -56,6 +65,30 @@ def state_of(db: ProbabilisticDatabase) -> dict:
     return {
         t.name: (dict(t.rows), t.epoch, t.schema) for t in db
     }
+
+
+def fingerprints(db: ProbabilisticDatabase) -> dict:
+    return {t.name: t.fingerprint for t in db}
+
+
+#: ``journal.log`` as the tracked helpers wrote it before the wire's
+#: change records shared its format: add_table (with an FD), an
+#: insert / update_probability / delete group, a bare-row add_table,
+#: an empty deterministic add_table and its drop.
+JOURNAL_FIXTURE = """\
+41279b16 {"op":"add_table","name":"R","rows":[[[1,"a"],0.5],[[2,"b"],0.25]],"deterministic":false,"columns":["k","v"],"fds":[[[0],[1]]],"arity":2,"seq":1}
+491cc415 {"op":"commit"}
+a37a3ce1 {"op":"insert","rel":"R","row":[3,"c"],"p":0.75,"seq":2}
+cf6387a9 {"op":"insert","rel":"R","row":[1,"a"],"p":0.125,"seq":3}
+75bf7966 {"op":"delete","rel":"R","row":[2,"b"],"seq":4}
+491cc415 {"op":"commit"}
+672029b6 {"op":"add_table","name":"S","rows":[[[7],1.0],[[8],1.0]],"deterministic":false,"columns":[],"fds":[],"arity":1,"seq":5}
+491cc415 {"op":"commit"}
+c4d066c3 {"op":"add_table","name":"T","rows":[],"deterministic":true,"columns":[],"fds":[],"arity":1,"seq":6}
+491cc415 {"op":"commit"}
+7e0e3016 {"op":"drop_table","name":"T","seq":7}
+491cc415 {"op":"commit"}
+"""
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +299,6 @@ class TestDurability:
         reopened.close()
 
     def test_snapshot_preserves_schema_and_fds(self, tmp_path):
-        from repro.core.fds import ColumnFD
-
         db = ProbabilisticDatabase()
         db.add_table(
             "R",
@@ -281,8 +312,6 @@ class TestDurability:
         assert state_of(again) == state_of(db)
 
     def test_snapshot_rejects_unknown_version(self, tmp_path):
-        from repro.db import JournalError
-
         path = tmp_path / "snap.json"
         path.write_text('{"format": "repro-snapshot", "version": 99}')
         with pytest.raises(JournalError, match="version"):
@@ -416,6 +445,61 @@ class TestDurability:
         reopened = ProbabilisticDatabase.open(tmp_path / "store")
         assert state_of(reopened) == before
         reopened.close()
+
+    def test_commit_rejects_a_row_it_cannot_recover(self, tmp_path):
+        """JSON reads a tuple back as a list: the journal refuses such a
+        row before writing a byte, and the mutation rolls back."""
+        db = ProbabilisticDatabase.open(tmp_path / "store")
+        db.mutate(lambda d: d.add_table("R", [((1, 2), 0.5)]))
+        before = state_of(db)
+        for change in (
+            lambda d: d.insert("R", (2, (3, 4)), 0.25),
+            lambda d: d.add_table("T", [(((5, 6),), 0.5)]),
+        ):
+            with pytest.raises(JournalError, match="JSON scalar"):
+                db.mutate(change)
+            assert db.last_mutation.rolled_back
+            assert state_of(db) == before
+        db.mutate(lambda d: d.insert("R", (2, 3), 0.25))
+        expected = state_of(db)
+        db.close()
+        reopened = ProbabilisticDatabase.open(tmp_path / "store")
+        assert state_of(reopened) == expected
+        assert reopened._durability.stats()["committed_ops"] == 2
+        reopened.close()
+
+    def test_literal_journal_reopens_to_the_same_fingerprints(self, tmp_path):
+        """A journal in the on-disk record format reopens to the state
+        its mutations built in memory."""
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / DurableStore.JOURNAL).write_text(JOURNAL_FIXTURE)
+        db = ProbabilisticDatabase.open(store)
+        twin = ProbabilisticDatabase()
+        twin.mutate(
+            lambda d: d.add_table(
+                "R",
+                [((1, "a"), 0.5), ((2, "b"), 0.25)],
+                columns=("k", "v"),
+                fds=(ColumnFD((0,), (1,)),),
+            )
+        )
+
+        def edit(d):
+            d.insert("R", (3, "c"), 0.75)
+            d.update_probability("R", (1, "a"), 0.125)
+            d.delete("R", (2, "b"))
+
+        twin.mutate(edit)
+        twin.mutate(lambda d: d.add_table("S", [(7,), (8,)]))
+        twin.mutate(lambda d: d.add_table("T", [], arity=1, deterministic=True))
+        twin.mutate(lambda d: d.drop_table("T"))
+        assert state_of(db) == state_of(twin)
+        assert fingerprints(db) == fingerprints(twin)
+        assert dict(db.table("R").rows) == {(1, "a"): 0.125, (3, "c"): 0.75}
+        assert (db.table("R").epoch, db.table("S").epoch) == ((1, 5), (2, 2))
+        assert db._durability.last_recovery["ops_replayed"] == 7
+        db.close()
 
     def test_save_makes_in_memory_db_durable(self, tmp_path):
         db = small_db()
@@ -652,3 +736,95 @@ _APPLY = {
     "fail_insert": _apply_fail_insert,
     "fail_multi": _apply_fail_multi,
 }
+
+
+# ----------------------------------------------------------------------
+# hypothesis: tracked helpers vs. recorded change records
+# ----------------------------------------------------------------------
+_ROW = st.integers(min_value=0, max_value=3)
+_CHANGE = st.tuples(
+    st.sampled_from(
+        ["insert", "delete", "update_probability", "replace", "touch"]
+    ),
+    st.sampled_from(["R", "S"]),
+    _ROW,
+    _ROW,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _change(d, kind, relation, a, b, p):
+    """One tracked call on ``d`` — a database or a MutationRecorder.
+    ``delete`` / ``update_probability`` of an absent row raise
+    ``KeyError``, failing (and rolling back) the whole group."""
+    row = (a, b) if relation == "R" else (a,)
+    if kind == "insert":
+        d.insert(relation, row, p)
+    elif kind == "delete":
+        d.delete(relation, row)
+    elif kind == "update_probability":
+        d.update_probability(relation, row, p)
+    elif kind == "replace":
+        d.drop_table(relation)
+        d.add_table(relation, [row], arity=len(row))  # a bare row
+    else:
+        d.touch()
+
+
+def _seed(d):
+    d.add_table("R", [((0, 1), 0.5), ((1, 2), 0.25)])
+    d.add_table("S", [((0,), 0.75)])
+
+
+def _run_group(db, fn) -> None:
+    try:
+        db.mutate(fn)
+    except KeyError:
+        assert db.last_mutation.rolled_back
+
+
+class TestChangeRecords:
+    @given(
+        groups=st.lists(
+            st.lists(_CHANGE, min_size=1, max_size=4), min_size=1, max_size=6
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_recorded_records_replay_to_the_tracked_state(self, groups):
+        with tempfile.TemporaryDirectory() as scratch:
+            tracked = ProbabilisticDatabase.open(
+                Path(scratch, "tracked"), fsync="off"
+            )
+            replayed = ProbabilisticDatabase.open(
+                Path(scratch, "replayed"), fsync="off"
+            )
+            in_memory = ProbabilisticDatabase()
+            for db in (tracked, replayed, in_memory):
+                db.mutate(_seed)
+            for group in groups:
+
+                def direct(d, group=group):
+                    for change in group:
+                        _change(d, *change)
+
+                recorder = MutationRecorder()
+                direct(recorder)
+                # the records cross the wire as JSON
+                records = json.loads(json.dumps(recorder.ops))
+
+                def replay(d):
+                    for record in records:
+                        apply_record(d, record)
+
+                _run_group(tracked, direct)
+                _run_group(in_memory, direct)
+                _run_group(replayed, replay)
+            tracked.close()
+            replayed.close()
+            tracked = ProbabilisticDatabase.open(Path(scratch, "tracked"))
+            replayed = ProbabilisticDatabase.open(Path(scratch, "replayed"))
+            assert fingerprints(tracked) == fingerprints(replayed)
+            assert fingerprints(tracked) == fingerprints(in_memory)
+            assert state_of(tracked) == state_of(replayed)
+            tracked.close()
+            replayed.close()
