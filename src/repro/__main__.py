@@ -141,7 +141,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for _ in range(max(args.repeat, 1)):
             for text in workload:
                 last = session.evaluate(text)
-        session.mutate(lambda d: d.table("R").insert((3,), half))
+        session.mutate(lambda d: d.insert("R", (3,), half))
         session.evaluate(workload[0])
         trace = session.trace(last)
         snapshot = observer.snapshot()

@@ -40,7 +40,8 @@ class _Unset:
         return "<UNSET>"
 
 
-#: Shared sentinel for the legacy-kwarg deprecation shims.
+#: The "not passed" value of ``timeout=``: the service's
+#: ``default_timeout`` applies (an explicit ``None`` means no timeout).
 UNSET = _Unset()
 
 

@@ -545,10 +545,10 @@ class Session:
         If ``fn`` raises, the undo log rolls the database back to its
         bit-identical pre-mutation state: no epoch moves and *nothing*
         is evicted — every cached result stays warm and correct. Only
-        when ``fn`` bypassed the tracked mutation helpers (so the
-        rollback cannot be certified by the per-table fingerprints)
-        does the database taint every epoch, evicting everything.
-        Inspect ``session.db.last_mutation`` for which path ran.
+        when the undo replay itself fails (so the per-table
+        fingerprints cannot certify it) does the database taint every
+        epoch, evicting everything. Inspect ``session.db.last_mutation``
+        for which path ran.
         """
         self._check_open()
         try:

@@ -10,6 +10,7 @@ or approximates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.fds import ColumnFD
@@ -140,8 +141,9 @@ def apply_record(db: "ProbabilisticDatabase", record: Mapping) -> None:
     The records are the helpers' own redo dicts (the journal writes
     them) plus two kinds only :class:`~repro.net.MutationRecorder`
     sends: ``update_probability``, which fails on a missing row, and
-    ``touch``. Journal recovery and the server's remote ``mutate``
-    both replay through here.
+    ``touch``, which moves epochs only and so journals nothing. Journal
+    recovery and the server's remote ``mutate`` both replay through
+    here.
     """
     kind = record.get("op")
     if kind == "insert":
@@ -198,7 +200,7 @@ class Table:
         self._epoch_pair = (schema.name, (creation_stamp, 0))
         if rows:
             for row, p in rows.items():
-                self.insert(row, p)
+                self._put(tuple(row), p)
 
     @property
     def name(self) -> str:
@@ -208,8 +210,9 @@ class Table:
     def arity(self) -> int:
         return self.schema.arity
 
-    def insert(self, row: Sequence, probability: float = 1.0) -> None:
-        row = tuple(row)
+    # -- the writes behind the database's tracked helpers and loaders --
+    def _put(self, row: tuple, probability: float) -> None:
+        """Set ``row``'s probability (validated) and bump the counter."""
         if len(row) != self.arity:
             raise ValueError(
                 f"{self.name}: row {row} has arity {len(row)}, "
@@ -226,14 +229,13 @@ class Table:
         self._raw_set(row, probability)
         self._version += 1
 
-    def delete(self, row: Sequence) -> float:
-        """Remove ``row``; returns its probability.
+    def _remove(self, row: tuple) -> float:
+        """Remove ``row`` and bump the counter; returns its probability.
 
         Raises :class:`KeyError` when the row is absent — deleting
         nothing is almost always a caller bug, and the undo log needs
         the old probability to invert the operation anyway.
         """
-        row = tuple(row)
         if row not in self.rows:
             raise KeyError(f"{self.name}: no row {row} to delete")
         old = self._raw_unset(row)
@@ -255,19 +257,18 @@ class Table:
 
     @property
     def version(self) -> int:
-        """Mutation counter, bumped on every :meth:`insert`/:meth:`delete`."""
+        """Mutation counter, bumped by every row write."""
         return self._version
 
     @property
     def fingerprint(self) -> int:
         """XOR content checksum over all ``(row, probability)`` pairs.
 
-        Maintained incrementally by :meth:`insert` and :meth:`delete`,
-        so it reflects any change made through the table's own API —
-        including writes that bypassed the database-level tracked
-        helpers. The rollback machinery compares fingerprints after an
-        undo replay to decide *rolled back cleanly* vs *must taint*.
-        (Direct pokes at the ``rows`` dict are invisible to it; don't.)
+        Maintained incrementally by every row write (the database's
+        tracked helpers and the undo replay). The rollback machinery
+        compares fingerprints after an undo replay to decide *rolled
+        back cleanly* vs *must taint*. (Direct pokes at the ``rows``
+        dict are invisible to it; don't.)
         """
         return self._fingerprint
 
@@ -302,7 +303,7 @@ class Table:
         the table moves keeps that bookkeeping from being copied per
         entry. Self-validating: the pair is rebuilt when its stamp or
         counter no longer match the table's, so the sites that write
-        ``_version`` (insert, delete, rollback restore, ``touch()``)
+        ``_version`` (row writes, rollback restore, ``touch()``)
         need no invalidation call.
         """
         pair = self._epoch_pair
@@ -342,11 +343,10 @@ class MutationOutcome:
     journal accepted the commit. ``rolled_back``: ``fn`` raised and the
     undo-log replay restored the database bit-identically — contents,
     probabilities, *and* per-table epochs — so every cache stays warm.
-    ``tainted``: ``fn`` raised and the rollback could not be certified
-    (untracked writes detected by the fingerprint check, or the replay
-    itself failed), so :meth:`~ProbabilisticDatabase.touch` moved every
-    table's epoch — the last-resort poison pill. ``journaled``: the
-    commit was made durable (op records or a checkpoint snapshot).
+    ``tainted``: ``fn`` raised and the undo replay itself failed (or
+    its fingerprint check did), so :meth:`~ProbabilisticDatabase.touch`
+    moved every table's epoch — the last-resort poison pill.
+    ``journaled``: the change records were appended to the journal.
     """
 
     committed: bool
@@ -359,14 +359,7 @@ class MutationOutcome:
 class _Transaction:
     """The undo log + pre-state snapshot of one :meth:`mutate` call."""
 
-    __slots__ = (
-        "undo",
-        "redo",
-        "db_version",
-        "next_stamp",
-        "pre_state",
-        "expected_versions",
-    )
+    __slots__ = ("undo", "redo", "db_version", "next_stamp", "pre_state")
 
     def __init__(self, db: "ProbabilisticDatabase") -> None:
         #: Inverse operations, applied in reverse on rollback.
@@ -381,29 +374,34 @@ class _Transaction:
             name: (t._creation_stamp, t._version, t._fingerprint)
             for name, t in db._tables.items()
         }
-        #: Mutation counters the *tracked* operations alone would
-        #: produce; a table whose actual counter disagrees at commit
-        #: time was written through untracked paths.
-        self.expected_versions = {
-            name: t._version for name, t in db._tables.items()
-        }
+
+
+def _tracked(helper):
+    """Make a tracked helper called outside ``mutate`` on a durable
+    database a one-op transaction, so a write the journal refuses
+    rolls back like any failed mutation."""
+
+    @wraps(helper)
+    def run(db, *args, **kwargs):
+        if db._txn is None and db._durability is not None:
+            return db.mutate(lambda d: helper(d, *args, **kwargs))
+        return helper(db, *args, **kwargs)
+
+    return run
 
 
 class ProbabilisticDatabase:
     """A tuple-independent probabilistic database.
 
-    Mutations come in two disciplines:
-
-    * **Tracked** — the helpers :meth:`insert`, :meth:`delete`,
-      :meth:`update_probability`, :meth:`add_table` and
-      :meth:`drop_table` record an inverse operation in the active
-      undo log (inside :meth:`mutate`) and a redo record for the
-      mutation journal (when the database is durable, see
-      :mod:`repro.db.journal`).
-    * **Untracked** — anything else (``db.table(n).insert(...)``,
-      raw ``rows`` pokes). Legal, but a failing :meth:`mutate` can
-      then only fall back to :meth:`touch`, and a durable database
-      has to checkpoint a full snapshot instead of journaling ops.
+    The tracked helpers :meth:`insert`, :meth:`delete`,
+    :meth:`update_probability`, :meth:`add_table` and :meth:`drop_table`
+    are the only way to write it. Inside :meth:`mutate` each records an
+    inverse operation in the undo log and a change record for the
+    mutation journal (when the database is durable, see
+    :mod:`repro.db.journal`). Called outside :meth:`mutate`, a helper
+    writes directly on an in-memory database and runs as a one-op
+    transaction on a durable one. :class:`Table` is read-only to
+    callers; raw pokes at ``Table.rows`` are unsupported.
     """
 
     def __init__(self) -> None:
@@ -431,6 +429,7 @@ class ProbabilisticDatabase:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @_tracked
     def add_table(
         self,
         name: str,
@@ -455,7 +454,7 @@ class ProbabilisticDatabase:
         )
         table = Table(schema, creation_stamp=self._new_stamp())
         for row, p in normalized:
-            table.insert(row, p)
+            table._put(row, p)
         self._tables[name] = table
         self._version += 1
         self._record(
@@ -463,22 +462,22 @@ class ProbabilisticDatabase:
                 name, normalized, deterministic, columns, schema.fds, arity
             ),
             undo=("drop_new", name),
-            expected={name: table._version},
         )
         return table
 
+    @_tracked
     def drop_table(self, name: str) -> None:
         table = self._tables.pop(name)
         self._version += 1
         self._record(
             redo={"op": "drop_table", "name": name},
             undo=("restore_table", name, table),
-            expected={name: None},
         )
 
     # ------------------------------------------------------------------
     # tracked row mutations
     # ------------------------------------------------------------------
+    @_tracked
     def insert(
         self, relation: str, row: Sequence, probability: float = 1.0
     ) -> None:
@@ -486,7 +485,7 @@ class ProbabilisticDatabase:
         table = self.table(relation)
         row = tuple(row)
         old = table.rows.get(row)
-        table.insert(row, probability)
+        table._put(row, probability)
         self._record(
             redo={
                 "op": "insert",
@@ -499,9 +498,9 @@ class ProbabilisticDatabase:
                 if old is None
                 else ("set", relation, row, old)
             ),
-            expected={relation: +1},
         )
 
+    @_tracked
     def delete(self, relation: str, row: Sequence) -> float:
         """Delete one row — *tracked*; returns its old probability.
 
@@ -509,14 +508,14 @@ class ProbabilisticDatabase:
         """
         table = self.table(relation)
         row = tuple(row)
-        old = table.delete(row)
+        old = table._remove(row)
         self._record(
             redo={"op": "delete", "rel": relation, "row": list(row)},
             undo=("set", relation, row, old),
-            expected={relation: +1},
         )
         return old
 
+    @_tracked
     def update_probability(
         self, relation: str, row: Sequence, probability: float
     ) -> float:
@@ -530,7 +529,7 @@ class ProbabilisticDatabase:
         if row not in table.rows:
             raise KeyError(f"{relation}: no row {row} to update")
         old = table.rows[row]
-        table.insert(row, probability)
+        table._put(row, probability)
         self._record(
             redo={
                 "op": "insert",
@@ -539,38 +538,23 @@ class ProbabilisticDatabase:
                 "p": probability,
             },
             undo=("set", relation, row, old),
-            expected={relation: +1},
         )
         return old
 
     # ------------------------------------------------------------------
     # the undo log / journal plumbing
     # ------------------------------------------------------------------
-    def _record(
-        self, redo: dict, undo: tuple, expected: Mapping[str, int | None]
-    ) -> None:
-        """File one tracked operation with the active transaction.
+    def _record(self, redo: dict, undo: tuple) -> None:
+        """File one tracked operation with the open transaction, if any.
 
-        Outside a transaction, a durable database auto-commits the
-        single operation to its journal (each tracked call is then its
-        own atomic, recoverable mutation); an in-memory database
+        On a durable database every helper call runs inside one (see
+        :func:`_tracked`); an in-memory write outside :meth:`mutate`
         records nothing.
         """
         txn = self._txn
         if txn is not None:
             txn.undo.append(undo)
             txn.redo.append(redo)
-            for name, delta in expected.items():
-                if delta is None:
-                    txn.expected_versions.pop(name, None)
-                elif name in txn.expected_versions:
-                    txn.expected_versions[name] += delta
-                else:
-                    # add_table passes the new table's absolute counter
-                    txn.expected_versions[name] = delta
-            return
-        if self._durability is not None:
-            self._durability.commit(self, [redo])
 
     def _apply_undo(self, entry: tuple) -> None:
         kind = entry[0]
@@ -585,22 +569,6 @@ class ProbabilisticDatabase:
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown undo entry {entry!r}")
 
-    def _untracked_changes(self, txn: _Transaction) -> bool:
-        """Whether the database differs from what the tracked ops say.
-
-        Every tracked operation bumps its table's mutation counter by
-        exactly one (``add_table`` by the new table's row count), and
-        the transaction mirrors those increments — so any counter
-        disagreement at commit time means ``fn`` also wrote through
-        untracked paths (``db.table(n).insert`` and friends).
-        """
-        if set(self._tables) != set(txn.expected_versions):
-            return True
-        return any(
-            self._tables[name]._version != version
-            for name, version in txn.expected_versions.items()
-        )
-
     def _abort(self, txn: _Transaction, faults=None) -> None:
         """Roll the failed transaction back; taint when uncertifiable.
 
@@ -609,9 +577,8 @@ class ProbabilisticDatabase:
         every table's ``(creation_stamp, fingerprint)`` matches — and
         no table appeared or vanished — are the epoch counters restored
         to their pre-mutation values (bit-identical state, caches stay
-        warm). Any discrepancy (untracked writes, a failing undo
-        replay, an injected ``"rollback"`` fault) falls back to
-        :meth:`touch`, which moves every epoch *forward* from wherever
+        warm). Any discrepancy (a failing undo replay, an injected
+        ``"rollback"`` fault) falls back to :meth:`touch`, which moves every epoch *forward* from wherever
         the failed mutation left it — never backward, so no cache entry
         stamped meanwhile can alias a future epoch.
         """
@@ -637,8 +604,7 @@ class ProbabilisticDatabase:
                         or table._fingerprint != fingerprint
                     ):
                         raise RuntimeError(
-                            f"rollback fingerprint mismatch on {name!r} "
-                            "(untracked writes during the failed mutation)"
+                            f"rollback fingerprint mismatch on {name!r}"
                         )
         except BaseException:
             tainted = True
@@ -675,19 +641,17 @@ class ProbabilisticDatabase:
         If ``fn`` raises, the log is replayed in reverse and — after
         the per-table fingerprint check certifies the replay — the
         database is bit-identical to its pre-mutation state, including
-        every per-table epoch: no cache anywhere needs to move. Writes
-        that bypassed the tracked helpers fail the certificate and
-        degrade to :meth:`touch` (every epoch tainted), exactly the
-        pre-transactional behaviour. :attr:`last_mutation` records
-        which of the two happened.
+        every per-table epoch: no cache anywhere needs to move. Only a
+        replay that itself fails degrades to :meth:`touch` (every epoch
+        tainted). :attr:`last_mutation` records which of the two
+        happened.
 
         On success, a durable database (see :meth:`open`) appends the
         tracked operations to its mutation journal and fsyncs per its
-        policy; if the journal write fails, the in-memory state is
-        rolled back too, so memory and disk can never diverge. A
-        successful ``fn`` that made untracked writes is persisted via
-        a full checkpoint snapshot instead (the journal cannot replay
-        what it never saw).
+        policy; if the journal refuses or fails the write, the
+        in-memory state is rolled back too, so memory and disk can
+        never diverge. A helper called outside ``mutate`` on a durable
+        database is a one-op ``mutate`` of its own.
 
         ``faults`` (a :class:`~repro.service.faults.FaultInjector`)
         fires the ``"rollback"`` hook before an undo replay and is
@@ -715,22 +679,15 @@ class ProbabilisticDatabase:
                 raise
             self._txn = None
             journaled = False
-            if self._durability is not None:
-                untracked = self._untracked_changes(txn)
-                if untracked or txn.redo:
-                    try:
-                        if untracked:
-                            self._durability.checkpoint(self, faults=faults)
-                        else:
-                            self._durability.commit(
-                                self, txn.redo, faults=faults
-                            )
-                    except BaseException:
-                        # the commit never became durable: take the
-                        # memory state back to the last durable one
-                        self._abort(txn, faults)
-                        raise
-                    journaled = True
+            if self._durability is not None and txn.redo:
+                try:
+                    self._durability.commit(self, txn.redo, faults=faults)
+                except BaseException:
+                    # the commit never became durable: take the
+                    # memory state back to the last durable one
+                    self._abort(txn, faults)
+                    raise
+                journaled = True
             span.note(tracked_ops=len(txn.redo), journaled=journaled)
         self.last_mutation = MutationOutcome(
             committed=True, tracked_ops=len(txn.redo), journaled=journaled
@@ -805,14 +762,13 @@ class ProbabilisticDatabase:
     def touch(self) -> None:
         """Taint every epoch without changing any data.
 
-        The poison pill for epoch-keyed caches: after a mutation
-        function raises partway through, the database may hold
-        half-applied state that is neither the old epoch nor a clean
-        new one — and the failed function may have written through
-        paths no counter tracks. Bumping the db token *and every
-        table's mutation counter* forces every cache — global or
-        per-table — to treat the current contents as a fresh epoch
-        instead of serving them as the pre-mutation state.
+        The poison pill for epoch-keyed caches: after an undo replay
+        fails, the database may hold half-applied state that is
+        neither the old epoch nor a clean new one. Bumping the db token
+        *and every table's mutation counter* forces every cache —
+        global or per-table — to treat the current contents as a fresh
+        epoch instead of serving them as the pre-mutation state. It
+        changes no data, so it journals nothing.
         """
         self._version += 1
         for table in self._tables.values():
@@ -923,7 +879,7 @@ class ProbabilisticDatabase:
             )
             new_table = Table(new_schema, creation_stamp=out._new_stamp())
             for row, p in table:
-                new_table.insert(row, p * factor)
+                new_table._put(row, p * factor)
             out._tables[schema.name] = new_table
         return out
 

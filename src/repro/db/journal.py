@@ -22,8 +22,8 @@ directory managed by a :class:`DurableStore`:
     :func:`~repro.db.database.apply_record`), each carrying a
     monotonically increasing ``seq``, followed by one ``commit`` record per
     successful :meth:`~repro.db.database.ProbabilisticDatabase.mutate`
-    (tracked helpers called outside ``mutate`` auto-commit as
-    single-op groups). Recovery replays only operations that (a) sit
+    (a tracked helper called outside ``mutate`` is a one-op
+    ``mutate`` of its own). Recovery replays only operations that (a) sit
     before a valid ``commit`` record and (b) have ``seq`` greater than
     the snapshot's ``committed_ops`` — so a crash *between* the
     checkpoint's snapshot replace and its journal truncation can never
@@ -46,9 +46,7 @@ pass an explicit policy.
 
 **Checkpointing.** After ``checkpoint_every`` journaled operations
 (default 1024; ``0`` disables), the store folds the journal into a
-fresh snapshot and truncates it, bounding recovery time. Mutations that
-bypassed the tracked helpers can't be journaled — committing one forces
-a checkpoint instead (see the decision table in ``src/repro/db/README.md``).
+fresh snapshot and truncates it, bounding recovery time.
 
 Single-writer by design: one process appends to a store at a time.
 """
@@ -185,7 +183,7 @@ def _restore(payload: dict) -> ProbabilisticDatabase:
         )
         table = Table(schema, creation_stamp=spec["creation_stamp"])
         for row, p in spec["rows"]:
-            table.insert(tuple(row), p)
+            table._put(tuple(row), p)
         # the epoch is part of the snapshot: a reopened database
         # continues the same per-table counters it crashed with
         table._version = spec["mutation_counter"]

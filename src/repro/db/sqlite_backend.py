@@ -10,6 +10,7 @@ aggregate ``ior`` so generated plans are plain ``GROUP BY`` queries.
 
 from __future__ import annotations
 
+import hashlib
 import sqlite3
 import threading
 import time
@@ -244,7 +245,7 @@ class SQLiteViewRegistry:
         """
         with self._lock:
             self._views.add_miss()
-            name = self._name_for(plan)
+            name = self._name_for(sql, parameters)
             ddl = f"CREATE TEMP TABLE {name} AS\n{sql}"
             with self._observer.span("sqlite.materialize_view", view=name):
                 self._connection.execute(ddl, parameters)
@@ -304,13 +305,26 @@ class SQLiteViewRegistry:
         if self._pin_depth:
             self._pinned.add(name)
 
-    def _name_for(self, plan: Hashable) -> str:
-        digest = hash(plan) & 0xFFFFFFFFFFFFFFFF
-        name = f"dissoc_{digest:016x}"
+    def _name_for(self, sql: str, parameters: Mapping | Sequence) -> str:
+        """``dissoc_<digest>`` of the view's body and bound values.
+
+        A stable digest, not ``hash()``, so the same request names the
+        same view under any ``PYTHONHASHSEED``; the values are part of
+        it because two views may differ only in a bound constant.
+        """
+        values = (
+            sorted(parameters.items())
+            if isinstance(parameters, Mapping)
+            else list(parameters)
+        )
+        digest = hashlib.blake2b(
+            f"{sql}\0{values!r}".encode(), digest_size=8
+        ).hexdigest()
+        name = f"dissoc_{digest}"
         suffix = 0
-        while name in self._names:  # hash collision of a *different* plan
+        while name in self._names:  # a live view already has this body
             suffix += 1
-            name = f"dissoc_{digest:016x}_{suffix}"
+            name = f"dissoc_{digest}_{suffix}"
         return name
 
     def _drop_view(self, plan: Hashable, name: str) -> None:

@@ -33,10 +33,9 @@ Reconnects reuse :class:`~repro.service.RetryPolicy`: idempotent ops
 on a dead connection; ``mutate`` never auto-retries — a lost response
 does not reveal whether the ops committed.
 
-``mutate(fn)`` runs ``fn`` against a :class:`MutationRecorder` (both
-``d.insert("R", row, p)`` tracked-helper style and
-``d.table("R").insert(row, p)`` table style), ships the recorded
-change records, and the server replays them transactionally with
+``mutate(fn)`` runs ``fn`` against a :class:`MutationRecorder` (the
+tracked helpers, ``d.insert("R", row, p)`` and friends), ships the
+recorded change records, and the server replays them transactionally with
 :func:`~repro.db.apply_record` — the response carries the
 post-commit epoch vector, so the very next ``evaluate`` keys into the
 new generation.
@@ -123,31 +122,13 @@ def parse_url(url: str) -> tuple[str, int]:
     return parts.hostname, parts.port
 
 
-class _RecordedTable:
-    """Table-style proxy: records through the owning recorder."""
-
-    def __init__(self, recorder: "MutationRecorder", name: str) -> None:
-        self._recorder = recorder
-        self._name = name
-
-    def insert(self, row: Sequence, probability: float = 1.0) -> None:
-        self._recorder.insert(self._name, row, probability)
-
-    def delete(self, row: Sequence) -> None:
-        self._recorder.delete(self._name, row)
-
-    def update_probability(self, row: Sequence, probability: float) -> None:
-        self._recorder.update_probability(self._name, row, probability)
-
-
 class MutationRecorder:
     """Records tracked-helper calls as change records for server-side
     transactional replay.
 
     Takes the :class:`~repro.db.ProbabilisticDatabase` tracked surface
     (``insert``/``delete``/``update_probability``/``add_table``/
-    ``drop_table``/``touch``, with the same parameters) plus
-    ``table(name)`` returning a minimal table proxy, and appends the
+    ``drop_table``/``touch``, with the same parameters) and appends the
     dicts the helpers journal (``update_probability`` and ``touch`` are
     the two kinds only the wire sends); the server replays them with
     :func:`~repro.db.apply_record`. Reads are *not* available — a
@@ -206,9 +187,6 @@ class MutationRecorder:
 
     def touch(self) -> None:
         self.ops.append({"op": "touch"})
-
-    def table(self, name: str) -> _RecordedTable:
-        return _RecordedTable(self, name)
 
 
 class RemoteSession:

@@ -402,14 +402,13 @@ class DissociationService:
         :class:`~repro.service.ServiceClosed` instead of sleeping on a
         condition nobody will ever signal again. The database rolls
         itself back
-        (:meth:`~repro.db.database.ProbabilisticDatabase.mutate`): when
-        ``fn`` went through the tracked mutation helpers, the undo log
-        restores the bit-identical pre-mutation state — no epoch moves,
-        every warm cache stays valid — and ``rolled_back_mutations``
-        counts it. Only when the rollback cannot be certified (``fn``
-        wrote around the tracked API) does the database taint itself,
-        bumping every table's epoch so no cache can serve the
-        half-applied state; ``tainted_mutations`` counts those.
+        (:meth:`~repro.db.database.ProbabilisticDatabase.mutate`): the
+        undo log restores the bit-identical pre-mutation state — no
+        epoch moves, every warm cache stays valid — and
+        ``rolled_back_mutations`` counts it. Only when the undo replay
+        itself fails does the database taint itself, bumping every
+        table's epoch so no cache can serve the half-applied state;
+        ``tainted_mutations`` counts those.
         """
         with self._state:
             while self._mutating:

@@ -67,12 +67,14 @@ def star_database(
         else:
             db.add_table(name, uniform_probabilities(rng, rows, p_max))
 
-    anchor_rows = {
+    # distinct rows in draw order: a set's order would follow the
+    # string hash, so the rows kept would vary with PYTHONHASHSEED
+    anchor_rows = dict.fromkeys(
         (ANCHOR if rng.random() < 0.7 else f"b{rng.randint(1, 5)}", v)
         for v in (
             rng.randint(1, domain) for _ in range(n_rows * 2)
         )
-    }
+    )
     add("R1", list(anchor_rows)[:n_rows])
     for i in range(2, k + 1):
         add(f"R{i}", [(v,) for v in

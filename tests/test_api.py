@@ -283,7 +283,7 @@ class TestPlanMemo:
         query = parse_query(CHAIN)
         first = engine.minimal_plans(query)
         db.add_table("Z", [((1,), 0.5)])  # unrelated relation
-        db.table("R").insert((9,), 0.5)  # data mutation
+        db.insert("R", (9,), 0.5)  # data mutation
         second = engine.minimal_plans(query)
         # plans depend on query structure + relevant schema only — both
         # changes leave the memo entry valid (and identical)
@@ -652,7 +652,7 @@ class TestSession:
         db = small_db()
         with connect(db) as session:
             before = session.query(CHAIN).result()
-            session.mutate(lambda d: d.table("R").insert((3,), 0.9))
+            session.mutate(lambda d: d.insert("R", (3,), 0.9))
             after = session.query(CHAIN).result()
             assert not after.cached and after.epoch != before.epoch
             assert session.results.stats()["size"] == 1  # stale evicted
@@ -818,7 +818,7 @@ class TestSessionConcurrent:
                 thread.start()
             for step in range(3):
                 session.mutate(
-                    lambda d: d.table("R").insert((100 + step,), 0.5)
+                    lambda d: d.insert("R", (100 + step,), 0.5)
                 )
                 # epochs are stable until the next mutate(): compute
                 # this epoch's ground truth while clients keep running

@@ -91,7 +91,7 @@ class TestLRUCap:
         db = _db()
         cache = EvaluationCache(db)
         evaluate_plan(_scan(0), db, cache=cache)
-        db.table("R0").insert((3, 0), 0.75)
+        db.insert("R0", (3, 0), 0.75)
         scores = evaluate_plan(_scan(0), db, cache=cache.plan_scope())
         assert scores[(3, 0)] == 0.75
 
@@ -119,7 +119,7 @@ class TestLRUCap:
         evaluate_plan(_scan(0), db, cache=cache)
         evaluate_plan(_scan(0), db, cache=cache)
         assert cache.cache_stats()["hits"] == 1
-        db.table("R0").insert((9, 9), 0.1)
+        db.insert("R0", (9, 9), 0.1)
         cache.validate()
         stats = cache.cache_stats()
         assert stats["size"] == 0

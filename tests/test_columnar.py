@@ -107,7 +107,7 @@ class TestEvaluationCache:
         q = parse_query("q(x) :- R(x)")
         engine = DissociationEngine(db)
         assert engine.propagation_score(q) == {(1,): 0.5}
-        db.table("R").insert((2,), 0.25)
+        db.insert("R", (2,), 0.25)
         assert engine.propagation_score(q) == {(1,): 0.5, (2,): 0.25}
 
     def test_cache_rejects_foreign_database(self):

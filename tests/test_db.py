@@ -88,9 +88,9 @@ class TestProbabilisticDatabase:
 
     def test_arity_mismatch(self):
         db = ProbabilisticDatabase()
-        table = db.add_table("R", [((1, 2), 0.5)])
+        db.add_table("R", [((1, 2), 0.5)])
         with pytest.raises(ValueError):
-            table.insert((1, 2, 3), 0.5)
+            db.insert("R", (1, 2, 3), 0.5)
 
     def test_duplicate_table(self):
         db = ProbabilisticDatabase()

@@ -53,7 +53,7 @@ class TestTableEpochs:
     def test_insert_advances_epoch(self):
         db = two_table_db()
         before = db.table_epoch("R")
-        db.table("R").insert((7, 8), 0.5)
+        db.insert("R", (7, 8), 0.5)
         after = db.table_epoch("R")
         assert after != before
         assert after[0] == before[0]  # same incarnation
@@ -106,9 +106,9 @@ class TestTableEpochs:
 
         start = pair()
         assert start == ("R", (stamp, 2)) and pair() is start
-        db.table("R").insert((7, 8), 0.5)
+        db.insert("R", (7, 8), 0.5)
         assert pair() == ("R", (stamp, 3))
-        db.table("R").delete((7, 8))
+        db.delete("R", (7, 8))
         assert pair() == ("R", (stamp, 4))
         db.touch()
         touched = pair()
@@ -283,7 +283,7 @@ class TestSQLiteRefresh:
         db = two_table_db()
         backend = SQLiteBackend(db)
         s_epoch = backend.table_epoch("S")
-        db.table("R").insert((7, 8), 0.125)
+        db.insert("R", (7, 8), 0.125)
         assert backend.refresh() == frozenset({"R"})
         rows = backend.connection.execute(
             "SELECT COUNT(*) FROM R"
@@ -338,7 +338,7 @@ class TestSQLiteRefresh:
         r_key, s_key = _FakeKey("R"), _FakeKey("S")
         registry.register(r_key, "SELECT 1 AS c, 0.5 AS prob")
         registry.register(s_key, "SELECT 2 AS c, 0.5 AS prob")
-        db.table("R").insert((7, 8), 0.125)
+        db.insert("R", (7, 8), 0.125)
         backend.refresh()
         assert registry.lookup(r_key) is None
         assert registry.lookup(s_key) is not None
@@ -368,7 +368,7 @@ class TestDisjointWriteEvictsNothing:
 
             # write confined to R5 — disjoint from the cached query
             session.mutate(
-                lambda d: d.table("R5").insert((90_001, 90_002), 0.25)
+                lambda d: d.insert("R5", (90_001, 90_002), 0.25)
             )
             assert session.results.stats()["evictions"] == 0
             again = session.evaluate(sub)
@@ -391,7 +391,7 @@ class TestDisjointWriteEvictsNothing:
                 # another disjoint write, then a repeat: the refresh
                 # must leave the query's views and statistics alone
                 session.mutate(
-                    lambda d: d.table("R5").insert((90_005, 90_006), 0.25)
+                    lambda d: d.insert("R5", (90_005, 90_006), 0.25)
                 )
                 engine.evaluate(sub, ALL_PLANS)
                 views_after = registry.cache_stats()
@@ -403,7 +403,7 @@ class TestDisjointWriteEvictsNothing:
 
             # control: a write to R1 must invalidate the cached entry
             session.mutate(
-                lambda d: d.table("R1").insert((90_003, 90_004), 0.25)
+                lambda d: d.insert("R1", (90_003, 90_004), 0.25)
             )
             assert session.results.stats()["evictions"] >= 1
             assert not session.evaluate(sub).cached
@@ -507,7 +507,7 @@ def test_interleaved_mutations_match_cold_engine(backend, workload, ops):
             name = tables[index % len(tables)]
             if kind == "insert":
                 row = _fresh_row(db, name, step)
-                session.mutate(lambda d: d.table(name).insert(row, 0.25))
+                session.mutate(lambda d: d.insert(name, row, 0.25))
             else:
                 session.mutate(lambda d: _drop_readd(d, name))
             for i, query in enumerate(queries):

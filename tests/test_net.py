@@ -478,7 +478,6 @@ class TestDifferential:
         "change",
         [
             lambda d: d.insert("R", (4,), 0.125),
-            lambda d: d.table("S").insert((2, 1), 0.5),
             lambda d: d.update_probability("T", (1,), 0.5),
             lambda d: d.delete("S", (1, 2)),
             lambda d: d.add_table("D", [(1,), (2,)]),
@@ -495,7 +494,6 @@ class TestDifferential:
         ],
         ids=[
             "insert",
-            "table-insert",
             "update_probability",
             "delete",
             "add_table-bare-rows",

@@ -518,9 +518,11 @@ def reducible_joins(draw):
         ]
         if shared:
             atom, position = draw(st.sampled_from(shared))
-            table = db.table(atom.relation)
-            for row, p in list(table)[: draw(st.integers(1, 3))]:
-                table.insert(row[:position] + (None,) + row[position + 1 :], p)
+            rows = list(db.table(atom.relation))[: draw(st.integers(1, 3))]
+            for row, p in rows:
+                db.insert(
+                    atom.relation, row[:position] + (None,) + row[position + 1 :], p
+                )
     return db, query, nulls
 
 

@@ -14,8 +14,8 @@ The guarantees pinned down here:
 * transient SQLite contention retries deterministically, permanent
   errors never retry;
 * a mutation function that raises releases the quiescence barrier and
-  either rolls back bit-identically (tracked writes — epochs untouched,
-  caches warm) or taints every epoch (untracked writes), so caches can
+  either rolls back bit-identically (epochs untouched, caches warm) or,
+  when the undo replay itself fails, taints every epoch, so caches can
   never serve half-applied state as the pre-mutation epoch. The deeper
   transactional/durability guarantees live in ``test_txn_recovery.py``.
 """
@@ -550,8 +550,16 @@ class TestMutationFailure:
 
     @staticmethod
     def _half_apply_then_raise(db):
-        db.table("R1").insert((999_991, 999_992), 0.5)
+        db.insert("R1", (999_991, 999_992), 0.5)
         raise ValueError("mutation failed midway")
+
+    @staticmethod
+    def _lossy_rollback(call=1):
+        """Faults that fail the ``call``-th undo replay, so that rollback
+        cannot be certified and the failed mutation taints."""
+        faults = FaultInjector()
+        faults.on_call("rollback", call, RuntimeError("chaos: undo lost"))
+        return faults
 
     def test_failed_mutation_releases_barrier_and_rolls_back(self):
         db, q = small_world()
@@ -593,26 +601,19 @@ class TestMutationFailure:
         with DissociationService(db) as service:
             rows_before = {t.name: dict(t.rows) for t in db}
             epochs_before = db.table_epochs()
-
-            def tracked_half_apply(d):
-                d.insert("R1", (999_991, 999_992), 0.5)
-                raise ValueError("mutation failed midway")
-
             with pytest.raises(ValueError):
-                service.mutate(tracked_half_apply)
+                service.mutate(self._half_apply_then_raise)
             # bit-identical restore: rows AND epochs
             assert {t.name: dict(t.rows) for t in db} == rows_before
             assert db.table_epochs() == epochs_before
             assert service.stats()["rolled_back_mutations"] == 1
 
     def test_failed_mutation_taints_untouched_tables(self):
-        # _half_apply_then_raise writes R1 *around* the tracked API
-        # (straight into the Table), so the rollback cannot be
-        # certified and the failure must taint *all* tables: the
-        # caches cannot know what else the failed function touched
-        # through untracked paths
+        # the undo replay fails, so the rollback cannot be certified
+        # and the failure must taint *all* tables: the caches cannot
+        # know what state the lost replay left behind
         db, q = small_world()
-        with DissociationService(db) as service:
+        with DissociationService(db, faults=self._lossy_rollback()) as service:
             untouched = {
                 name: db.table_epoch(name)
                 for name in db.table_names
@@ -631,10 +632,6 @@ class TestMutationFailure:
     def test_failed_mutations_are_counted_once_each_by_kind(self):
         db, _ = small_world()
 
-        def tracked_half_apply(d):
-            d.insert("R1", (999_991, 999_992), 0.5)
-            raise ValueError("mutation failed midway")
-
         def counters(service):
             stats = service.stats()
             return (
@@ -643,9 +640,11 @@ class TestMutationFailure:
                 stats["mutations"],
             )
 
-        with DissociationService(db) as service:
+        # the first failure rolls back, the second one's replay fails
+        faults = self._lossy_rollback(call=2)
+        with DissociationService(db, faults=faults) as service:
             with pytest.raises(ValueError):
-                service.mutate(tracked_half_apply)
+                service.mutate(self._half_apply_then_raise)
             assert counters(service) == (1, 0, 1)
             with pytest.raises(ValueError):
                 service.mutate(self._half_apply_then_raise)
@@ -655,7 +654,7 @@ class TestMutationFailure:
 
     def test_concurrent_mutators_do_not_deadlock_after_failure(self):
         db, q = small_world()
-        with DissociationService(db) as service:
+        with DissociationService(db, faults=self._lossy_rollback()) as service:
             with pytest.raises(ValueError):
                 service.mutate(self._half_apply_then_raise)
             # results over the half-applied state carry the new epoch

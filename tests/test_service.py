@@ -507,8 +507,8 @@ class TestConcurrencyStress:
                 for step in range(2):
                     time.sleep(0.05)
                     service.mutate(
-                        lambda d: d.table("R1").insert(
-                            (10_000 + step, 10_001 + step), 0.5
+                        lambda d: d.insert(
+                            "R1", (10_000 + step, 10_001 + step), 0.5
                         )
                     )
                     # epochs are stable until the next mutate(); compute
@@ -542,7 +542,7 @@ class TestConcurrencyStress:
             def mutate_once():
                 time.sleep(0.05)
                 service.mutate(
-                    lambda d: d.table("R2").insert((20_000, 20_001), 0.4)
+                    lambda d: d.insert("R2", (20_000, 20_001), 0.4)
                 )
                 expected.update(
                     _expected_for_epoch(db, queries, opts, "sqlite")
@@ -644,8 +644,8 @@ class TestRegressions:
                 mutators = [
                     threading.Thread(
                         target=lambda i=i: service.mutate(
-                            lambda d: d.table("R1").insert(
-                                (30_000 + i, 30_001 + i), 0.5
+                            lambda d: d.insert(
+                                "R1", (30_000 + i, 30_001 + i), 0.5
                             )
                         ),
                     )
@@ -679,7 +679,7 @@ class TestRegressions:
             before = engine.cache_stats()
             assert before["size"] > 0
             service.mutate(
-                lambda d: d.table("R1").insert((40_000, 40_001), 0.5)
+                lambda d: d.insert("R1", (40_000, 40_001), 0.5)
             )
             service.evaluate(query, ALL_PLANS)
             after = engine.cache_stats()

@@ -222,7 +222,7 @@ class TestSQLiteLifecycle:
         q = parse_query("q(x) :- R(x), S(x,y)")
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
         assert engine.propagation_score(q, ALL_PLANS_REUSE) == {(1,): 0.25}
-        db.table("S").insert((1, 3), 0.5)
+        db.insert("S", (1, 3), 0.5)
         want = DissociationEngine(db).propagation_score(q, ALL_PLANS_REUSE)
         got = engine.propagation_score(q, ALL_PLANS_REUSE)
         assert_scores_close(got, want)
@@ -234,7 +234,7 @@ class TestSQLiteLifecycle:
         q = parse_query("q(x) :- R(x)")
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
         assert engine.propagation_score(q) == {(1,): 0.5}
-        db.table("R").insert((1,), 0.9)  # overwrite the marginal
+        db.insert("R", (1,), 0.9)  # overwrite the marginal
         assert engine.propagation_score(q) == {(1,): 0.9}
 
     def test_added_table_visible_to_later_queries(self):
@@ -258,7 +258,7 @@ class TestSQLiteLifecycle:
         engine.propagation_score(q, ALL_PLANS_REUSE)
         before = engine.cache_stats()
         assert before["misses"] > 0
-        db.table("R1").insert((1, 1), 0.5)
+        db.insert("R1", (1, 1), 0.5)
         # the rebuild starts a fresh registry (and request history), so
         # again two calls re-register views; the counters keep counting
         engine.propagation_score(q, ALL_PLANS_REUSE)
@@ -273,7 +273,7 @@ class TestSQLiteLifecycle:
         q = parse_query("q(x) :- R(x)")
         engine.propagation_score(q)
         first = engine.sqlite
-        db.table("R").insert((2,), 0.25)
+        db.insert("R", (2,), 0.25)
         # the snapshot is refreshed in place — same backend object and
         # connection, with the mutated table reloaded
         scores = engine.propagation_score(q)
@@ -342,7 +342,7 @@ class TestRandomizedTempViewPath:
         db = _chain_db(k, n, seed=seed)
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
         engine.propagation_score(q, ALL_PLANS_REUSE)
-        db.table("R1").insert(new_row, p)
+        db.insert("R1", new_row, p)
         got = engine.propagation_score(q, ALL_PLANS_REUSE)
         want = DissociationEngine(db, EngineConfig(backend="sqlite")).propagation_score(
             q, ALL_PLANS_REUSE

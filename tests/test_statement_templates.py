@@ -682,14 +682,14 @@ class TestInvalidation:
         self._serve(db, engine, next(supply), "hit")
         # R3 is scanned but carries no constant: its epoch moves, the
         # views over it drop, its statistics are read again
-        db.table("R3").insert((10_001, 10_002), 0.5)
+        db.insert("R3", (10_001, 10_002), 0.5)
         self._serve(db, engine, next(supply), "miss")
         self._recovers(db, engine, supply)
         # an insert that makes the next constant a most common value:
         # its frequency class is new, whatever the other keys say
         hot = next(supply)
         for i in range(40):
-            db.table("R1").insert((hot, 20_000 + i), 0.5)
+            db.insert("R1", (hot, 20_000 + i), 0.5)
         self._serve(db, engine, hot, "miss")
         classes = frequency_classes(engine, "R1", 0)
         assert [hot] in classes.values()
@@ -711,7 +711,7 @@ class TestInvalidation:
         classes = frequency_classes(engine, "R1", 0)
         [frequency] = [f for f, values in classes.items() if constant in values]
         [common] = classes[max(classes)]
-        db.table("R1").insert((common, 30_001), 0.5)
+        db.insert("R1", (common, 30_001), 0.5)
         probe = next(supply)
         self._serve(db, engine, probe, "miss")
         assert registry.generation == generation
@@ -723,7 +723,7 @@ class TestInvalidation:
         db, engine, supply = self._engine()
         db.add_table("Z", [((1,), 0.5)])
         self._serve(db, engine, next(supply), "hit")
-        db.table("Z").insert((2,), 0.5)
+        db.insert("Z", (2,), 0.5)
         self._serve(db, engine, next(supply), "hit")
         engine.release()
 

@@ -73,7 +73,7 @@ class TestStatisticsCatalog:
         cache = EvaluationCache(db)
         stats_r = cache.table_statistics("R")
         stats_s = cache.table_statistics("S")
-        db.table("R").insert((4, 40), 0.5)
+        db.insert("R", (4, 40), 0.5)
         cache.validate()  # db-version token moved: encoded tables drop
         new_r = cache.table_statistics("R")
         assert new_r is not stats_r
@@ -88,7 +88,7 @@ class TestStatisticsCatalog:
         cache = EvaluationCache(db)
         catalog.table_stats("R", cache.encoded_table("R")[0])
         catalog.table_stats("S", cache.encoded_table("S")[0])
-        db.table("R").insert((9, 90), 0.5)
+        db.insert("R", (9, 90), 0.5)
         db.drop_table("S")
         catalog.validate()
         assert catalog.cached_tables() == frozenset()

@@ -2,10 +2,10 @@
 
 Four layers of guarantees:
 
-* **Undo-log rollback** — a raising ``mutate(fn)`` whose writes went
-  through the tracked helpers leaves the database *bit-identical*
-  (rows, probabilities, per-table epochs); untracked writes degrade to
-  the ``touch()`` taint, certified by per-table XOR fingerprints.
+* **Undo-log rollback** — a raising ``mutate(fn)`` leaves the database
+  *bit-identical* (rows, probabilities, per-table epochs), certified by
+  per-table XOR fingerprints; only a failing undo replay degrades to the
+  ``touch()`` taint.
 * **Warm caches** — after a rollback, zero evictions on any relation
   and repeat queries are served from cache with no new engine
   evaluations, on both backends.
@@ -13,8 +13,10 @@ Four layers of guarantees:
   mutations survive a SIGKILL; torn journal tails are truncated;
   checkpoints fold the journal crash-safely.
 * **Differential interleavings** (hypothesis) — any mix of tracked
-  mutations, failing mutations, and queries leaves the database equal
-  to a twin that never saw the failing calls.
+  mutations, helpers called outside ``mutate``, failing or refused
+  mutations, and queries leaves the database equal to a twin that never
+  saw the failing calls, in memory and on a durable store that reopens
+  to the same state.
 * **Change records** (hypothesis) — the same mutate groups applied
   through the tracked helpers, or recorded by ``MutationRecorder`` and
   replayed by ``apply_record``, reopen to the same durable state.
@@ -141,58 +143,6 @@ class TestRollback:
         assert db.version != version
         assert db.last_mutation.committed
         assert db.last_mutation.tracked_ops == 1
-
-    def test_untracked_failure_taints(self):
-        db = small_db()
-        epochs = db.table_epochs()
-
-        def fn(d):
-            d.table("R").insert((9, 9), 0.5)  # around the tracked API
-            raise RuntimeError("abort")
-
-        with pytest.raises(RuntimeError):
-            db.mutate(fn)
-        assert db.last_mutation.tainted
-        assert all(
-            db.table_epoch(name) != old for name, old in epochs.items()
-        )
-        # the half-applied write survives (taint marks it, nothing hides it)
-        assert (9, 9) in db.table("R").rows
-
-    def test_untracked_raw_row_poke_is_undetectable_documented(self):
-        # the documented contract boundary: writes through Table.insert
-        # are caught by the fingerprint; raw dict pokes are not
-        db = small_db()
-
-        def fn(d):
-            d.table("R").insert((9, 9), 0.5)
-            raise RuntimeError("abort")
-
-        with pytest.raises(RuntimeError):
-            db.mutate(fn)
-        assert db.last_mutation.tainted
-
-    def test_untracked_success_commits_with_moved_epoch(self):
-        db = small_db()
-        epoch = db.table("R").epoch
-        db.mutate(lambda d: d.table("R").insert((9, 9), 0.5))
-        assert db.last_mutation.committed
-        assert db.last_mutation.tracked_ops == 0
-        assert db.table("R").epoch != epoch
-
-    def test_mixed_tracked_then_untracked_failure_taints(self):
-        db = small_db()
-
-        def fn(d):
-            d.insert("R", (5, 6), 0.75)           # tracked
-            d.table("S").insert((7,), 0.1)        # untracked
-            raise RuntimeError("abort")
-
-        with pytest.raises(RuntimeError):
-            db.mutate(fn)
-        assert db.last_mutation.tainted
-        # the tracked write *was* undone before the certificate failed
-        assert (5, 6) not in db.table("R").rows
 
     def test_nested_mutate_raises(self):
         db = small_db()
@@ -523,6 +473,24 @@ class TestDurability:
         assert state_of(reopened) == expected
         reopened.close()
 
+    def test_refused_write_outside_mutate_rolls_back(self, tmp_path):
+        """A helper outside ``mutate`` is a one-op transaction: the row
+        the journal refuses leaves memory, epochs and disk as they
+        were."""
+        db = ProbabilisticDatabase.open(tmp_path / "store", fsync="off")
+        db.add_table("R", [((1, 2), 0.5)])
+        before = state_of(db)
+        epochs = db.table_epochs()
+        with pytest.raises(JournalError, match="JSON scalar"):
+            db.insert("R", (2, (3, 4)), 0.25)
+        assert state_of(db) == before
+        assert db.table_epochs() == epochs
+        assert db.last_mutation.rolled_back
+        db.close()
+        reopened = ProbabilisticDatabase.open(tmp_path / "store")
+        assert state_of(reopened) == before
+        reopened.close()
+
     def test_fsync_policy_validation(self, tmp_path):
         with pytest.raises(ValueError, match="fsync"):
             DurableStore(tmp_path / "s", fsync="sometimes")
@@ -644,61 +612,98 @@ class TestSigkillRecovery:
 # ----------------------------------------------------------------------
 def _op_strategy():
     row = st.integers(min_value=0, max_value=9)
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("insert"), row, row),
-            st.tuples(st.just("delete"), row, row),
-            st.tuples(st.just("update"), row, row),
-            st.tuples(st.just("fail_insert"), row, row),
-            st.tuples(st.just("fail_multi"), row, row),
-            st.tuples(st.just("query"), st.just(0), st.just(0)),
-        ),
-        min_size=1,
-        max_size=12,
+    kind = st.sampled_from(
+        [
+            "insert",
+            "delete",
+            "update",
+            "tuple_insert",
+            "fail_insert",
+            "fail_multi",
+            "query",
+        ]
     )
+    # the flag calls a single-helper kind outside ``mutate``
+    return st.lists(
+        st.tuples(kind, row, row, st.booleans()), min_size=1, max_size=12
+    )
+
+
+def _observed(db) -> tuple:
+    return (
+        {t.name: dict(t.rows) for t in db},
+        fingerprints(db),
+        db.table_epochs(),
+    )
+
+
+def _seed_interleaving(d):
+    d.add_table("R", [((i, i + 1), 0.5) for i in range(4)])
+    d.add_table("Z", [((1,), 0.9)])  # never touched
 
 
 class TestInterleavings:
     @given(ops=_op_strategy())
     @settings(max_examples=40, deadline=None)
     def test_bit_identity_with_never_failed_twin(self, ops):
-        db = ProbabilisticDatabase()
-        db.add_table("R", [((i, i + 1), 0.5) for i in range(4)])
-        db.add_table("Z", [((1,), 0.9)])  # never touched
-        twin = ProbabilisticDatabase()
-        twin.add_table("R", [((i, i + 1), 0.5) for i in range(4)])
-        twin.add_table("Z", [((1,), 0.9)])
-        z_epoch = db.table("Z").epoch
+        for durable in (False, True):
+            with tempfile.TemporaryDirectory() as scratch:
+                _interleave(ops, scratch if durable else None)
 
-        with connect(db, result_cache_size=None) as session:
-            for kind, a, b in ops:
-                if kind == "query":
-                    session.evaluate("q(x) :- R(x, y)")
-                    continue
-                apply = _APPLY[kind]
-                failing = kind.startswith("fail_")
-                try:
+
+def _interleave(ops, store) -> None:
+    """Run ``ops`` on a database — durable at directory ``store``, or
+    in memory when it is ``None`` — and on a twin that sees only the
+    ops that succeeded."""
+    durable = store is not None
+    if durable:
+        db = ProbabilisticDatabase.open(store, fsync="off")
+        db.mutate(_seed_interleaving)
+    else:
+        db = ProbabilisticDatabase()
+        _seed_interleaving(db)
+    twin = ProbabilisticDatabase()
+    _seed_interleaving(twin)
+    z_epoch = db.table("Z").epoch
+
+    with connect(db, result_cache_size=None) as session:
+        for kind, a, b, direct in ops:
+            if kind == "query":
+                session.evaluate("q(x) :- R(x, y)")
+                continue
+            apply = _APPLY[kind]
+            direct = direct and not kind.startswith("fail_")
+            # only the journal refuses a tuple-valued row value
+            refused = durable and kind == "tuple_insert"
+            before = _observed(db)
+            try:
+                if direct:
+                    apply(db, a, b)
+                else:
                     session.mutate(lambda d: apply(d, a, b))
-                except _Abort:
+            except (_Abort, KeyError, JournalError) as exc:
+                # failed (a delete/update of a missing row too) or
+                # refused: nothing of the op is left, not even an
+                # epoch bump
+                assert isinstance(exc, JournalError) == refused
+                assert _observed(db) == before
+                if durable or not direct:
                     assert db.last_mutation.rolled_back
-                except KeyError:
-                    # op invalid on current state (delete/update of a
-                    # missing row) — rolled back on db, skipped on twin
-                    assert db.last_mutation.rolled_back
-                    continue
-                if not failing:
-                    try:
-                        apply(twin, a, b)
-                    except (_Abort, KeyError):
-                        pass
-            # bit-identity: rows AND per-table epoch of the relation
-            # the failures touched... epochs can differ on R (twin saw
-            # fewer counter bumps), so compare contents + fingerprints
-            assert dict(db.table("R").rows) == dict(twin.table("R").rows)
-            assert db.table("R").fingerprint == twin.table("R").fingerprint
-            # the untouched relation's epoch NEVER moved: zero
-            # invalidation pressure on Z from any failed mutation
-            assert db.table("Z").epoch == z_epoch
+                continue
+            assert not refused
+            apply(twin, a, b)
+        # epochs differ on R (the twin saw fewer counter bumps), so
+        # compare contents + fingerprints
+        assert dict(db.table("R").rows) == dict(twin.table("R").rows)
+        assert db.table("R").fingerprint == twin.table("R").fingerprint
+        # the untouched relation's epoch NEVER moved: zero
+        # invalidation pressure on Z from any failed mutation
+        assert db.table("Z").epoch == z_epoch
+    if durable:
+        db.close()
+        reopened = ProbabilisticDatabase.open(store)
+        assert _observed(reopened)[:2] == _observed(db)[:2]
+        reopened.close()
 
 
 class _Abort(Exception):
@@ -717,6 +722,10 @@ def _apply_update(d, a, b):
     d.update_probability("R", (a, b), 0.75)
 
 
+def _apply_tuple_insert(d, a, b):
+    d.insert("R", (a, (b,)), 0.5)
+
+
 def _apply_fail_insert(d, a, b):
     d.insert("R", (a, b), 0.5)
     raise _Abort()
@@ -733,6 +742,7 @@ _APPLY = {
     "insert": _apply_insert,
     "delete": _apply_delete,
     "update": _apply_update,
+    "tuple_insert": _apply_tuple_insert,
     "fail_insert": _apply_fail_insert,
     "fail_multi": _apply_fail_multi,
 }
