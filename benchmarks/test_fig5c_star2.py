@@ -18,23 +18,27 @@ GATED = {m: OPTIMIZATION_MODES[m] for m in ("opt12", "opt123")}
 
 def test_fig5c(report, benchmark, best_seconds):
     q = star_query(2)
-    rows = []
+    rows, sizes = [], []
     for n in SIZES:
         db = star_database(2, n, seed=43, p_max=0.5)
+        # n caps each table; R1's draws collide, so it holds fewer rows
+        sizes.append((len(db.table("R1")), len(db.table("R0"))))
         rows.append(dissociation_timings(q, db, label=f"n={n}"))
 
     table = format_table(
-        ["n", "standard_sql", "all_plans", "opt1", "opt12", "opt123"],
+        ["n", "|R1|", "|R0|", "standard_sql", "all_plans", "opt1", "opt12",
+         "opt123"],
         [
             [
                 row.label,
+                *size,
                 row.seconds["standard_sql"],
                 row.seconds["all_plans"],
                 row.seconds["opt1"],
                 row.seconds["opt12"],
                 row.seconds["opt123"],
             ]
-            for row in rows
+            for row, size in zip(rows, sizes)
         ],
         title="FIG 5c — 2-star, seconds per strategy",
     )

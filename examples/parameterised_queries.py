@@ -8,7 +8,9 @@ atoms. This example sends one chain shape with 50 different constants
 through ``repro.connect()``: the first request pays for Algorithm 1 and
 Algorithm 2, the other 49 reuse its plans — and share every subplan that
 does not touch the parameterised atom with it, so the subplan cache
-answers those too.
+answers those too. What a constant selected is never admitted to that
+cache (it belongs to one request), so the cache stops growing once the
+shape's constant-free subplans are in and evicts nothing.
 
 The second half sends the same 50 constants to SQLite. There the
 constant-free subplans become temp views over the shape's first two
@@ -44,12 +46,13 @@ def main() -> None:
     constants = sorted(db.table("R1").column_values(0))[:50]
 
     with repro.connect(db) as session:
-        latencies = []
+        latencies, sizes = [], []
         for constant in constants:
             started = time.perf_counter()
             result = session.evaluate(chain(constant))
             latencies.append((time.perf_counter() - started) * 1e3)
             assert not result.cached  # a new constant is a new answer
+            sizes.append(session.stats()["engine"]["cache"]["size"])
 
         stats = session.stats()
         memo = stats["engine"]["plan_memo"]
@@ -67,6 +70,10 @@ def main() -> None:
         assert memo["misses"] == 2 and memo["size"] == 2
         assert memo["hits"] == 2 * len(constants) - 2
         assert stats["result_cache"]["hits"] == 0
+        # the admission rule: nothing a constant selected is retained, so
+        # the subplan cache is flat from the third constant on
+        assert sizes[-1] == sizes[2] > 0
+        assert stats["engine"]["cache"]["evictions"] == 0
 
         # A renamed, re-ordered, re-parameterised spelling of the shape
         # is served from the same template.

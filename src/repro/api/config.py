@@ -61,12 +61,14 @@ class EngineConfig:
         LRU cap of the Opt.-2 subplan cache (memory plan-result layer /
         SQLite materialized-view registry). The default, 1 024, holds
         the largest plan set the repository evaluates (the chain-7
-        all-plans set has 595 distinct subplans) while bounding what
-        parameterised traffic leaves behind: a constant-free subplan is
-        re-touched by every request of its shape, one beneath a
-        selection constant never is, so plain LRU drops the right
-        entries. ``None`` is unbounded, ``0`` disables cross-statement
-        reuse.
+        all-plans set has 595 distinct subplans). It bounds what either
+        executor admits, and both admit by Algorithm 3's ``selective``
+        rule: a subplan beneath a selection constant belongs to one
+        request (on memory it lives in the request's own memo, on
+        SQLite inside its statement until the same constant comes
+        back), so parameterised traffic leaves only the shape's
+        constant-free subplans behind. ``None`` is unbounded, ``0``
+        disables cross-statement reuse.
     write_factor:
         Write-vs-read cost ratio of the Algorithm-3 materialization
         gate; ``None`` uses the engine default (or the service's

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .atoms import Atom
 from .query import ConjunctiveQuery
-from .symbols import Variable
+from .symbols import Constant, Variable
 
 __all__ = ["Plan", "Scan", "Project", "Join", "MinPlan", "plan_signature"]
 
@@ -60,9 +60,28 @@ class Plan:
 
         The plan's epoch-vector footprint: a memoized result of this
         plan stays valid exactly while none of these relations' table
-        epochs move.
+        epochs move. Composed from the children's and kept on the node
+        (plans are immutable).
         """
-        return frozenset(a.relation for a in self.atoms())
+        if self._relations is None:
+            self._relations = frozenset().union(
+                *(child.relations() for child in self.children())
+            )
+        return self._relations
+
+    def selective(self) -> bool:
+        """Whether a selection constant sits beneath this node.
+
+        Algorithm 3's ``selective``: such a result belongs to one
+        binding of the query's parameters, so no later request of
+        another binding reads it. Composed from the children's and kept
+        on the node.
+        """
+        if self._selective is None:
+            self._selective = any(
+                child.selective() for child in self.children()
+            )
+        return self._selective
 
     def query(self, name: str = "q") -> ConjunctiveQuery:
         """The query ``q_P`` this plan represents (Def. 4)."""
@@ -123,11 +142,13 @@ class Scan(Plan):
     metadata only and never materialized (Theorem 18).
     """
 
-    __slots__ = ("atom", "_hash")
+    __slots__ = ("atom", "_hash", "_relations", "_selective")
 
     def __init__(self, atom: Atom) -> None:
         self.atom = atom
         self._hash: int | None = None
+        self._relations: frozenset[str] | None = None
+        self._selective: bool | None = None
 
     @property
     def head_variables(self) -> frozenset[Variable]:
@@ -138,6 +159,18 @@ class Scan(Plan):
 
     def _collect_atoms(self, out: list[Atom]) -> None:
         out.append(self.atom)
+
+    def relations(self) -> frozenset[str]:
+        if self._relations is None:
+            self._relations = frozenset((self.atom.relation,))
+        return self._relations
+
+    def selective(self) -> bool:
+        if self._selective is None:
+            self._selective = any(
+                isinstance(term, Constant) for term in self.atom.terms
+            )
+        return self._selective
 
     def pretty(self, indent: int = 0) -> str:
         return "  " * indent + str(self.atom.without_dissociation())
@@ -167,12 +200,14 @@ class Project(Plan):
     output tuple with inputs ``s_1..s_n`` is ``1 − ∏(1 − s_i)``.
     """
 
-    __slots__ = ("head", "child", "_hash")
+    __slots__ = ("head", "child", "_hash", "_relations", "_selective")
 
     def __init__(self, head: Sequence[Variable] | frozenset[Variable], child: Plan) -> None:
         self.head = frozenset(head)
         self.child = child
         self._hash: int | None = None
+        self._relations: frozenset[str] | None = None
+        self._selective: bool | None = None
         extra = self.head - child.head_variables
         if extra:
             raise ValueError(
@@ -226,7 +261,7 @@ class Join(Plan):
     as a multiset.
     """
 
-    __slots__ = ("parts", "_head", "_hash")
+    __slots__ = ("parts", "_head", "_hash", "_relations", "_selective")
 
     def __init__(self, parts: Sequence[Plan]) -> None:
         parts = tuple(parts)
@@ -235,6 +270,8 @@ class Join(Plan):
         self.parts = parts
         self._head = frozenset().union(*(p.head_variables for p in parts))
         self._hash: int | None = None
+        self._relations: frozenset[str] | None = None
+        self._selective: bool | None = None
 
     @property
     def head_variables(self) -> frozenset[Variable]:
@@ -288,7 +325,7 @@ class MinPlan(Plan):
     kept, yielding the tightest of the children's upper bounds.
     """
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_hash", "_relations", "_selective")
 
     def __init__(self, parts: Sequence[Plan]) -> None:
         parts = tuple(parts)
@@ -297,11 +334,13 @@ class MinPlan(Plan):
         heads = {p.head_variables for p in parts}
         if len(heads) != 1:
             raise ValueError("min children must share the same head variables")
-        relations = {frozenset(a.relation for a in p.atoms()) for p in parts}
+        relations = {p.relations() for p in parts}
         if len(relations) != 1:
             raise ValueError("min children must cover the same relations")
         self.parts = parts
         self._hash: int | None = None
+        self._relations: frozenset[str] = relations.pop()
+        self._selective: bool | None = None
 
     @property
     def head_variables(self) -> frozenset[Variable]:
@@ -388,5 +427,4 @@ def plan_signature(plan: Plan) -> tuple[frozenset[str], frozenset[Variable]]:
     variables — compute the same result table and may share a view
     (Optimization 2, Sec. 4.2).
     """
-    relations = frozenset(a.relation for a in plan.atoms())
-    return (relations, plan.head_variables)
+    return (plan.relations(), plan.head_variables)

@@ -456,7 +456,9 @@ class DissociationEngine:
         the batch counts every reference site, so the Algorithm-3
         policy materializes it once for the whole batch instead of
         re-deriving it per query. On the memory backend the shared
-        structural cache plays the same role. Per-query results are
+        structural cache plays the same role for constant-free
+        subplans, and one per-call memo shared by the batch's queries
+        for those beneath a selection constant. Per-query results are
         bit-identical to evaluating the queries one at a time on this
         engine (sharing changes *when* a subplan is computed, never the
         floats the memory engine produces; on SQLite, materialization
@@ -604,12 +606,14 @@ class DissociationEngine:
     ) -> dict[Plan, dict[tuple, float]]:
         """Each minimal plan's scores separately (needed by the ``avg[d]``
         ranking experiments, Result 6); with ``semijoin``, in a scope of
-        the persistent cache under ``query``'s Opt.-3 row masks."""
+        the persistent cache under ``query``'s Opt.-3 row masks. The
+        plans share one per-call memo, as in all-plans mode."""
         cache = self.memory_executor.cache_for()
         if semijoin:
             cache = cache.plan_scope(semijoin_masks(query, cache))
+        memo: dict = {}
         return {
-            plan: plan_scores(plan, query, self.db, cache=cache)
+            plan: plan_scores(plan, query, self.db, cache=cache, memo=memo)
             for plan in self.minimal_plans(query)
         }
 

@@ -93,14 +93,26 @@ class MemoryExecutor:
 
     def run(self, batch: Batch, opts) -> list[tuple[dict, None]]:
         out = []
+        # The persistent cache admits no selective subplan; the batch's
+        # queries share one memo of them instead, so a selection two
+        # queries share is computed once. A new database version starts
+        # a new memo.
+        shared: dict = {}
+        version = None
         for query, targets in batch:
             # Cross-query sharing is the structural plan-result layer of
             # the one persistent cache. Opt. 3 masks that cache's rows
             # per query, so a semi-join request evaluates in a masked
             # scope whose memo lives for the request only.
             base = self.cache_for()
+            memo = None  # one fresh memo per call
             if opts.semijoin:
                 base = base.plan_scope(semijoin_masks(query, base))
+            elif opts.reuse_views:
+                current = self.db.version
+                if current != version:
+                    shared, version = {}, current
+                memo = shared
             # Opt. 2 (view reuse) is the shared plan-result memo: with it
             # on, one structural cache spans all plans of this call *and*
             # — without Opt. 3 — later calls. With it off, each plan gets
@@ -110,7 +122,9 @@ class MemoryExecutor:
             # plan.
             if opts.single_plan:
                 cache = base if opts.reuse_views else base.plan_scope()
-                scores = plan_scores(targets[0], query, self.db, cache=cache)
+                scores = plan_scores(
+                    targets[0], query, self.db, cache=cache, memo=memo
+                )
             else:
                 # all-plans min-combining stays columnar (one decode for
                 # the whole call instead of one per plan — the warm
@@ -122,7 +136,7 @@ class MemoryExecutor:
                 )
                 with self.observer.span("combine.min", plans=len(targets)):
                     scores = plan_scores_min_combined(
-                        targets, query, self.db, caches
+                        targets, query, self.db, caches, memo=memo
                     )
             out.append((scores, None))
         return out

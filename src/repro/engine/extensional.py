@@ -10,10 +10,14 @@ set-at-a-time operators instead of the seed's row-at-a-time interpreter
   a shared dictionary, so all joins and group-bys run on integers;
 * scan — mask-filter the cached encoded relation (tuple probability),
   the scope's Opt.-3 row mask included;
-* join — vectorized hash join (sort + ``searchsorted`` match expansion)
-  folded in the order :func:`_fold_order` picks; scores multiply
-  (independence assumption), and the multiplication runs in *canonical
-  part order* so every join schedule produces bit-identical scores;
+* join — vectorized sort-probe join folded smallest input first
+  (:func:`_fold_order`): the accumulating side's keys are
+  ``searchsorted`` into the next input's sorted keys, which that input
+  sorts once and keeps (:meth:`_Columnar.sorted_keys`), so a cached
+  constant-free view is probed, not re-sorted, by every request that
+  reads it; scores multiply (independence assumption), and the
+  multiplication runs in *canonical part order* so every join schedule
+  produces bit-identical scores;
 * projection with duplicate elimination — grouped independent-or
   ``1 − ∏(1 − s_i)`` via ``np.multiply.reduceat`` over stably sorted
   group runs;
@@ -24,9 +28,10 @@ Shared plan nodes are evaluated once: results are memoized in an
 :class:`EvaluationCache` keyed by the plans' *structural* hash/equality
 (not object identity), so Optimization 2 view reuse extends across the
 separate plans of the "all plans" mode and — when the cache is threaded
-through :class:`repro.engine.DissociationEngine` — across queries. The
-cache snapshots the database's version token and clears itself when the
-database mutates.
+through :class:`repro.engine.DissociationEngine` — across queries. A
+result beneath a selection constant (:meth:`Plan.selective`) lives in
+the per-call memo only. The cache snapshots the database's version
+token and clears itself when the database mutates.
 """
 
 from __future__ import annotations
@@ -71,9 +76,13 @@ class _Columnar:
     distinct (scans are injective after filtering, joins concatenate
     distinct inputs, projections group). Arrays are treated as immutable
     and may be shared between results.
+
+    A result probed by a join keeps the sorted row keys of the probed
+    columns (:meth:`sorted_keys`); they live and die with the result, so
+    whatever drops a cached result drops its sort memo too.
     """
 
-    __slots__ = ("order", "columns", "scores", "_profile")
+    __slots__ = ("order", "columns", "scores", "_profile", "_sorted")
 
     def __init__(
         self,
@@ -85,6 +94,8 @@ class _Columnar:
         self.columns = columns
         self.scores = scores
         self._profile: JoinProfile | None = None
+        # key-column positions -> (radix, perm, keys[perm])
+        self._sorted: dict | None = None
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -100,6 +111,29 @@ class _Columnar:
                 self.order, self.columns, len(self)
             )
         return self._profile
+
+    def sorted_keys(
+        self, positions: tuple[int, ...], radix: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(perm, keys[perm])`` of the row keys over ``positions``.
+
+        Built on the first probe and kept: a cached result is sorted
+        once however many requests probe it. A composite key depends on
+        ``radix`` (:func:`_radix`), so an entry built under an older one
+        is replaced, never kept beside the new. Two threads building the
+        same entry store identical arrays.
+        """
+        memo = self._sorted
+        if memo is None:
+            memo = self._sorted = {}
+        entry = memo.get(positions)
+        if entry is None or entry[0] != radix:
+            key = _radix_key(
+                tuple(self.columns[i] for i in positions), len(self), radix
+            )
+            perm = np.argsort(key, kind="stable")
+            entry = memo[positions] = (radix, perm, key[perm])
+        return entry[1], entry[2]
 
 
 def _empty(order: tuple[Variable, ...]) -> _Columnar:
@@ -121,6 +155,12 @@ class EvaluationCache:
       per relation (built lazily on first scan);
     * plan results keyed by the plan nodes' structural hash/equality —
       this is what realizes Opt. 2 across plans and across queries.
+      Admission is Algorithm 3's ``selective`` rule: a plan beneath a
+      selection constant (:meth:`Plan.selective`) belongs to one
+      binding of the query's parameters, so it is neither looked up
+      nor stored here; it lives in the per-call memo of
+      :func:`evaluate_plan` (which the memory executor shares across
+      one batch).
 
     The cache records ``db.version`` when created; :meth:`validate`
     drops the encoded tables and plan results whenever the token moved.
@@ -129,11 +169,12 @@ class EvaluationCache:
     is disabled but re-encoding relations per plan would be wasteful —
     and, optionally, a row mask per relation its scans apply (Opt. 3).
 
-    ``max_plans`` bounds the plan-result layer LRU-style: ``None`` is
+    ``max_plans`` bounds the admitted plan results LRU-style: ``None`` is
     unbounded, ``0`` retains nothing across calls (shared DAG nodes
     still evaluate once *within* a call through a per-call memo), ``N``
     keeps the ``N`` most recently used results. :meth:`cache_stats` exposes
-    cumulative hit/miss/eviction counters — the same shape the SQLite
+    cumulative hit/miss/eviction counters (every subplan evaluated
+    counts a miss, a selective one included) — the same shape the SQLite
     backend's view registry reports, so both backends share one cache
     interface.
 
@@ -273,12 +314,35 @@ class EvaluationCache:
     def max_plans(self) -> int | None:
         return self._plans.max_entries
 
-    def lookup_plan(self, plan: Plan) -> "_Columnar | None":
-        """The memoized result of ``plan``, marking it most recently used."""
+    def lookup_plan(
+        self, plan: Plan, memo: "dict[Plan, _Columnar] | None" = None
+    ) -> "_Columnar | None":
+        """The memoized result of ``plan``, or ``None`` (a miss).
+
+        An admitted plan is looked up here, marking it most recently
+        used; a selective one only in ``memo``, the caller's per-call
+        store, whose hits are the caller's and go uncounted.
+        """
+        if plan.selective():
+            result = None if memo is None else memo.get(plan)
+            if result is None:
+                self._plans.add_miss()
+            return result
         entry = self._plans.get(plan)
         return None if entry is None else entry[1]
 
-    def store_plan(self, plan: Plan, result: "_Columnar") -> None:
+    def store_plan(
+        self,
+        plan: Plan,
+        result: "_Columnar",
+        memo: "dict[Plan, _Columnar] | None" = None,
+    ) -> None:
+        """Admit ``result``, or keep it in ``memo`` if ``plan`` is
+        selective."""
+        if plan.selective():
+            if memo is not None:
+                memo[plan] = result
+            return
         if self.max_plans == 0:
             return
         vector = self.db.epoch_vector(plan.relations())
@@ -346,6 +410,7 @@ def evaluate_plan(
     output_order: Iterable[Variable] | None = None,
     cache: EvaluationCache | None = None,
     recorder: "list[dict] | None" = None,
+    memo: "dict[Plan, _Columnar] | None" = None,
 ) -> dict[tuple, float]:
     """Score every output tuple of ``plan`` on ``db``.
 
@@ -354,7 +419,10 @@ def evaluate_plan(
     by variable name. For Boolean plans the single key is ``()``.
 
     ``cache`` shares interning, encoded relations, and plan results
-    across calls; it must have been built for the same ``db``.
+    across calls; it must have been built for the same ``db``. ``memo``
+    keeps the call's selective results, which the cache never admits;
+    pass one dict to several calls on one cache scope to share them
+    while nothing moves the database.
 
     ``recorder``, when given, collects one dict per *executed* join node
     (chosen order and estimated vs. actual
@@ -368,7 +436,7 @@ def evaluate_plan(
         if cache.db is not db:
             raise ValueError("evaluation cache was built for a different database")
         cache.validate()
-    result = _evaluate(plan, cache, {}, recorder)
+    result = _evaluate(plan, cache, {}, {} if memo is None else memo, recorder)
     return _shape_scores(result, cache, output_order)
 
 
@@ -400,10 +468,11 @@ def plan_scores(
     db: ProbabilisticDatabase,
     cache: EvaluationCache | None = None,
     recorder: "list[dict] | None" = None,
+    memo: "dict[Plan, _Columnar] | None" = None,
 ) -> dict[tuple, float]:
     """``evaluate_plan`` keyed in the query's declared head order."""
     return evaluate_plan(
-        plan, db, query.head_order, cache=cache, recorder=recorder
+        plan, db, query.head_order, cache=cache, recorder=recorder, memo=memo
     )
 
 
@@ -413,6 +482,7 @@ def plan_scores_min_combined(
     db: ProbabilisticDatabase,
     caches: "Sequence[EvaluationCache] | EvaluationCache",
     recorder: "list[dict] | None" = None,
+    memo: "dict[Plan, _Columnar] | None" = None,
 ) -> dict[tuple, float]:
     """All-plans evaluation with the min-combining kept *columnar*.
 
@@ -431,23 +501,28 @@ def plan_scores_min_combined(
     cache per plan (the reuse-disabled mode's per-plan scopes); all of
     them must share their interning dictionary (be scopes of one base
     cache), since the row keys that align the plans' answer tuples live
-    in that shared code space.
+    in that shared code space. One shared cache shares one ``memo`` of
+    selective results across the plans (as in :func:`evaluate_plan`);
+    per-plan scopes get one fresh memo each.
     """
     plans = list(plans)
     if not plans:
         return {}
     if isinstance(caches, EvaluationCache):
         caches = [caches] * len(plans)
-    elif len(caches) != len(plans):
-        raise ValueError("one cache (or one per plan) required")
+        memos = [{} if memo is None else memo] * len(plans)
+    elif len(caches) != len(plans) or memo is not None:
+        raise ValueError("one cache (or one per plan, without a memo) required")
+    else:
+        memos = [{} for _ in plans]
     results = []
-    for plan, cache in zip(plans, caches):
+    for plan, cache, plan_memo in zip(plans, caches, memos):
         if cache.db is not db:
             raise ValueError(
                 "evaluation cache was built for a different database"
             )
         cache.validate()
-        results.append(_evaluate(plan, cache, {}, recorder))
+        results.append(_evaluate(plan, cache, {}, plan_memo, recorder))
     combined = _aligned_min(results, caches[0])
     return _shape_scores(combined, caches[0], query.head_order)
 
@@ -472,17 +547,20 @@ def _evaluate(
     plan: Plan,
     cache: EvaluationCache,
     local: dict[Plan, _Columnar],
+    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
-    # ``local`` memoizes within one evaluate_plan call: shared nodes of
-    # an Algorithm-2 DAG must evaluate once even when the cross-call
-    # cache layer is disabled or capped (max_plans=0 bounds *retained*
-    # state, not the intra-call sharing the algorithm relies on).
+    # ``local`` memoizes within one plan: shared nodes of an
+    # Algorithm-2 DAG must evaluate once even when the cross-call cache
+    # layer is disabled or capped (max_plans=0 bounds *retained* state,
+    # not the intra-call sharing the algorithm relies on). ``memo`` is
+    # the caller's per-call store of selective nodes, which the cache
+    # never admits.
     cached = local.get(plan)
     if cached is not None:
         return cached
     obs = cache.observer
-    cached = cache.lookup_plan(plan)
+    cached = cache.lookup_plan(plan, memo)
     if cached is not None:
         if obs.enabled:
             with obs.span("subplan") as span:
@@ -497,11 +575,11 @@ def _evaluate(
         if isinstance(plan, Scan):
             result = _scan(plan, cache)
         elif isinstance(plan, Project):
-            result = _project(plan, cache, local, recorder)
+            result = _project(plan, cache, local, memo, recorder)
         elif isinstance(plan, Join):
-            result = _join(plan, cache, local, recorder)
+            result = _join(plan, cache, local, memo, recorder)
         elif isinstance(plan, MinPlan):
-            result = _min(plan, cache, local, recorder)
+            result = _min(plan, cache, local, memo, recorder)
         else:  # pragma: no cover - sealed hierarchy
             raise TypeError(f"unknown plan node {plan!r}")
     else:
@@ -509,11 +587,11 @@ def _evaluate(
             if isinstance(plan, Scan):
                 result = _scan(plan, cache)
             elif isinstance(plan, Project):
-                result = _project(plan, cache, local, recorder)
+                result = _project(plan, cache, local, memo, recorder)
             elif isinstance(plan, Join):
-                result = _join(plan, cache, local, recorder)
+                result = _join(plan, cache, local, memo, recorder)
             elif isinstance(plan, MinPlan):
-                result = _min(plan, cache, local, recorder)
+                result = _min(plan, cache, local, memo, recorder)
             else:  # pragma: no cover - sealed hierarchy
                 raise TypeError(f"unknown plan node {plan!r}")
             span.note(
@@ -522,7 +600,7 @@ def _evaluate(
                 rows=len(result),
             )
     local[plan] = result
-    cache.store_plan(plan, result)
+    cache.store_plan(plan, result, memo)
     return result
 
 
@@ -571,9 +649,10 @@ def _project(
     plan: Project,
     cache: EvaluationCache,
     local: dict[Plan, _Columnar],
+    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
-    child = _evaluate(plan.child, cache, local, recorder)
+    child = _evaluate(plan.child, cache, local, memo, recorder)
     order = tuple(v for v in child.order if v in plan.head)
     keep = [child.order.index(v) for v in order]
     n = len(child)
@@ -617,9 +696,12 @@ def _join(
     plan: Join,
     cache: EvaluationCache,
     local: dict[Plan, _Columnar],
+    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
-    results = [_evaluate(part, cache, local, recorder) for part in plan.parts]
+    results = [
+        _evaluate(part, cache, local, memo, recorder) for part in plan.parts
+    ]
     order = _fold_order(results)
     profiles: "list[JoinProfile] | None" = None
     record: dict | None = None
@@ -689,15 +771,16 @@ def _join(
 
 
 def _fold_order(results: "Sequence[_Columnar]") -> list[int]:
-    """The order ``_join`` folds its inputs in.
-
-    A binary join accumulates on the larger input, so the smaller one is
-    the side sorted and probed. A wider join takes ``greedy_order`` over
+    """The order ``_join`` folds its inputs in: ``greedy_order`` over
     the inputs' actual row counts, the rule SQL emits its joins in over
-    estimated ones.
+    estimated ones, for every arity.
+
+    The smallest input accumulates and probes; each later input is the
+    sorted side, and keeps its sort (:meth:`_Columnar.sorted_keys`). The
+    large input is usually a cached constant-free view that every
+    request of the shape re-reads, so it is sorted once per cache
+    lifetime.
     """
-    if len(results) == 2:
-        return [0, 1] if len(results[0]) >= len(results[1]) else [1, 0]
     return greedy_order(
         [len(r) for r in results], [frozenset(r.order) for r in results]
     )
@@ -730,17 +813,24 @@ def _fold_join(
         li = np.repeat(np.arange(nl), nr)
         ri = np.tile(np.arange(nr), nl)
     else:
-        lpos = [order.index(v) for v in shared]
-        rpos = [right.order.index(v) for v in shared]
-        lk, rk = _row_keys(
-            cache,
-            [
-                (tuple(columns[i] for i in lpos), nl),
-                (tuple(right.columns[i] for i in rpos), nr),
-            ],
-        )
-        perm = np.argsort(rk, kind="stable")
-        rk_sorted = rk[perm]
+        left_columns = tuple(columns[order.index(v)] for v in shared)
+        rpos = tuple(right.order.index(v) for v in shared)
+        # one radix for both sides: every code either holds was interned
+        # before this read, so it is below the radix
+        radix = _radix(cache, len(shared))
+        if radix is None:
+            lk, rk = _row_keys(
+                cache,
+                [
+                    (left_columns, nl),
+                    (tuple(right.columns[i] for i in rpos), nr),
+                ],
+            )
+            perm = np.argsort(rk, kind="stable")
+            rk_sorted = rk[perm]
+        else:
+            perm, rk_sorted = right.sorted_keys(rpos, radix)
+            lk = _radix_key(left_columns, nl, radix)
         starts = np.searchsorted(rk_sorted, lk, side="left")
         ends = np.searchsorted(rk_sorted, lk, side="right")
         counts = ends - starts
@@ -769,9 +859,12 @@ def _min(
     plan: MinPlan,
     cache: EvaluationCache,
     local: dict[Plan, _Columnar],
+    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
-    results = [_evaluate(part, cache, local, recorder) for part in plan.parts]
+    results = [
+        _evaluate(part, cache, local, memo, recorder) for part in plan.parts
+    ]
     return _aligned_min(results, cache)
 
 
@@ -834,21 +927,9 @@ def _row_keys(
     ranks sorted rows), which the projection operators rely on for their
     canonical, schedule-independent combine order.
     """
-    width = len(column_sets[0][0])
-    if width == 0:
-        return [np.zeros(n, dtype=np.int64) for _, n in column_sets]
-    if width == 1:
-        return [cols[0] for cols, _ in column_sets]
-    radix = max(len(cache._values), 2)
-    if width * (radix - 1).bit_length() <= _KEY_BITS:
-        out = []
-        for cols, _ in column_sets:
-            key = cols[0].astype(np.int64, copy=True)
-            for col in cols[1:]:
-                key *= radix
-                key += col
-            out.append(key)
-        return out
+    radix = _radix(cache, len(column_sets[0][0]))
+    if radix is not None:
+        return [_radix_key(cols, n, radix) for cols, n in column_sets]
     rows_per_set = [list(zip(*(c.tolist() for c in cols))) for cols, _ in column_sets]
     mapping = {
         row: rank
@@ -861,6 +942,37 @@ def _row_keys(
             codes[i] = mapping[row]
         out.append(codes)
     return out
+
+
+def _radix(cache: EvaluationCache, width: int) -> "int | None":
+    """The radix that combines ``width`` code columns into one key.
+
+    ``0`` when ``width`` ≤ 1 needs none (the key is the code column
+    itself), ``None`` when the combined key would overflow 62 bits. It
+    grows with the interning table, so a key built under one radix is
+    comparable only with keys built under the same one.
+    """
+    if width <= 1:
+        return 0
+    radix = max(len(cache._values), 2)
+    if width * (radix - 1).bit_length() <= _KEY_BITS:
+        return radix
+    return None
+
+
+def _radix_key(
+    columns: tuple[np.ndarray, ...], n: int, radix: int
+) -> np.ndarray:
+    """``((c0·radix) + c1)·radix + ...`` per row of ``columns``."""
+    if not columns:
+        return np.zeros(n, dtype=np.int64)
+    if len(columns) == 1:
+        return columns[0]
+    key = columns[0].astype(np.int64, copy=True)
+    for col in columns[1:]:
+        key *= radix
+        key += col
+    return key
 
 
 def deterministic_answers(

@@ -2,8 +2,9 @@
 
 What a selection constant produced belongs to one request: on SQLite it
 stays inside its statement (no temp table until the same constant comes
-back), on memory it ages out of a subplan cache that is bounded by
-default, and the LRU behind every cache evicts in O(evictions).
+back), on memory it lives in the request's own memo and never enters
+the subplan cache, and the LRU behind every cache evicts in
+O(evictions).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from repro.core import parse_query
 from repro.db import SQLiteViewRegistry
 from repro.engine import DissociationEngine
 from repro.obs import StatsLRU
-from repro.workloads import chain_database
+from repro.workloads import chain_database, chain_query
 
 
 def _chain(k: int, constant) -> str:
@@ -131,23 +132,45 @@ class TestSQLiteLeavesNothing:
 
 
 class TestMemoryBoundedByDefault:
-    def test_chain7_constants_age_out_with_identical_scores(self):
+    def test_chain7_constants_leave_nothing_with_identical_scores(self):
         db = chain_database(7, 120, seed=9)
         constants = _constants(db)[:100]
         assert len(constants) >= 60
         assert EngineConfig().cache_size == 1024
         capped = DissociationEngine(db)
         unbounded = DissociationEngine(db, EngineConfig(cache_size=None))
+        sizes = []
         for constant in constants:
             query = parse_query(_chain(7, constant))
-            # eviction changes *when* a subplan is computed, never the floats
+            # admission changes *where* a subplan lives, never the floats
             assert capped.evaluate(query).scores == unbounded.evaluate(query).scores
+            sizes.append(capped.cache_stats()["size"])
         stats = capped.cache_stats()
         assert stats["max_size"] == 1024
         assert stats["size"] <= 1024
+        # a selection-bearing subplan is never admitted: what the shape's
+        # constant-free views fill by the third request is all it keeps
+        assert sizes[2] == sizes[-1]
+        assert stats["evictions"] == 0
+        assert unbounded.cache_stats()["size"] == stats["size"]
+
+    def test_constant_free_shapes_age_out_of_a_small_cache(self):
+        db = chain_database(5, 60, seed=9)
+        tiny = DissociationEngine(db, EngineConfig(cache_size=4))
+        unbounded = DissociationEngine(db, EngineConfig(cache_size=None))
+        queries = [chain_query(k) for k in (2, 3, 4, 5)]
+        for _ in range(2):
+            for query in queries:
+                # eviction changes *when* a subplan is computed, never
+                # the floats
+                assert (
+                    tiny.evaluate(query).scores
+                    == unbounded.evaluate(query).scores
+                )
+        stats = tiny.cache_stats()
+        assert stats["size"] <= 4
         assert stats["evictions"] > 0
         assert unbounded.cache_stats()["evictions"] == 0
-        assert unbounded.cache_stats()["size"] > 1024
 
 
 class _CountingKey:
