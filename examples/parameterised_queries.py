@@ -21,7 +21,8 @@ leaves nothing behind on the connection. That third request also leaves
 its statement behind as the shape's *template*: every later request
 whose constant the statistics price alike (same frequency class) binds
 its constant into the stored, prepared statement — no plans bound,
-nothing priced, no SQL emitted.
+nothing priced, no SQL emitted. A constant that comes back is served
+the same way: what it selected is never written to a view.
 
 Run:  python examples/parameterised_queries.py
 """
@@ -147,6 +148,18 @@ def sqlite_half(db, constants) -> None:
         assert not result.cached
         assert after["hits"] == before["hits"] + 1
         assert after["size"] == before["size"]
+
+        # A constant sent again, past the session's result cache, runs
+        # the stored statement too: no DDL, no new view.
+        engine = session.engine
+        views = engine.cache_stats()["size"]
+        before = engine.statement_stats()["hits"]
+        again = engine.evaluate(repro.parse_query(chain(constants[2])))
+        hits = engine.statement_stats()["hits"] - before
+        print(f"\nrepeated constant: {hits} statement hit, {views} views")
+        assert hits == 1
+        assert "CREATE TEMP TABLE" not in again.sql
+        assert engine.cache_stats()["size"] == views
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ class EngineConfig:
         executor admits, and both admit by Algorithm 3's ``selective``
         rule: a subplan beneath a selection constant belongs to one
         request (on memory it lives in the request's own memo, on
-        SQLite inside its statement until the same constant comes
+        SQLite inside its statement, however often the constant comes
         back), so parameterised traffic leaves only the shape's
         constant-free subplans behind. ``None`` is unbounded, ``0``
         disables cross-statement reuse.

@@ -112,12 +112,12 @@ class SQLiteViewRegistry:
     ``CREATE TEMP TABLE`` statements still reference them by name — and
     the cap is (re-)enforced when the outermost scope exits.
 
-    The registry also tracks *requests* — how often each key was part of
-    a compilation batch, whether or not it was materialized. The
-    Algorithm-3 policy reads this signal to promote a subplan that was
-    inline in an earlier batch but is being requested again: cross-call
-    reuse the batch-local reference count cannot see. Request history is
-    LRU-bounded independently of the views.
+    The registry also tracks *requests* — how often each constant-free
+    key was part of a compilation batch, whether or not it was
+    materialized. The Algorithm-3 policy reads this signal to promote a
+    subplan that was inline in an earlier batch but is being requested
+    again: cross-call reuse the batch-local reference count cannot see.
+    Request history is LRU-bounded independently of the views.
 
     :meth:`cache_stats` exposes hit/miss/eviction counters in the same
     shape as ``EvaluationCache.cache_stats()``.
@@ -133,10 +133,10 @@ class SQLiteViewRegistry:
 
     #: Bound on the request-history map (not on the views themselves).
     #: The history is a promotion hint — a forgotten entry costs one
-    #: more inline evaluation. A request served from a statement
-    #: template leaves one entry (its request key), so this spans 4 096
-    #: such requests; one compiled per request leaves an entry per
-    #: subplan, about a dozen nothing asks for again.
+    #: more inline evaluation. Only compiles note entries, one per
+    #: constant-free subplan of the batch, so a shape's entries stay
+    #: put under a stream of its constants; a statement-template hit
+    #: notes none.
     MAX_REQUEST_ENTRIES = 4096
 
     def __init__(
@@ -224,16 +224,11 @@ class SQLiteViewRegistry:
             self._pin(name)
             return name
 
-    def register(
-        self, plan: Hashable, sql: str, parameters: Mapping | Sequence = ()
-    ) -> tuple[str, str]:
+    def register(self, plan: Hashable, sql: str) -> tuple[str, str]:
         """Materialize ``sql`` as the view of ``plan``.
 
-        ``parameters`` binds the ``:name`` placeholders of ``sql`` — a
-        subplan beneath a selection constant is compiled with the
-        constant as a parameter, and ``CREATE TEMP TABLE … AS SELECT``
-        binds like any statement. A mapping may hold names ``sql`` does
-        not use (``sqlite3`` rejects surplus *positional* values).
+        ``sql`` binds nothing: a view is constant-free (Algorithm 3
+        materializes no subplan beneath a selection constant).
 
         Every data column of the view gets a single-column index:
         materialized views join with base tables and with each other,
@@ -245,10 +240,10 @@ class SQLiteViewRegistry:
         """
         with self._lock:
             self._views.add_miss()
-            name = self._name_for(sql, parameters)
+            name = self._name_for(sql)
             ddl = f"CREATE TEMP TABLE {name} AS\n{sql}"
             with self._observer.span("sqlite.materialize_view", view=name):
-                self._connection.execute(ddl, parameters)
+                self._connection.execute(ddl)
                 columns = self._connection.execute(
                     f"SELECT name FROM pragma_table_info('{name}')"
                 ).fetchall()
@@ -305,21 +300,13 @@ class SQLiteViewRegistry:
         if self._pin_depth:
             self._pinned.add(name)
 
-    def _name_for(self, sql: str, parameters: Mapping | Sequence) -> str:
-        """``dissoc_<digest>`` of the view's body and bound values.
+    def _name_for(self, sql: str) -> str:
+        """``dissoc_<digest>`` of the view's body.
 
         A stable digest, not ``hash()``, so the same request names the
-        same view under any ``PYTHONHASHSEED``; the values are part of
-        it because two views may differ only in a bound constant.
+        same view under any ``PYTHONHASHSEED``.
         """
-        values = (
-            sorted(parameters.items())
-            if isinstance(parameters, Mapping)
-            else list(parameters)
-        )
-        digest = hashlib.blake2b(
-            f"{sql}\0{values!r}".encode(), digest_size=8
-        ).hexdigest()
+        digest = hashlib.blake2b(sql.encode(), digest_size=8).hexdigest()
         name = f"dissoc_{digest}"
         suffix = 0
         while name in self._names:  # a live view already has this body

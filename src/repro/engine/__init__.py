@@ -21,7 +21,6 @@ from .stats import (
     DEFAULT_WRITE_FACTOR,
     MaterializationPolicy,
     SQLiteStatisticsCatalog,
-    StatisticsCatalog,
     estimate_plan,
     greedy_order,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "SQLCompiler",
     "SQLiteStatisticsCatalog",
     "StatementScope",
-    "StatisticsCatalog",
     "deterministic_answers",
     "deterministic_sql",
     "estimate_plan",

@@ -178,15 +178,12 @@ class _StatementTemplate(NamedTuple):
 
 class _Request(NamedTuple):
     """One query of a batch. ``key``: its statement key (``None``: not
-    templated); ``history``: its entry in the registry's request
-    history; ``seen``: how often that entry was noted before."""
+    templated)."""
 
     query: ConjunctiveQuery
     targets: Sequence[Plan]
     parameters: Parameters
     key: "_StatementKey | None" = None
-    history: int = 0
-    seen: int = 0
 
 
 class Snapshot:
@@ -363,8 +360,8 @@ class SQLiteExecutor:
     # statement templates
     # ------------------------------------------------------------------
     def _request(self, snapshot: Snapshot, query, targets) -> _Request:
-        """``query`` as a request of the template store (counters and
-        request history untouched).
+        """``query`` as a request of the template store (counters
+        untouched).
 
         With equal statement keys ``estimate_plan``, ``greedy_order``
         and ``MaterializationPolicy`` cannot tell two requests apart, so
@@ -402,28 +399,18 @@ class SQLiteExecutor:
             self.write_factor,
             snapshot.registry.generation,
         )
-        # the request in the registry's history (a hint, keyed by hash
-        # like its subplans): shape and constants, not epochs
-        history = hash((memo_key, parameters.constants))
-        seen = snapshot.registry.request_count(history)
-        return _Request(query, targets, parameters, key, history, seen)
+        return _Request(query, targets, parameters, key)
 
     def _run_template(self, snapshot: Snapshot, request: _Request):
-        """Answer ``request`` with its stored statements, or ``None``.
+        """Answer ``request`` with its stored statements, or ``None``
+        when its key holds no template (nothing stored yet, or an epoch,
+        the write factor or the registry moved).
 
-        A request that came before goes to the compiler, where the
-        policy may promote what its constant selected; so does one whose
-        key holds no template (nothing stored yet, or an epoch, the
-        write factor or the registry moved). A hit repeats the registry
-        lookups the compilation made: hits counted, LRU touched, views
-        pinned until the statements ran.
+        A hit repeats the registry lookups the compilation made: hits
+        counted, LRU touched, views pinned until the statements ran.
         """
-        statements, registry = snapshot.statements, snapshot.registry
-        if request.seen:
-            statements.add_miss()
-            template = None
-        else:
-            template = statements.get(request.key)
+        registry = snapshot.registry
+        template = snapshot.statements.get(request.key)
         if self.observer.enabled:
             outcome = "misses" if template is None else "hits"
             self.observer.inc("sql.template." + outcome)
@@ -453,7 +440,7 @@ class SQLiteExecutor:
         policy = self._policy(estimator)
         decisions = []
         for node, count in subplan_reference_counts(targets).items():
-            prior = max(registry.request_count(hash(node)), request.seen)
+            prior = registry.request_count(hash(node))
             estimate = estimator(node)
             decisions.append(
                 {
@@ -467,8 +454,7 @@ class SQLiteExecutor:
                 }
             )
         return {
-            "statement_template": not request.seen
-            and request.key in snapshot.statements,
+            "statement_template": request.key in snapshot.statements,
             "materialization": decisions,
         }
 
@@ -494,7 +480,6 @@ class SQLiteExecutor:
             request = self._request(snapshot, query, targets)
             pair = None
             if request.key is not None:
-                snapshot.registry.note_request(request.history)
                 pair = self._run_template(snapshot, request)
             if pair is None:
                 pending[len(out)] = request
@@ -614,10 +599,11 @@ class SQLiteExecutor:
         branch.
 
         A request with a statement key leaves its statements behind as
-        the key's template when compiling it was a **fixed point** — no
-        later request of the key would come out differently: the
-        registry did not move since the key was taken (no DDL ran) and
-        :func:`_fixed_point` holds.
+        the key's template when no later request of the key would come
+        out differently: no DDL ran (the registry generation is the
+        key's), and no constant-free subplan was seen for the first time
+        (from its second request on it counts one more reference and may
+        earn a view). A selective subplan never earns one.
         """
         backend, registry = snapshot.backend, snapshot.registry
         all_targets = [t for request in batch for t in request.targets]
@@ -626,11 +612,13 @@ class SQLiteExecutor:
         # repeated deep-plan comparisons would dominate the warm path,
         # and a collision merely promotes a subplan early — the *view*
         # registry stays structurally keyed, so correctness never
-        # depends on this map.
+        # depends on this map. Only constant-free subplans are noted.
         prior = {
-            node: registry.request_count(hash(node)) for node in references
+            node: registry.request_count(hash(node))
+            for node in references
+            if not node.selective()
         }
-        for node in references:
+        for node in prior:
             registry.note_request(hash(node))
         # the compiler's: one memo prices a subplan and orders its joins
         estimator = compiler.estimator
@@ -644,9 +632,8 @@ class SQLiteExecutor:
                 first_seen: list[Plan] = []
 
                 def decide(node: Plan) -> bool:
-                    # a request that came before asked for all its subplans
-                    before = max(prior.get(node, 0), request.seen)
-                    if not before:
+                    before = prior.get(node, 0)
+                    if not (before or node.selective()):
                         first_seen.append(node)
                     return policy.should_materialize(
                         node, references.get(node, 1), before
@@ -674,7 +661,7 @@ class SQLiteExecutor:
                 if (
                     request.key is not None
                     and request.key.generation == registry.generation
-                    and _fixed_point(estimator, first_seen, views)
+                    and not first_seen
                 ):
                     snapshot.statements.put(
                         request.key,
@@ -703,23 +690,6 @@ def _execute(
     )
     _merge_min(scores, _collect(rows, request.query))
     return literal
-
-
-def _fixed_point(
-    estimator, first_seen: Sequence[Plan], views: Sequence[Plan]
-) -> bool:
-    """Whether a compilation that executed no DDL would come out the
-    same for the next request of its statement key: every subplan the
-    policy saw for the first time sits beneath a constant (a
-    constant-free one counts an extra reference from its second request
-    on and may then earn a view), and no view it read does (such a view
-    belongs to this request's constants)."""
-    try:
-        return all(
-            estimator(node).selective for node in first_seen
-        ) and not any(estimator(view).selective for view in set(views))
-    except KeyError:
-        return False  # a relation without statistics
 
 
 def _totals(released: dict, live: Sequence[Mapping], max_size) -> dict:

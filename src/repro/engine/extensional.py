@@ -48,13 +48,7 @@ from ..core.query import ConjunctiveQuery
 from ..core.symbols import Constant, Variable
 from ..db.database import ProbabilisticDatabase
 from ..obs import NULL_OBSERVER, StatsLRU
-from .stats import (
-    JoinProfile,
-    StatisticsCatalog,
-    greedy_order,
-    join_profile,
-    profile_of_columnar,
-)
+from .stats import JoinProfile, greedy_order, join_profile, profile_of_columnar
 
 __all__ = [
     "EvaluationCache",
@@ -199,7 +193,6 @@ class EvaluationCache:
         "_tables",
         "_plans",
         "_token",
-        "_statistics",
         "_lock",
         "observer",
         "masks",
@@ -219,7 +212,6 @@ class EvaluationCache:
             self._values: list = []
             # name -> (table epoch at encode time, (columns, scores))
             self._tables: dict[str, tuple] = {}
-            self._statistics = StatisticsCatalog(db)
             self._lock = threading.RLock()
             #: Per-subplan tracing hook (``repro.obs``); the engine
             #: installs its observer here so ``_evaluate`` can record
@@ -230,7 +222,6 @@ class EvaluationCache:
             self._code_of = _share_with._code_of
             self._values = _share_with._values
             self._tables = _share_with._tables
-            self._statistics = _share_with._statistics
             # one lock per shared state: scopes mutate the parent's
             # dictionaries, so they must serialize against it
             self._lock = _share_with._lock
@@ -289,23 +280,6 @@ class EvaluationCache:
         scope = EvaluationCache(self.db, _share_with=self)
         scope.masks = self.masks if masks is None else masks
         return scope
-
-    # ------------------------------------------------------------------
-    # statistics catalog
-    # ------------------------------------------------------------------
-    @property
-    def statistics(self) -> StatisticsCatalog:
-        """The per-table column-statistics catalog (shared across scopes)."""
-        return self._statistics
-
-    def table_statistics(self, name: str):
-        """Statistics of ``name`` over its interned code columns."""
-        columns, _ = self.encoded_table(name)
-        return self._statistics.table_stats(name, columns)
-
-    def code_of(self, value) -> "int | None":
-        """The interned code of ``value`` without interning it."""
-        return self._code_of.get(value)
 
     # ------------------------------------------------------------------
     # plan-result layer (Opt. 2), LRU-bounded

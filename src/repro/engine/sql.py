@@ -398,10 +398,12 @@ class SQLCompiler:
         ``CREATE TEMP TABLE dissoc_<hash>`` view shared across
         statements and queries, ``False`` keeps it as an inline
         subquery of its parent, computed once by the enclosing statement
-        and never written out. Scans and joins always stay inline (the
-        base tables are the scans' materialization; a join feeds exactly
-        one grouped node, so storing it pays its full write cost for no
-        reuse).
+        and never written out. ``decide`` approves constant-free nodes
+        only (:meth:`Plan.selective` is false): a view belongs to every
+        binding of the query's parameters and binds none. Scans and
+        joins always stay inline (the base tables are the scans'
+        materialization; a join feeds exactly one grouped node, so
+        storing it pays its full write cost for no reuse).
 
         Without a ``registry`` nothing is looked up, decided or
         registered: the statement is self-contained, which is what a
@@ -415,12 +417,11 @@ class SQLCompiler:
         so a plan top emitted for one union branch is referenced — not
         recompiled — by every later branch. With the scope's
         ``parameters`` every constant that has a slot there compiles to
-        that slot's parameter; a view registered on the way is created
-        with them bound.
+        that slot's parameter.
 
-        Returns ``(executed DDL statements, reference)``: the DDL with
-        its constants spelled out, and a view name, CTE name, or inline
-        subquery for the plan's top, to be finished by
+        Returns ``(executed DDL statements, reference)``: the DDL as it
+        ran, and a view name, CTE name, or inline subquery for the
+        plan's top, to be finished by
         :meth:`select_statement` / :meth:`min_union_sql`. Runs inside
         ``registry.pin_scope()`` so LRU eviction can never drop a view a
         pending statement references.
@@ -458,15 +459,10 @@ class SQLCompiler:
                     # the DDL runs as its own statement: scope CTEs the
                     # subtree references must be inlined into it (they
                     # only exist in the final statement's WITH clause)
-                    body = Statement(scope.inline_into(sql))
                     name, ddl = registry.register(
-                        node, body.text, parameters.values
+                        node, scope.inline_into(sql)
                     )
-                    # reported as it reads with the constants written out
-                    created.append(
-                        ddl.removesuffix(body.text)
-                        + body.literal(parameters.constants)
-                    )
+                    created.append(ddl)
                 elif scope.wants_cte(node):
                     name = scope.add_cte(node, sql)
                 else:

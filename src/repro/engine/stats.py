@@ -1,12 +1,12 @@
 """Column statistics, cardinality estimation, and cost-based planning.
 
-The statistics catalog summarizes every base relation over its *interned
-code columns* (the representation the columnar engine already maintains):
-row count and, per column, distinct count, min/max code, and a
-most-common-value (MCV) sketch. Statistics are maintained incrementally
-under the database's version token — each table's summary is keyed by
-that table's own mutation counter, so touching one relation never
-invalidates the statistics of the others.
+The statistics catalog (:class:`SQLiteStatisticsCatalog`) summarizes
+every base relation of a SQLite snapshot with SQL aggregates: row count
+and, per column, distinct count and a most-common-value (MCV) sketch.
+Each table's summary is keyed by that table's own epoch, so touching one
+relation never invalidates the statistics of the others. The memory
+executor needs no catalog: its fold orders joins by actual row counts,
+and ``engine.explain()`` estimates from the actual input profiles.
 
 On top of the catalog sit the planning components of this module:
 
@@ -18,35 +18,31 @@ On top of the catalog sit the planning components of this module:
 * :func:`greedy_order` — the one join order: smallest input first, then
   the smallest input connected to the ones taken (cross products only
   when the query graph forces them). SQL emits every join in it, the
-  memory fold takes it for joins of three or more inputs, and
+  memory fold takes it over actual row counts, and
   :func:`estimate_plan` prices every join in it;
 * :func:`estimate_plan` — bottom-up cost/cardinality estimation for a
-  whole plan, used by the SQLite backend's Algorithm-3 materialization
-  policy and by ``engine.explain()``;
+  whole plan, used by the SQLite executor's Algorithm-3 materialization
+  policy, its join order and ``engine.explain()``;
 * :class:`MaterializationPolicy` — the Algorithm-3 decision rule: a
-  subplan is worth a ``CREATE TEMP TABLE`` only when the recomputation
-  cost it saves across its references beats the cost of writing its
-  rows out.
+  subplan is worth a ``CREATE TEMP TABLE`` only when no selection
+  constant sits beneath it and the recomputation cost it saves across
+  its references beats the cost of writing its rows out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.plans import Join, MinPlan, Plan, Project, Scan
 from ..core.symbols import Constant, Variable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..db.database import ProbabilisticDatabase
-
 __all__ = [
     "DEFAULT_WRITE_FACTOR",
     "ColumnStats",
     "TableStats",
-    "StatisticsCatalog",
     "SQLiteStatisticsCatalog",
     "JoinProfile",
     "scan_profile",
@@ -72,19 +68,17 @@ DEFAULT_MCV_SIZE = 8
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ColumnStats:
-    """Summary of one interned code column."""
+    """Summary of one column."""
 
     count: int
     distinct: int
-    min_code: int
-    max_code: int
-    #: Most common values: ``((code, count), ...)``, count-descending.
-    mcv: tuple[tuple[int, int], ...]
+    #: Most common values: ``((value, count), ...)``, count-descending.
+    mcv: tuple[tuple[object, int], ...]
 
-    def frequency(self, code: int) -> float:
+    def frequency(self, code) -> float:
         """Estimated number of rows holding ``code``.
 
-        Codes in the MCV sketch use their exact counts; the remaining
+        Values in the MCV sketch use their exact counts; the remaining
         rows are assumed uniform over the remaining distinct values.
         """
         for value, count in self.mcv:
@@ -104,99 +98,14 @@ class TableStats:
     columns: tuple[ColumnStats, ...]
 
 
-def _column_stats(column: np.ndarray, mcv_size: int) -> ColumnStats:
-    n = int(column.shape[0])
-    if n == 0:
-        return ColumnStats(0, 0, 0, 0, ())
-    values, counts = np.unique(column, return_counts=True)
-    k = min(mcv_size, values.shape[0])
-    # stable top-k: count-descending, code-ascending tie-break
-    top = np.lexsort((values, -counts))[:k]
-    mcv = tuple(
-        (int(values[i]), int(counts[i]))
-        for i in top
-        if counts[i] > 1 or values.shape[0] <= mcv_size
-    )
-    return ColumnStats(
-        count=n,
-        distinct=int(values.shape[0]),
-        min_code=int(values[0]),
-        max_code=int(values[-1]),
-        mcv=mcv,
-    )
-
-
-class StatisticsCatalog:
-    """Per-table column statistics, incrementally maintained.
-
-    Each entry is keyed by the table's epoch — its ``(creation_stamp,
-    mutation_counter)`` pair — so :meth:`table_stats` serves a cached
-    summary while the table is unchanged and transparently recomputes
-    it after a mutation — other tables' summaries survive. Keying by
-    the mutation counter alone would alias a dropped-and-re-added
-    table onto its predecessor whenever their insert counts agree; the
-    creation stamp makes that impossible.
-    """
-
-    __slots__ = ("db", "mcv_size", "_stats", "recomputations")
-
-    def __init__(
-        self, db: "ProbabilisticDatabase", mcv_size: int = DEFAULT_MCV_SIZE
-    ) -> None:
-        self.db = db
-        self.mcv_size = mcv_size
-        self._stats: dict[str, tuple[tuple[int, int], TableStats]] = {}
-        #: How many times summaries were (re)built — observability for
-        #: the incremental-maintenance tests.
-        self.recomputations = 0
-
-    def table_stats(
-        self, name: str, columns: Sequence[np.ndarray]
-    ) -> TableStats:
-        """The summary of ``name``, built over its encoded ``columns``."""
-        table = self.db.table(name)
-        entry = self._stats.get(name)
-        if entry is not None and entry[0] == table.epoch:
-            return entry[1]
-        rows = len(table)
-        stats = TableStats(
-            name=name,
-            rows=rows,
-            columns=tuple(
-                _column_stats(col, self.mcv_size) for col in columns
-            ),
-        )
-        self._stats[name] = (table.epoch, stats)
-        self.recomputations += 1
-        return stats
-
-    def validate(self) -> None:
-        """Drop summaries of mutated or dropped tables (also done lazily)."""
-        for name in list(self._stats):
-            if name not in self.db:
-                del self._stats[name]
-                continue
-            if self._stats[name][0] != self.db.table(name).epoch:
-                del self._stats[name]
-
-    def cached_tables(self) -> frozenset[str]:
-        return frozenset(self._stats)
-
-
 class SQLiteStatisticsCatalog:
-    """Per-table statistics computed with SQL aggregates (sqlite-only).
+    """Per-table statistics computed with SQL aggregates.
 
-    The in-memory :class:`StatisticsCatalog` summarizes the columnar
-    engine's interned code columns — which forces a sqlite-only
-    deployment to build in-RAM encodings of every scanned table just to
-    price subplans. This catalog computes the same summaries
-    (``COUNT(*)``, per-column distinct counts, MCV sketches) with SQL
-    aggregates on the backend's existing connection instead, over *raw*
-    values: :meth:`code_of` is the identity, so
-    :func:`scan_profile` prices constants directly against the sketch.
-    Counts and frequencies are value-isomorphic to the in-memory
-    catalog's (interning is a bijection), so both catalogs drive the
-    cost model to the same estimates up to MCV tie-breaking.
+    ``COUNT(*)``, per-column distinct counts and MCV sketches, computed
+    on the backend's own connection over *raw* values, so a sqlite-only
+    deployment never builds in-RAM encodings of its tables just to price
+    subplans. :meth:`code_of` is the identity, so :func:`scan_profile`
+    prices constants directly against the sketch.
 
     Entries are keyed by an explicit ``token`` — the executor passes
     the snapshot's per-table epoch — so a table's summary is computed
@@ -230,8 +139,6 @@ class SQLiteStatisticsCatalog:
             ColumnStats(
                 count=rows,
                 distinct=summary["distinct"],
-                min_code=0,
-                max_code=0,
                 mcv=tuple(summary["mcv"]),
             )
             for summary in summaries
@@ -382,15 +289,12 @@ class PlanEstimate:
 
     ``cost`` counts the rows every operator in the subtree is estimated
     to produce or group — the recomputation price of *not* having the
-    subtree materialized. ``selective`` says a selection constant sits
-    somewhere beneath the node: its result belongs to one parameter
-    binding, which is what :class:`MaterializationPolicy` needs to know.
+    subtree materialized.
     """
 
     rows: float
     cost: float
     profile: JoinProfile
-    selective: bool = False
 
 
 def estimate_plan(
@@ -414,12 +318,7 @@ def estimate_plan(
     if isinstance(plan, Scan):
         stats = table_stats(plan.atom.relation)
         profile = scan_profile(plan.atom, stats, code_of)
-        estimate = PlanEstimate(
-            profile.rows,
-            float(stats.rows),
-            profile,
-            any(isinstance(term, Constant) for term in plan.atom.terms),
-        )
+        estimate = PlanEstimate(profile.rows, float(stats.rows), profile)
     elif isinstance(plan, Project):
         child = estimate_plan(plan.child, table_stats, code_of, memo)
         bound = 1.0
@@ -439,9 +338,7 @@ def estimate_plan(
             },
         )
         # grouping reads every child row once
-        estimate = PlanEstimate(
-            rows, child.cost + child.rows, profile, child.selective
-        )
+        estimate = PlanEstimate(rows, child.cost + child.rows, profile)
     elif isinstance(plan, Join):
         children = [
             estimate_plan(part, table_stats, code_of, memo)
@@ -457,9 +354,7 @@ def estimate_plan(
         for j in order[1:]:
             profile = join_profile(profile, profiles[j])
             cost += profile.rows
-        estimate = PlanEstimate(
-            profile.rows, cost, profile, any(c.selective for c in children)
-        )
+        estimate = PlanEstimate(profile.rows, cost, profile)
     elif isinstance(plan, MinPlan):
         children = [
             estimate_plan(part, table_stats, code_of, memo)
@@ -470,12 +365,7 @@ def estimate_plan(
         cost = sum(c.cost for c in children) + sum(
             c.rows for c in children
         )
-        estimate = PlanEstimate(
-            rows,
-            cost,
-            children[0].profile,
-            any(c.selective for c in children),
-        )
+        estimate = PlanEstimate(rows, cost, children[0].profile)
     else:  # pragma: no cover - sealed hierarchy
         raise TypeError(f"unknown plan node {plan!r}")
     memo[plan] = estimate
@@ -501,13 +391,13 @@ class MaterializationPolicy:
     Sharing *within* a statement costs no write — the compiler factors a
     subplan referenced twice into a per-statement CTE — so a temp table
     has to be paid for by reuse *across* statements. A subplan beneath
-    which a selection constant sits (``PlanEstimate.selective``) is
-    reused only by a request carrying the same constant, so on its
-    first request it is never materialized, whatever its reference
-    count; the request history promotes it on its second, the path
-    single-reference subplans take anyway. A stream of distinct
-    constants therefore runs one statement each and leaves nothing on
-    the connection.
+    which a selection constant sits (:meth:`Plan.selective`) belongs to
+    one binding of the query's parameters, so it is never materialized,
+    whatever its references or history: the rule the memory cache
+    admits by. A view is therefore always constant-free, and a stream
+    of parameterised requests runs one statement each and leaves
+    nothing on the connection once the shape's constant-free views
+    exist.
 
     Without an estimator the rule degrades to pure reference counting
     (materialize iff effectively referenced at least twice).
@@ -543,18 +433,13 @@ class MaterializationPolicy:
     def _decide(
         self, node: Plan, references: int, prior_requests: int
     ) -> bool:
+        if node.selective():
+            return False
         effective = references + (1 if prior_requests > 0 else 0)
         if effective < 2:
             return False
         if self.estimator is None:
             return True
-        try:
-            estimate = self.estimator(node)
-        except KeyError:
-            # a scanned relation has no stats (e.g. dropped mid-flight):
-            # fall back to pure reference counting
-            return True
-        if estimate.selective and prior_requests == 0:
-            return False
+        estimate = self.estimator(node)
         saved = estimate.cost * (effective - 1)
         return saved >= self.write_factor * estimate.rows

@@ -11,6 +11,10 @@ recursion specialized to monotone DNFs:
    ``P(F) = p·P(F|X=1) + (1−p)·P(F|X=0)``;
 4. memoize on the clause set.
 
+Products of three or more factors multiply in value order, so a result
+is the same float whatever order a frozenset iterates in, and with it
+under any ``PYTHONHASHSEED`` (two factors commute exactly).
+
 Exact, so ground-truth rankings are identical to the paper's. Exponential
 in the worst case (the problem is #P-hard), fine for the lineage sizes the
 paper uses for ground truth.
@@ -65,6 +69,8 @@ class ExactEvaluator:
         self._use_components = use_components
         self._use_memo = use_memo
         self._memo: dict[frozenset[frozenset], float] = {}
+        # clause -> the product of its variables' marginals
+        self._products: dict[frozenset, float] = {}
 
     def probability(self, formula: DNF) -> float:
         clauses = self._simplify(formula)
@@ -126,9 +132,10 @@ class ExactEvaluator:
                     continue
                 if len(clauses) == 1:
                     (clause,) = clauses
-                    value = 1.0
-                    for v in clause:
-                        value *= self._p[v]
+                    value = self._products.get(clause)
+                    if value is None:
+                        value = _product([self._p[v] for v in clause])
+                        self._products[clause] = value
                     values.append(value)
                     continue
                 if memo is not None:
@@ -155,14 +162,23 @@ class ExactEvaluator:
                 p = extra
                 value = p * pos + (1.0 - p) * neg
             else:  # _COMBINE_IOR over independent components
-                complement = 1.0
-                for _ in range(extra):
-                    complement *= 1.0 - values.pop()
-                value = 1.0 - complement
+                value = 1.0 - _product(
+                    [1.0 - values.pop() for _ in range(extra)]
+                )
             if memo is not None:
                 memo[clauses] = value
             values.append(value)
         return values[-1]
+
+
+def _product(factors: list[float]) -> float:
+    """``∏ factors``, in value order when the order could show."""
+    if len(factors) > 2:
+        factors.sort()
+    value = 1.0
+    for factor in factors:
+        value *= factor
+    return value
 
 
 def _components(clauses: frozenset[frozenset]) -> list[frozenset[frozenset]]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import sqlite3
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +27,7 @@ from repro import (
 from repro.db.database import ProbabilisticDatabase
 from repro.db.shm import SharedSnapshotManager, attach_snapshot
 from repro.db.sqlite_backend import SQLiteBackend
-from repro.engine.stats import StatisticsCatalog
+from repro.engine.stats import SQLiteStatisticsCatalog
 from repro.workloads import chain_database, chain_query
 from repro.workloads.stars import ANCHOR, star_database, star_query
 
@@ -232,8 +231,9 @@ class TestStatisticsAliasing:
     def test_catalog_rebuilds_after_drop_readd_with_equal_counter(self):
         db = ProbabilisticDatabase()
         db.add_table("R", [((1,), 0.5), ((2,), 0.5)])
-        catalog = StatisticsCatalog(db)
-        first = catalog.table_stats("R", (np.array([1, 2]),))
+        backend = SQLiteBackend(db)
+        catalog = SQLiteStatisticsCatalog(backend)
+        first = catalog.table_stats("R", backend.table_epoch("R"))
         assert catalog.recomputations == 1
         old_counter = db.table("R").version
         db.drop_table("R")
@@ -241,7 +241,9 @@ class TestStatisticsAliasing:
         # the old bug: equal mutation counters made the catalog serve
         # the previous incarnation's summary
         assert db.table("R").version == old_counter
-        second = catalog.table_stats("R", (np.array([7, 7]),))
+        backend.refresh()
+        second = catalog.table_stats("R", backend.table_epoch("R"))
+        backend.close()
         assert catalog.recomputations == 2
         assert second is not first
         assert second.columns[0].distinct == 1
@@ -359,10 +361,7 @@ class TestDisjointWriteEvictsNothing:
             first = session.evaluate(sub)
             engine = session.engine
             evaluations = engine.evaluation_count
-            if backend == "memory":
-                cache = engine.memory_executor.cache_for()
-                recomputations = cache.statistics.recomputations
-            else:
+            if backend == "sqlite":
                 registry = engine.sqlite.view_registry
                 views_before = registry.cache_stats()
 
@@ -380,9 +379,7 @@ class TestDisjointWriteEvictsNothing:
             # the engine-level caches get exercised post-write
             direct = engine.evaluate(sub, ALL_PLANS)
             assert_scores_close(direct.scores, first.scores, 1e-12)
-            if backend == "memory":
-                assert cache.statistics.recomputations == recomputations
-            else:
+            if backend == "sqlite":
                 views_mid = registry.cache_stats()
                 assert views_mid["invalidations"] == 0
                 assert views_mid["size"] >= views_before["size"]

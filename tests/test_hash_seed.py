@@ -1,9 +1,9 @@
 """Same bytes under any ``PYTHONHASHSEED``.
 
-The generators' data, the scores of both executors and the SQL the
-SQLite executor runs must not depend on Python's string-hash seed:
-a set of strings iterates in hash order, and ``hash()`` of a plan is
-salted per process. One script prints all of them; two interpreters
+The generators' data, the scores of both executors, the SQL the
+SQLite executor runs and exact inference's probabilities must not
+depend on Python's string-hash seed: a set of strings iterates in hash
+order, and ``hash()`` of a plan is salted per process. One script prints all of them; two interpreters
 with different seeds must print the same bytes.
 """
 
@@ -24,9 +24,10 @@ DIGEST_SCRIPT = textwrap.dedent(
 
     from repro.api import EngineConfig
     from repro.engine import DissociationEngine, Optimizations
+    from repro.lineage.exact import ExactEvaluator
     from repro.workloads import (
-        chain_database, chain_query, star_database, star_query,
-        tpch_database,
+        TPCHParameters, chain_database, chain_query, filtered_instance,
+        star_database, star_query, tpch_database, tpch_query,
     )
 
     def line(label, text):
@@ -59,6 +60,29 @@ DIGEST_SCRIPT = textwrap.dedent(
                     line("scores " + label, repr(sorted(result.scores.items())))
                     line("sql " + label, result.sql or "")
             engine.release()
+
+    # a Fig. 5e '%' instance: both executors, then exact on its
+    # lineage (products of three or more marginals, and of three or
+    # more independent components)
+    tpch = filtered_instance(
+        tpch_database(scale=0.005, seed=1, p_max=0.5),
+        TPCHParameters(50, "%"),
+    )
+    for backend in ("memory", "sqlite"):
+        engine = DissociationEngine(tpch, EngineConfig(backend=backend))
+        for flags in product((False, True), repeat=3):
+            result = engine.evaluate(tpch_query(), Optimizations(*flags))
+            label = f"{backend} tpch {flags}"
+            line("scores " + label, repr(sorted(result.scores.items())))
+            line("sql " + label, result.sql or "")
+        engine.release()
+    lineage = DissociationEngine(tpch).lineage(tpch_query())
+    evaluator = ExactEvaluator(lineage.probabilities)
+    exact = [
+        (answer, evaluator.probability(formula))
+        for answer, formula in lineage.by_answer.items()
+    ]
+    line("exact tpch", repr(sorted(exact, key=repr)))
     """
 )
 
@@ -80,7 +104,7 @@ def test_outputs_do_not_depend_on_the_hash_seed():
     first, second = _digests("0"), _digests("1")
     assert first == second
     lines = first.splitlines()
-    assert len(lines) == 3 + 2 * 2 * 8 * 2 * 2
+    assert len(lines) == 3 + 2 * 2 * 8 * 2 * 2 + 2 * 8 * 2 + 1
     # the comparison covers SQL that names materialized views
     assert any(
         label.startswith("sql sqlite") and names_views == "True"

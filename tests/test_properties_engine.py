@@ -562,16 +562,14 @@ MERGED, ALL_PLANS = Optimizations(), Optimizations(single_plan=False)
 
 @st.composite
 def request_streams(draw):
-    """``(db, strict, requests, respelled)`` over one chain / star /
-    k-ary body of 3–5 atoms: one to three *groups* — a choice of one or
-    two constant positions, a head (Boolean, one variable, or two in
-    either order) and merged-plan or all-plans ``Optimizations`` — and a
-    stream of ``(query, opts)`` requests drawn from them, constants
-    repeating freely *within* a group (so requests come back and are
-    promoted). With ``strict`` two requests share a constant only when
-    they are the same request (same group, same constants), so they
-    share no selection-bearing subplan either. ``respelled`` is
-    a tail of further requests, some under other variable names with
+    """``(db, requests, respelled)`` over one chain / star / k-ary body
+    of 3–5 atoms: one to three *groups* — a choice of one or two
+    constant positions, a head (Boolean, one variable, or two in either
+    order) and merged-plan or all-plans ``Optimizations`` — and a stream
+    of ``(query, opts)`` requests drawn from them, constants repeating
+    freely within and across groups (so requests come back, and
+    different requests share selection-bearing subplans). ``respelled``
+    is a tail of further requests, some under other variable names with
     the atoms reversed."""
     shape = draw(st.sampled_from(["chain", "star", "kary"]))
     atoms = _join_body(shape, draw(st.integers(3, 5)))
@@ -597,9 +595,8 @@ def request_streams(draw):
         for index, atom in enumerate(atoms)
         for column in range(atom.arity)
     ]
-    strict = draw(st.booleans())
     groups = []
-    for number in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         slots = draw(
             st.lists(
                 st.sampled_from(positions), min_size=1, max_size=2, unique=True
@@ -617,31 +614,24 @@ def request_streams(draw):
         )
         head = draw(st.permutations(used))[: draw(st.integers(0, 2))]
         opts = draw(st.sampled_from([MERGED, MERGED, ALL_PLANS]))
-        # values 1..domain occur (most of them), the sixteen above do not
-        values = [
-            v
-            for v in range(1, domain + 17)
-            if not strict or v % 3 == number
-        ]
-        groups.append((body, head, opts, values))
+        groups.append((body, head, opts))
+    # values 1..domain occur (most of them), the sixteen above do not
+    values = range(1, domain + 17)
 
     def request(spelling: str):
-        body, head, opts, values = draw(st.sampled_from(groups))
+        body, head, opts = draw(st.sampled_from(groups))
         rename = (
             (lambda v: v)
             if spelling == "first"
             else (lambda v: Variable("other_" + v.name))
         )
         # the seed's choice, not hypothesis's: it would send the same
-        # few constants again and again. Strict requests put one value
-        # in all their slots, so two of them share a constant only when
-        # they are the same request.
-        tied = rng.choice(values)
+        # few constants again and again
         atoms_ = [
             Atom(
                 relation,
                 [
-                    Constant(tied if strict else rng.choice(values))
+                    Constant(rng.choice(values))
                     if term is None
                     else rename(term)
                     for term in terms
@@ -660,7 +650,7 @@ def request_streams(draw):
         request(draw(st.sampled_from(["first", "other"])))
         for _ in range(draw(st.integers(0, 8)))
     ]
-    return db, strict, requests, respelled
+    return db, requests, respelled
 
 
 def _connection_state(engine) -> tuple:
@@ -678,18 +668,16 @@ def test_statement_templates_equal_compile_per_request(case):
     shape identity, so every request is compiled) over one stream.
 
     While every request is in its shape's first spelling the two agree
-    to the bit and to the byte: scores, ``result.sql`` (DDL included).
-    When no two different requests share a constant they also leave the
-    same objects on their connections and touch their view registries
-    alike after every request; with a shared constant the templated
-    engine — a hit leaves no per-subplan request history — may promote a
-    shared selection-bearing subplan later than the reference, never
-    earlier, and scores then agree within 1e-12. Respelled requests are served by the
-    text of whichever spelling filled the template and agree within
-    1e-12, like everything after them. No executed or reported text
-    ever holds an unbound placeholder.
+    to the bit and to the byte — scores, ``result.sql`` (DDL included) —
+    leave the same objects on their connections and touch their view
+    registries alike after every request, repeated and shared constants
+    included: no selection-bearing subplan is ever materialized.
+    Respelled requests are served by the text of whichever spelling
+    filled the template and agree within 1e-12, like everything after
+    them. No executed or reported text ever holds an unbound
+    placeholder.
     """
-    db, strict, requests, respelled = case
+    db, requests, respelled = case
     templated = DissociationEngine(db, EngineConfig(backend="sqlite"))
     plain = DissociationEngine(
         db, EngineConfig(backend="sqlite", plan_memo_size=0)
@@ -702,18 +690,11 @@ def test_statement_templates_equal_compile_per_request(case):
             got = templated.evaluate(query, opts)
             want = plain.evaluate(query, opts)
             assert got.plan_count == want.plan_count
-            if strict:
-                assert got.scores == want.scores, (query, opts)
-                assert got.sql == want.sql, (query, opts)
-                assert _connection_state(templated) == _connection_state(
-                    plain
-                ), (query, opts)
-            else:
-                _assert_close(got.scores, want.scores, 1e-12)
-                assert (
-                    _connection_state(templated)[0]
-                    <= _connection_state(plain)[0]
-                )
+            assert got.scores == want.scores, (query, opts)
+            assert got.sql == want.sql, (query, opts)
+            assert _connection_state(templated) == _connection_state(
+                plain
+            ), (query, opts)
             _assert_close(got.scores, memory.evaluate(query, opts).scores, 1e-12)
             assert ":k" not in got.sql and "\x00" not in got.sql
         for query, opts in respelled:

@@ -1,8 +1,8 @@
 """The statistics catalog, the cost model, and cost-based planning.
 
 Covers the :mod:`repro.engine.stats` units (column summaries, MCV
-sketches, incremental maintenance under the db-version token, the join
-order, the Algorithm-3 materialization policy), ``engine.explain()``'s
+sketches, per-table epoch tokens, the join order, the Algorithm-3
+materialization policy), ``engine.explain()``'s
 estimated-vs-actual reporting, and seeded hypothesis property tests
 asserting that the memory fold's join order cannot change a score: a
 random connected order gives **bit-identical** scores across all eight
@@ -22,14 +22,13 @@ from hypothesis import given, settings, strategies as st
 from repro.api import EngineConfig
 from repro.core import Variable, parse_query
 from repro.core.plans import Join, Project, Scan
-from repro.db import ProbabilisticDatabase
+from repro.db import ProbabilisticDatabase, SQLiteBackend
 from repro.engine import DissociationEngine, Optimizations, extensional
-from repro.engine.extensional import EvaluationCache
 from repro.engine.stats import (
     JoinProfile,
     MaterializationPolicy,
     PlanEstimate,
-    StatisticsCatalog,
+    SQLiteStatisticsCatalog,
     estimate_plan,
     greedy_order,
     join_profile,
@@ -49,74 +48,70 @@ def _db() -> ProbabilisticDatabase:
     return db
 
 
+@pytest.fixture
+def backend():
+    backend = SQLiteBackend(_db())
+    yield backend
+    backend.close()
+
+
 class TestStatisticsCatalog:
-    def test_table_stats_summary(self):
-        db = _db()
-        cache = EvaluationCache(db)
-        stats = cache.table_statistics("R")
+    def test_table_stats_summary(self, backend):
+        stats = SQLiteStatisticsCatalog(backend).table_stats("R")
         assert stats.rows == 4
         assert stats.columns[0].distinct == 3  # values 1, 2, 3
         assert stats.columns[1].distinct == 3  # values 10, 20, 30
-        code_of_one = cache.code_of(1)
         # value 1 appears twice in column 0 and leads the MCV sketch
-        assert stats.columns[0].mcv[0] == (code_of_one, 2)
-        assert stats.columns[0].frequency(code_of_one) == 2.0
+        assert stats.columns[0].mcv[0] == (1, 2)
+        assert stats.columns[0].frequency(1) == 2.0
 
-    def test_stats_cached_while_table_unchanged(self):
-        cache = EvaluationCache(_db())
-        first = cache.table_statistics("R")
-        assert cache.table_statistics("R") is first
-        assert cache.statistics.recomputations == 1
+    def test_stats_cached_while_table_unchanged(self, backend):
+        catalog = SQLiteStatisticsCatalog(backend)
+        first = catalog.table_stats("R", backend.table_epoch("R"))
+        assert catalog.table_stats("R", backend.table_epoch("R")) is first
+        assert catalog.recomputations == 1
 
-    def test_mutation_invalidates_only_the_mutated_table(self):
-        db = _db()
-        cache = EvaluationCache(db)
-        stats_r = cache.table_statistics("R")
-        stats_s = cache.table_statistics("S")
-        db.insert("R", (4, 40), 0.5)
-        cache.validate()  # db-version token moved: encoded tables drop
-        new_r = cache.table_statistics("R")
+    def test_mutation_invalidates_only_the_mutated_table(self, backend):
+        catalog = SQLiteStatisticsCatalog(backend)
+
+        def stats(name):
+            return catalog.table_stats(name, backend.table_epoch(name))
+
+        stats_r, stats_s = stats("R"), stats("S")
+        backend.source.insert("R", (4, 40), 0.5)
+        backend.refresh()  # only R's epoch moved
+        new_r = stats("R")
         assert new_r is not stats_r
         assert new_r.rows == 5
         assert new_r.columns[0].distinct == 4
         # S was untouched: its summary survives the incremental refresh
-        assert cache.table_statistics("S") is stats_s
-
-    def test_catalog_validate_drops_stale_and_missing(self):
-        db = _db()
-        catalog = StatisticsCatalog(db)
-        cache = EvaluationCache(db)
-        catalog.table_stats("R", cache.encoded_table("R")[0])
-        catalog.table_stats("S", cache.encoded_table("S")[0])
-        db.insert("R", (9, 90), 0.5)
-        db.drop_table("S")
-        catalog.validate()
-        assert catalog.cached_tables() == frozenset()
+        assert stats("S") is stats_s
 
 
 class TestCardinalityModel:
-    def test_scan_profile_constant_uses_mcv(self):
-        db = _db()
-        cache = EvaluationCache(db)
-        stats = cache.table_statistics("R")
+    def test_scan_profile_constant_uses_mcv(self, backend):
+        catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(y) :- R(1, y)")
-        profile = scan_profile(q.atoms[0], stats, cache.code_of)
+        profile = scan_profile(
+            q.atoms[0], catalog.table_stats("R"), catalog.code_of
+        )
         assert profile.rows == pytest.approx(2.0)  # exact MCV count
 
-    def test_scan_profile_unseen_constant_is_empty(self):
-        db = _db()
-        cache = EvaluationCache(db)
-        stats = cache.table_statistics("R")
+    def test_scan_profile_unseen_constant_is_empty(self, backend):
+        catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(y) :- R(99, y)")
-        profile = scan_profile(q.atoms[0], stats, cache.code_of)
+        profile = scan_profile(
+            q.atoms[0], catalog.table_stats("R"), catalog.code_of
+        )
+        # the column fits its sketch: no rows are left for other values
         assert profile.rows == 0.0
 
-    def test_scan_profile_repeated_variable_pessimistic_cap(self):
-        db = _db()
-        cache = EvaluationCache(db)
-        stats = cache.table_statistics("R")
+    def test_scan_profile_repeated_variable_pessimistic_cap(self, backend):
+        catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(x) :- R(x, x)")
-        profile = scan_profile(q.atoms[0], stats, cache.code_of)
+        profile = scan_profile(
+            q.atoms[0], catalog.table_stats("R"), catalog.code_of
+        )
         # divided by the larger distinct count of the two positions
         assert profile.rows == pytest.approx(4 / 3)
 
@@ -209,17 +204,24 @@ class TestExplain:
 
 
 class TestMaterializationPolicy:
+    FREE = Project(
+        [Variable("x")], Scan(parse_query("q(x) :- R(x, y)").atoms[0])
+    )
+    SELECTIVE = Project(
+        [Variable("y")], Scan(parse_query("q(y) :- R(1, y)").atoms[0])
+    )
+
     def test_single_reference_never_materializes(self):
         policy = MaterializationPolicy()
-        assert not policy.should_materialize(object(), 1, 0)
+        assert not policy.should_materialize(self.FREE, 1, 0)
 
     def test_shared_reference_materializes_without_estimator(self):
         policy = MaterializationPolicy()
-        assert policy.should_materialize(object(), 2, 0)
+        assert policy.should_materialize(self.FREE, 2, 0)
 
     def test_prior_request_promotes_one_shot(self):
         policy = MaterializationPolicy()
-        assert policy.should_materialize(object(), 1, 1)
+        assert policy.should_materialize(self.FREE, 1, 1)
 
     def test_cost_gate_declines_cheap_subplans(self):
         cheap = PlanEstimate(rows=100.0, cost=100.0, profile=None)
@@ -227,9 +229,20 @@ class TestMaterializationPolicy:
             estimator=lambda node: cheap, write_factor=2.0
         )
         # saving one evaluation (cost 100) does not beat writing 100 rows
-        assert not policy.should_materialize(object(), 2, 0)
+        assert not policy.should_materialize(self.FREE, 2, 0)
         # three references save 200 ≥ 2 × 100
-        assert policy.should_materialize(object(), 3, 0)
+        assert policy.should_materialize(self.FREE, 3, 0)
+
+    def test_a_selective_subplan_never_materializes(self):
+        def unpriced(node):
+            raise AssertionError("a selective subplan needs no estimate")
+
+        for estimator in (None, unpriced):
+            policy = MaterializationPolicy(estimator, write_factor=0.0)
+            for references, prior in ((1, 0), (2, 0), (1, 1), (50, 9)):
+                assert not policy.should_materialize(
+                    self.SELECTIVE, references, prior
+                )
 
 
 @contextlib.contextmanager
@@ -354,64 +367,30 @@ class TestEstimatePlan:
 
         q = chain_query(4)
         db = chain_database(4, 40, seed=9, p_max=0.5)
-        engine = DissociationEngine(db)
-        cache = EvaluationCache(db)
-        memo = {}
+        engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
+        estimator = engine.sqlite_executor.plan_estimator()
         for plan in engine.minimal_plans(q):
-            estimate = estimate_plan(
-                plan, cache.table_statistics, cache.code_of, memo
-            )
+            estimate = estimator(plan)
             assert np.isfinite(estimate.rows) and estimate.rows >= 0
             assert np.isfinite(estimate.cost) and estimate.cost > 0
             # cost dominates output size: computing a subtree reads at
             # least what it emits
             assert estimate.cost >= estimate.rows
+        engine.release()
 
-    def test_scan_estimate_matches_table(self):
-        db = _db()
-        cache = EvaluationCache(db)
+    def test_scan_estimate_matches_table(self, backend):
+        catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(x, y) :- R(x, y)")
         scan = Scan(q.atoms[0])
-        estimate = estimate_plan(scan, cache.table_statistics, cache.code_of)
+        estimate = estimate_plan(scan, catalog.table_stats, catalog.code_of)
         assert estimate.rows == 4.0
 
 
 class TestSQLiteStatisticsCatalog:
     """The pure-SQL statistics path: no in-RAM encodings for sqlite-only
-    deployments, token-keyed invalidation, and agreement with the
-    in-memory catalog's counts."""
+    deployments, and token-keyed invalidation."""
 
-    def test_counts_agree_with_memory_catalog(self):
-        from repro.db import SQLiteBackend
-        from repro.engine.stats import SQLiteStatisticsCatalog
-        from repro.workloads import chain_database
-
-        db = chain_database(3, 50, seed=21, p_max=0.5)
-        backend = SQLiteBackend(db)
-        sql_catalog = SQLiteStatisticsCatalog(backend)
-        cache = EvaluationCache(db)
-        for name in db.table_names:
-            sql_stats = sql_catalog.table_stats(name)
-            mem_stats = cache.table_statistics(name)
-            assert sql_stats.rows == mem_stats.rows
-            assert len(sql_stats.columns) == len(mem_stats.columns)
-            for sql_col, mem_col in zip(
-                sql_stats.columns, mem_stats.columns
-            ):
-                assert sql_col.count == mem_col.count
-                assert sql_col.distinct == mem_col.distinct
-                # the sketches cover the same total frequency mass
-                assert sum(c for _, c in sql_col.mcv) == sum(
-                    c for _, c in mem_col.mcv
-                )
-        backend.close()
-
-    def test_identity_code_of_prices_constants(self):
-        from repro.db import SQLiteBackend
-        from repro.engine.stats import SQLiteStatisticsCatalog
-
-        db = _db()
-        backend = SQLiteBackend(db)
+    def test_identity_code_of_prices_constants(self, backend):
         catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(y) :- R(1, y)")
         profile = scan_profile(
@@ -419,14 +398,8 @@ class TestSQLiteStatisticsCatalog:
         )
         # value 1 occurs twice among four rows
         assert profile.rows == pytest.approx(2.0)
-        backend.close()
 
-    def test_token_keyed_invalidation(self):
-        from repro.db import SQLiteBackend
-        from repro.engine.stats import SQLiteStatisticsCatalog
-
-        db = _db()
-        backend = SQLiteBackend(db)
+    def test_token_keyed_invalidation(self, backend):
         catalog = SQLiteStatisticsCatalog(backend)
         first = catalog.table_stats("R", token="a")
         assert catalog.table_stats("R", token="a") is first  # cached
@@ -434,7 +407,6 @@ class TestSQLiteStatisticsCatalog:
         second = catalog.table_stats("R", token="b")  # token moved
         assert catalog.recomputations == 2
         assert second.rows == first.rows
-        backend.close()
 
     def test_sqlite_evaluation_builds_no_ram_encodings(self):
         from repro.workloads import chain_database, chain_query
