@@ -159,9 +159,9 @@ class ServiceConfig:
         Measure the SQLite temp-table write factor once at startup and
         install it on every worker engine.
     collect_dag_stats:
-        Build the explicit :class:`~repro.service.dag.BatchPlanDAG` per
-        batch for sharing statistics (costs a second plan enumeration
-        per batch).
+        Count each batch's merged plan DAG for the sharing statistics
+        of ``stats()["dag"]``: one walk over the nodes of every plan
+        tree, whose plans come from the engine's plan memo.
     default_timeout:
         Deadline (seconds) applied to submissions that do not pass
         their own ``timeout=``. A request whose deadline expires while

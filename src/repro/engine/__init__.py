@@ -3,6 +3,7 @@
 from .evaluator import DissociationEngine, EvaluationResult, Optimizations
 from .extensional import (
     EvaluationCache,
+    Scope,
     deterministic_answers,
     evaluate_plan,
     plan_scores,
@@ -34,6 +35,7 @@ __all__ = [
     "Optimizations",
     "SQLCompiler",
     "SQLiteStatisticsCatalog",
+    "Scope",
     "StatementScope",
     "deterministic_answers",
     "deterministic_sql",

@@ -35,7 +35,7 @@ from ..lineage.exact import ExactEvaluator
 from ..lineage.mc import monte_carlo_many
 from ..obs import StatsLRU, resolve_observer
 from .executors import MemoryExecutor, SQLiteExecutor
-from .extensional import deterministic_answers, plan_scores
+from .extensional import Scope, deterministic_answers, plan_scores
 from .semijoin import semijoin_masks
 from .sql import deterministic_sql, lineage_sql
 
@@ -605,15 +605,14 @@ class DissociationEngine:
         self, query: ConjunctiveQuery, semijoin: bool = False
     ) -> dict[Plan, dict[tuple, float]]:
         """Each minimal plan's scores separately (needed by the ``avg[d]``
-        ranking experiments, Result 6); with ``semijoin``, in a scope of
-        the persistent cache under ``query``'s Opt.-3 row masks. The
-        plans share one per-call memo, as in all-plans mode."""
+        ranking experiments, Result 6); with ``semijoin``, under
+        ``query``'s Opt.-3 row masks. The plans share one memo, as in
+        all-plans mode."""
         cache = self.memory_executor.cache_for()
-        if semijoin:
-            cache = cache.plan_scope(semijoin_masks(query, cache))
-        memo: dict = {}
+        masks = semijoin_masks(query, cache) if semijoin else None
+        scope = Scope({}, masks)
         return {
-            plan: plan_scores(plan, query, self.db, cache=cache, memo=memo)
+            plan: plan_scores(plan, query, self.db, cache, scope=scope)
             for plan in self.minimal_plans(query)
         }
 
@@ -642,8 +641,11 @@ class DissociationEngine:
         template store.
         """
         opts = optimizations or _DEFAULT_OPTIMIZATIONS
-        base = self.memory_executor.cache_for()
-        masks = semijoin_masks(query, base) if opts.semijoin else None
+        cache = self.memory_executor.cache_for()
+        # no memo: every join of every plan executes (a result served
+        # from a store would skip scheduling and leave gaps)
+        masks = semijoin_masks(query, cache) if opts.semijoin else None
+        scope = Scope(None, masks)
         template, numbering = self._template(query, "minimal")
         plan_count = len(template.plans)
         if opts.single_plan:
@@ -651,12 +653,9 @@ class DissociationEngine:
         targets = self._targets(query, template, numbering)
         entries = []
         for plan in targets:
-            # fresh memo scope per plan: every join of the plan executes
-            # (cached results would skip scheduling and leave gaps)
             recorder: list[dict] = []
             plan_started = time.perf_counter()
-            scope = base.plan_scope(masks)
-            plan_scores(plan, query, self.db, cache=scope, recorder=recorder)
+            plan_scores(plan, query, self.db, cache, recorder, scope)
             entries.append(
                 {
                     "plan": plan.pretty(),

@@ -35,6 +35,7 @@ from ..db.sqlite_backend import MAX_STATEMENT_TEMPLATES, SQLiteBackend
 from ..obs import StatsLRU
 from .extensional import (
     EvaluationCache,
+    Scope,
     plan_scores,
     plan_scores_min_combined,
 )
@@ -93,50 +94,38 @@ class MemoryExecutor:
 
     def run(self, batch: Batch, opts) -> list[tuple[dict, None]]:
         out = []
-        # The persistent cache admits no selective subplan; the batch's
-        # queries share one memo of them instead, so a selection two
-        # queries share is computed once. A new database version starts
-        # a new memo.
+        # A retaining call (Opt. 2 on, Opt. 3 off) shares the persistent
+        # cache's constant-free results with every call, and the batch's
+        # queries share one memo of the selective ones, so a selection
+        # two queries share is computed once; a new database version
+        # starts a new memo. Opt. 2 off gives each plan only its own DAG
+        # memo; Opt. 3 masks the scans, so that request keeps its
+        # results in a memo of its own.
         shared: dict = {}
         version = None
         for query, targets in batch:
-            # Cross-query sharing is the structural plan-result layer of
-            # the one persistent cache. Opt. 3 masks that cache's rows
-            # per query, so a semi-join request evaluates in a masked
-            # scope whose memo lives for the request only.
-            base = self.cache_for()
-            memo = None  # one fresh memo per call
-            if opts.semijoin:
-                base = base.plan_scope(semijoin_masks(query, base))
-            elif opts.reuse_views:
+            cache = self.cache_for()
+            masks = semijoin_masks(query, cache) if opts.semijoin else None
+            if not opts.reuse_views:
+                scope = Scope(None, masks)
+            elif masks is not None:
+                scope = Scope({}, masks)
+            else:
                 current = self.db.version
                 if current != version:
                     shared, version = {}, current
-                memo = shared
-            # Opt. 2 (view reuse) is the shared plan-result memo: with it
-            # on, one structural cache spans all plans of this call *and*
-            # — without Opt. 3 — later calls. With it off, each plan gets
-            # a fresh memo scope (encoded relations are representation,
-            # not an optimization, so those stay shared either way); the
-            # DAG produced by Algorithm 2 still shares nodes within one
-            # plan.
+                scope = Scope(shared)
             if opts.single_plan:
-                cache = base if opts.reuse_views else base.plan_scope()
                 scores = plan_scores(
-                    targets[0], query, self.db, cache=cache, memo=memo
+                    targets[0], query, self.db, cache, scope=scope
                 )
             else:
                 # all-plans min-combining stays columnar (one decode for
                 # the whole call instead of one per plan — the warm
                 # path's cost)
-                caches = (
-                    base
-                    if opts.reuse_views
-                    else [base.plan_scope() for _ in targets]
-                )
                 with self.observer.span("combine.min", plans=len(targets)):
                     scores = plan_scores_min_combined(
-                        targets, query, self.db, caches, memo=memo
+                        targets, query, self.db, cache, scope=scope
                     )
             out.append((scores, None))
         return out
@@ -344,9 +333,7 @@ class SQLiteExecutor:
             )
 
         memo: dict[Plan, object] = {}
-        return lambda plan: estimate_plan(
-            plan, stats_for, catalog.code_of, memo
-        )
+        return lambda plan: estimate_plan(plan, stats_for, memo)
 
     def _policy(self, estimator, observer=None) -> MaterializationPolicy:
         """The Algorithm-3 policy under the write factor in force — the

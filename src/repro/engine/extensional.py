@@ -28,9 +28,12 @@ Shared plan nodes are evaluated once: results are memoized in an
 :class:`EvaluationCache` keyed by the plans' *structural* hash/equality
 (not object identity), so Optimization 2 view reuse extends across the
 separate plans of the "all plans" mode and — when the cache is threaded
-through :class:`repro.engine.DissociationEngine` — across queries. A
-result beneath a selection constant (:meth:`Plan.selective`) lives in
-the per-call memo only. The cache snapshots the database's version
+through :class:`repro.engine.DissociationEngine` — across queries. What
+one call may reuse is its :class:`Scope`: the call's memo and its Opt.-3
+row masks. Only a call that shares one memo across its plans and masks
+nothing reads and writes the cache's LRU, and then only for results no
+selection constant reaches (:meth:`Plan.selective`); every other result
+lives in the call's memo. The cache snapshots the database's version
 token and clears itself when the database mutates.
 """
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .stats import JoinProfile, greedy_order, join_profile, profile_of_columnar
 
 __all__ = [
     "EvaluationCache",
+    "Scope",
     "evaluate_plan",
     "plan_scores",
     "plan_scores_min_combined",
@@ -138,6 +142,24 @@ def _empty(order: tuple[Variable, ...]) -> _Columnar:
     )
 
 
+class Scope(NamedTuple):
+    """What one evaluation call may reuse besides the persistent cache.
+
+    ``memo`` is the call's store of plan results, shared by all its
+    plans (Opt. 2); ``None`` gives each plan only its own DAG memo
+    (Opt. 2 off). ``masks`` maps a relation to the boolean row mask
+    every scan of it applies (Opt. 3); ``None`` masks nothing.
+
+    A call *retains* exactly when it shares a memo and masks nothing:
+    then the cache's LRU serves and keeps its constant-free results and
+    its memo the selective ones. Any other call reads and writes only
+    its memo and moves none of the cache's counters.
+    """
+
+    memo: dict[Plan, _Columnar] | None = None
+    masks: dict[str, np.ndarray] | None = None
+
+
 class EvaluationCache:
     """Shared evaluation state for one database.
 
@@ -149,33 +171,27 @@ class EvaluationCache:
       per relation (built lazily on first scan);
     * plan results keyed by the plan nodes' structural hash/equality —
       this is what realizes Opt. 2 across plans and across queries.
-      Admission is Algorithm 3's ``selective`` rule: a plan beneath a
-      selection constant (:meth:`Plan.selective`) belongs to one
-      binding of the query's parameters, so it is neither looked up
-      nor stored here; it lives in the per-call memo of
-      :func:`evaluate_plan` (which the memory executor shares across
-      one batch).
+      Only a retaining :class:`Scope` reads and writes them, and only
+      for plans no selection constant reaches: a plan beneath one
+      (:meth:`Plan.selective`) belongs to one binding of the query's
+      parameters (Algorithm 3's ``selective`` rule) and lives in the
+      call's memo, which the memory executor shares across one batch.
 
     The cache records ``db.version`` when created; :meth:`validate`
     drops the encoded tables and plan results whenever the token moved.
-    :meth:`plan_scope` returns a view sharing the dictionary and encoded
-    tables but with an empty plan memo — used when view reuse (Opt. 2)
-    is disabled but re-encoding relations per plan would be wasteful —
-    and, optionally, a row mask per relation its scans apply (Opt. 3).
 
     ``max_plans`` bounds the admitted plan results LRU-style: ``None`` is
     unbounded, ``0`` retains nothing across calls (shared DAG nodes
-    still evaluate once *within* a call through a per-call memo), ``N``
-    keeps the ``N`` most recently used results. :meth:`cache_stats` exposes
-    cumulative hit/miss/eviction counters (every subplan evaluated
-    counts a miss, a selective one included) — the same shape the SQLite
-    backend's view registry reports, so both backends share one cache
-    interface.
+    still evaluate once *within* a plan), ``N`` keeps the ``N`` most
+    recently used results. :meth:`cache_stats` exposes cumulative
+    hit/miss/eviction counters of retaining calls (every subplan such a
+    call evaluates counts a miss, a selective one included) — the same
+    shape the SQLite backend's view registry reports, so both backends
+    share one cache interface.
 
     The cache is **thread-safe** at the entry level: interning, encoded
-    tables, and the plan-result LRU are guarded by one re-entrant lock
-    (scopes share their parent's lock, since they share the underlying
-    dictionaries). Evaluation itself runs outside the lock, so two
+    tables, and the plan-result LRU are guarded by one re-entrant lock.
+    Evaluation itself runs outside the lock, so two
     threads racing on the same uncached subplan may both compute it —
     the results are bit-identical (evaluation is a pure function of the
     plan and the encoded tables) and the second store is a no-op
@@ -195,55 +211,30 @@ class EvaluationCache:
         "_token",
         "_lock",
         "observer",
-        "masks",
     )
 
     def __init__(
-        self,
-        db: ProbabilisticDatabase,
-        max_plans: int | None = None,
-        _share_with: "EvaluationCache | None" = None,
+        self, db: ProbabilisticDatabase, max_plans: int | None = None
     ) -> None:
         if max_plans is not None and max_plans < 0:
             raise ValueError("max_plans must be None or >= 0")
         self.db = db
-        if _share_with is None:
-            self._code_of: dict = {}
-            self._values: list = []
-            # name -> (table epoch at encode time, (columns, scores))
-            self._tables: dict[str, tuple] = {}
-            self._lock = threading.RLock()
-            #: Per-subplan tracing hook (``repro.obs``); the engine
-            #: installs its observer here so ``_evaluate`` can record
-            #: cache-hit-vs-compute spans without threading a parameter
-            #: through every operator.
-            self.observer = NULL_OBSERVER
-        else:
-            self._code_of = _share_with._code_of
-            self._values = _share_with._values
-            self._tables = _share_with._tables
-            # one lock per shared state: scopes mutate the parent's
-            # dictionaries, so they must serialize against it
-            self._lock = _share_with._lock
-            self.observer = _share_with.observer
-            if max_plans is None:
-                max_plans = _share_with.max_plans
-        #: relation -> boolean row mask over its encoded rows, ANDed into
-        #: every scan (Opt. 3; set by :meth:`plan_scope`)
-        self.masks: dict[str, np.ndarray] = {}
+        self._code_of: dict = {}
+        self._values: list = []
+        # name -> (table epoch at encode time, (columns, scores))
+        self._tables: dict[str, tuple] = {}
+        self._lock = threading.RLock()
+        #: Per-subplan tracing hook (``repro.obs``); the engine installs
+        #: its observer here so ``_evaluate`` can record
+        #: cache-hit-vs-compute spans without threading a parameter
+        #: through every operator.
+        self.observer = NULL_OBSERVER
         # plan -> (epoch vector of the plan's relations at store time,
-        #          result); the vector makes each entry self-describing,
-        #          so scopes sharing encoded tables can each validate
-        #          their own memo without clearing the other's. Storage
-        #          and counters live in the shared StatsLRU core; scopes
-        #          get their own memo (and counters) on the shared lock.
+        #          result): validate() drops exactly the entries whose
+        #          relations moved. Storage and counters live in the
+        #          shared StatsLRU core.
         self._plans = StatsLRU(max_plans, lock=self._lock)
-        # A scope must inherit the parent's token, not re-snapshot: the
-        # shared encoded tables may predate a mutation the parent has
-        # not validated away yet, and a fresh token would hide it.
-        self._token = (
-            db.version if _share_with is None else _share_with._token
-        )
+        self._token = db.version
 
     def validate(self) -> None:
         """Drop cached state belonging to tables that changed.
@@ -269,18 +260,6 @@ class EvaluationCache:
             )
             self._token = token
 
-    def plan_scope(
-        self, masks: "dict[str, np.ndarray] | None" = None
-    ) -> "EvaluationCache":
-        """A cache sharing encodings but with a fresh plan-result memo.
-
-        ``masks`` restricts the scope's scans to the masked rows of each
-        named relation; without it the scope inherits this cache's.
-        """
-        scope = EvaluationCache(self.db, _share_with=self)
-        scope.masks = self.masks if masks is None else masks
-        return scope
-
     # ------------------------------------------------------------------
     # plan-result layer (Opt. 2), LRU-bounded
     # ------------------------------------------------------------------
@@ -288,39 +267,37 @@ class EvaluationCache:
     def max_plans(self) -> int | None:
         return self._plans.max_entries
 
-    def lookup_plan(
-        self, plan: Plan, memo: "dict[Plan, _Columnar] | None" = None
-    ) -> "_Columnar | None":
-        """The memoized result of ``plan``, or ``None`` (a miss).
+    def lookup_plan(self, plan: Plan, scope: Scope) -> "_Columnar | None":
+        """The memoized result of ``plan`` for a call in ``scope``, or
+        ``None`` (a miss).
 
-        An admitted plan is looked up here, marking it most recently
-        used; a selective one only in ``memo``, the caller's per-call
-        store, whose hits are the caller's and go uncounted.
+        A retaining call looks a constant-free plan up in the LRU,
+        marking it most recently used, and a selective one in its memo,
+        counting only the miss. Any other call reads its memo alone.
         """
-        if plan.selective():
-            result = None if memo is None else memo.get(plan)
-            if result is None:
-                self._plans.add_miss()
-            return result
-        entry = self._plans.get(plan)
-        return None if entry is None else entry[1]
+        memo = scope.memo
+        if memo is None or scope.masks is not None:  # not retaining
+            return None if memo is None else memo.get(plan)
+        if not plan.selective():
+            entry = self._plans.get(plan)
+            return None if entry is None else entry[1]
+        result = memo.get(plan)
+        if result is None:
+            self._plans.add_miss()
+        return result
 
     def store_plan(
-        self,
-        plan: Plan,
-        result: "_Columnar",
-        memo: "dict[Plan, _Columnar] | None" = None,
+        self, plan: Plan, result: "_Columnar", scope: Scope
     ) -> None:
-        """Admit ``result``, or keep it in ``memo`` if ``plan`` is
-        selective."""
-        if plan.selective():
-            if memo is not None:
-                memo[plan] = result
+        """Keep ``result`` where :meth:`lookup_plan` finds it again."""
+        memo = scope.memo
+        if memo is None:
             return
-        if self.max_plans == 0:
-            return
-        vector = self.db.epoch_vector(plan.relations())
-        self._plans.put(plan, (vector, result))
+        if scope.masks is not None or plan.selective():
+            memo[plan] = result
+        elif self.max_plans != 0:
+            vector = self.db.epoch_vector(plan.relations())
+            self._plans.put(plan, (vector, result))
 
     def cache_stats(self) -> dict:
         """Cumulative counters (they survive :meth:`validate` clears)."""
@@ -384,7 +361,7 @@ def evaluate_plan(
     output_order: Iterable[Variable] | None = None,
     cache: EvaluationCache | None = None,
     recorder: "list[dict] | None" = None,
-    memo: "dict[Plan, _Columnar] | None" = None,
+    scope: Scope | None = None,
 ) -> dict[tuple, float]:
     """Score every output tuple of ``plan`` on ``db``.
 
@@ -393,10 +370,11 @@ def evaluate_plan(
     by variable name. For Boolean plans the single key is ``()``.
 
     ``cache`` shares interning, encoded relations, and plan results
-    across calls; it must have been built for the same ``db``. ``memo``
-    keeps the call's selective results, which the cache never admits;
-    pass one dict to several calls on one cache scope to share them
-    while nothing moves the database.
+    across calls; it must have been built for the same ``db``. ``scope``
+    is the call's own state (:class:`Scope`); the default is a fresh
+    memo and no masks, a call that retains. Pass one scope to several
+    calls on one cache to share its memo while nothing moves the
+    database.
 
     ``recorder``, when given, collects one dict per *executed* join node
     (chosen order and estimated vs. actual
@@ -404,14 +382,22 @@ def evaluate_plan(
     ``DissociationEngine.explain``. Joins served from the plan cache do
     not re-execute and are not recorded.
     """
-    if cache is None:
-        cache = EvaluationCache(db)
-    else:
-        if cache.db is not db:
-            raise ValueError("evaluation cache was built for a different database")
-        cache.validate()
-    result = _evaluate(plan, cache, {}, {} if memo is None else memo, recorder)
+    cache = _validated(cache, db)
+    if scope is None:
+        scope = Scope({})
+    result = _evaluate(plan, cache, scope, {}, recorder)
     return _shape_scores(result, cache, output_order)
+
+
+def _validated(
+    cache: EvaluationCache | None, db: ProbabilisticDatabase
+) -> EvaluationCache:
+    if cache is None:
+        return EvaluationCache(db)
+    if cache.db is not db:
+        raise ValueError("evaluation cache was built for a different database")
+    cache.validate()
+    return cache
 
 
 def _shape_scores(
@@ -442,11 +428,11 @@ def plan_scores(
     db: ProbabilisticDatabase,
     cache: EvaluationCache | None = None,
     recorder: "list[dict] | None" = None,
-    memo: "dict[Plan, _Columnar] | None" = None,
+    scope: Scope | None = None,
 ) -> dict[tuple, float]:
     """``evaluate_plan`` keyed in the query's declared head order."""
     return evaluate_plan(
-        plan, db, query.head_order, cache=cache, recorder=recorder, memo=memo
+        plan, db, query.head_order, cache=cache, recorder=recorder, scope=scope
     )
 
 
@@ -454,9 +440,9 @@ def plan_scores_min_combined(
     plans: Sequence[Plan],
     query: ConjunctiveQuery,
     db: ProbabilisticDatabase,
-    caches: "Sequence[EvaluationCache] | EvaluationCache",
+    cache: EvaluationCache,
     recorder: "list[dict] | None" = None,
-    memo: "dict[Plan, _Columnar] | None" = None,
+    scope: Scope | None = None,
 ) -> dict[tuple, float]:
     """All-plans evaluation with the min-combining kept *columnar*.
 
@@ -471,34 +457,19 @@ def plan_scores_min_combined(
     dict path: ``min`` is associative and exact — no floating-point
     reassociation is involved.
 
-    ``caches`` is either one shared cache (Opt. 2 across plans) or one
-    cache per plan (the reuse-disabled mode's per-plan scopes); all of
-    them must share their interning dictionary (be scopes of one base
-    cache), since the row keys that align the plans' answer tuples live
-    in that shared code space. One shared cache shares one ``memo`` of
-    selective results across the plans (as in :func:`evaluate_plan`);
-    per-plan scopes get one fresh memo each.
+    The plans evaluate in one ``scope`` (default as in
+    :func:`evaluate_plan`): they share its memo, or — without one —
+    each keeps only its own DAG memo.
     """
     plans = list(plans)
     if not plans:
         return {}
-    if isinstance(caches, EvaluationCache):
-        caches = [caches] * len(plans)
-        memos = [{} if memo is None else memo] * len(plans)
-    elif len(caches) != len(plans) or memo is not None:
-        raise ValueError("one cache (or one per plan, without a memo) required")
-    else:
-        memos = [{} for _ in plans]
-    results = []
-    for plan, cache, plan_memo in zip(plans, caches, memos):
-        if cache.db is not db:
-            raise ValueError(
-                "evaluation cache was built for a different database"
-            )
-        cache.validate()
-        results.append(_evaluate(plan, cache, {}, plan_memo, recorder))
-    combined = _aligned_min(results, caches[0])
-    return _shape_scores(combined, caches[0], query.head_order)
+    cache = _validated(cache, db)
+    if scope is None:
+        scope = Scope({})
+    results = [_evaluate(plan, cache, scope, {}, recorder) for plan in plans]
+    combined = _aligned_min(results, cache)
+    return _shape_scores(combined, cache, query.head_order)
 
 
 def _decode(
@@ -520,66 +491,64 @@ def _decode(
 def _evaluate(
     plan: Plan,
     cache: EvaluationCache,
+    scope: Scope,
     local: dict[Plan, _Columnar],
-    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
     # ``local`` memoizes within one plan: shared nodes of an
-    # Algorithm-2 DAG must evaluate once even when the cross-call cache
-    # layer is disabled or capped (max_plans=0 bounds *retained* state,
-    # not the intra-call sharing the algorithm relies on). ``memo`` is
-    # the caller's per-call store of selective nodes, which the cache
-    # never admits.
-    cached = local.get(plan)
-    if cached is not None:
-        return cached
+    # Algorithm-2 DAG evaluate once, and count once, whatever the scope
+    # (max_plans=0 bounds *retained* state, not the intra-plan sharing
+    # the algorithm relies on).
+    result = local.get(plan)
+    if result is not None:
+        return result
     obs = cache.observer
-    cached = cache.lookup_plan(plan, memo)
-    if cached is not None:
+    result = cache.lookup_plan(plan, scope)
+    if result is None:
         if obs.enabled:
             with obs.span("subplan") as span:
+                result = _operate(plan, cache, scope, local, recorder)
                 span.note(
                     kind=type(plan).__name__.lower(),
-                    cached=True,
-                    rows=len(cached),
+                    cached=False,
+                    rows=len(result),
                 )
-        local[plan] = cached
-        return cached
-    if not obs.enabled:
-        if isinstance(plan, Scan):
-            result = _scan(plan, cache)
-        elif isinstance(plan, Project):
-            result = _project(plan, cache, local, memo, recorder)
-        elif isinstance(plan, Join):
-            result = _join(plan, cache, local, memo, recorder)
-        elif isinstance(plan, MinPlan):
-            result = _min(plan, cache, local, memo, recorder)
-        else:  # pragma: no cover - sealed hierarchy
-            raise TypeError(f"unknown plan node {plan!r}")
-    else:
+        else:
+            result = _operate(plan, cache, scope, local, recorder)
+        cache.store_plan(plan, result, scope)
+    elif obs.enabled:
         with obs.span("subplan") as span:
-            if isinstance(plan, Scan):
-                result = _scan(plan, cache)
-            elif isinstance(plan, Project):
-                result = _project(plan, cache, local, memo, recorder)
-            elif isinstance(plan, Join):
-                result = _join(plan, cache, local, memo, recorder)
-            elif isinstance(plan, MinPlan):
-                result = _min(plan, cache, local, memo, recorder)
-            else:  # pragma: no cover - sealed hierarchy
-                raise TypeError(f"unknown plan node {plan!r}")
             span.note(
-                kind=type(plan).__name__.lower(),
-                cached=False,
-                rows=len(result),
+                kind=type(plan).__name__.lower(), cached=True, rows=len(result)
             )
     local[plan] = result
-    cache.store_plan(plan, result, memo)
     return result
 
 
-def _scan(plan: Scan, cache: EvaluationCache) -> _Columnar:
-    positions, columns, scores, mask = _atom_selection(plan.atom, cache)
+def _operate(
+    plan: Plan,
+    cache: EvaluationCache,
+    scope: Scope,
+    local: dict[Plan, _Columnar],
+    recorder: "list[dict] | None",
+) -> _Columnar:
+    """Run ``plan``'s own operator (its children through
+    :func:`_evaluate`)."""
+    if isinstance(plan, Scan):
+        return _scan(plan, cache, scope.masks)
+    if isinstance(plan, Project):
+        return _project(plan, cache, scope, local, recorder)
+    if isinstance(plan, Join):
+        return _join(plan, cache, scope, local, recorder)
+    if isinstance(plan, MinPlan):
+        return _min(plan, cache, scope, local, recorder)
+    raise TypeError(f"unknown plan node {plan!r}")  # pragma: no cover
+
+
+def _scan(
+    plan: Scan, cache: EvaluationCache, masks: "dict | None"
+) -> _Columnar:
+    positions, columns, scores, mask = _atom_selection(plan.atom, cache, masks)
     order = tuple(positions)
     keep = [positions[v] for v in order]
     if mask is None:
@@ -588,15 +557,17 @@ def _scan(plan: Scan, cache: EvaluationCache) -> _Columnar:
     return _Columnar(order, tuple(columns[i][idx] for i in keep), scores[idx])
 
 
-def _atom_selection(atom: Atom, cache: EvaluationCache):
+def _atom_selection(
+    atom: Atom, cache: EvaluationCache, masks: "dict | None" = None
+):
     """The rows of ``atom``'s encoded relation that the atom selects.
 
     Returns ``(positions, columns, scores, mask)``: the first column of
     every variable, the relation's code and score columns, and the
     boolean row mask of its constants, its repeated variables and the
-    scope's Opt.-3 mask (``None`` when nothing filters). :func:`_scan`
-    applies it; :func:`~repro.engine.semijoin.semijoin_masks` seeds its
-    fixpoint with it.
+    relation's Opt.-3 mask in ``masks`` (``None`` when nothing filters).
+    :func:`_scan` applies it; :func:`~repro.engine.semijoin.semijoin_masks`
+    seeds its fixpoint with it.
     """
     table = cache.db.table(atom.relation)
     if table.arity != atom.arity:
@@ -605,7 +576,7 @@ def _atom_selection(atom: Atom, cache: EvaluationCache):
             f"{atom.relation} has arity {table.arity}"
         )
     columns, scores = cache.encoded_table(atom.relation)
-    mask = cache.masks.get(atom.relation)
+    mask = None if masks is None else masks.get(atom.relation)
     positions: dict[Variable, int] = {}
     for i, term in enumerate(atom.terms):
         if isinstance(term, Constant):
@@ -622,11 +593,11 @@ def _atom_selection(atom: Atom, cache: EvaluationCache):
 def _project(
     plan: Project,
     cache: EvaluationCache,
+    scope: Scope,
     local: dict[Plan, _Columnar],
-    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
-    child = _evaluate(plan.child, cache, local, memo, recorder)
+    child = _evaluate(plan.child, cache, scope, local, recorder)
     order = tuple(v for v in child.order if v in plan.head)
     keep = [child.order.index(v) for v in order]
     n = len(child)
@@ -669,12 +640,12 @@ def _project(
 def _join(
     plan: Join,
     cache: EvaluationCache,
+    scope: Scope,
     local: dict[Plan, _Columnar],
-    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
     results = [
-        _evaluate(part, cache, local, memo, recorder) for part in plan.parts
+        _evaluate(part, cache, scope, local, recorder) for part in plan.parts
     ]
     order = _fold_order(results)
     profiles: "list[JoinProfile] | None" = None
@@ -832,12 +803,12 @@ def _fold_join(
 def _min(
     plan: MinPlan,
     cache: EvaluationCache,
+    scope: Scope,
     local: dict[Plan, _Columnar],
-    memo: dict[Plan, _Columnar],
     recorder: "list[dict] | None" = None,
 ) -> _Columnar:
     results = [
-        _evaluate(part, cache, local, memo, recorder) for part in plan.parts
+        _evaluate(part, cache, scope, local, recorder) for part in plan.parts
     ]
     return _aligned_min(results, cache)
 

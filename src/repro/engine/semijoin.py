@@ -12,7 +12,8 @@ non-selective queries (the trade-off visible in Figs. 5e–5g).
 Both backends are served. In memory the reduction only selects rows, so
 :func:`semijoin_masks` computes one boolean mask per relation over the
 persistent cache's code columns, and the request evaluates in a
-``plan_scope`` whose scans apply them: nothing is copied or re-encoded.
+:class:`~repro.engine.extensional.Scope` whose scans apply them and
+whose memo belongs to the request: nothing is copied or re-encoded.
 Rows match by code equality, the columnar join's own semantics (``None``
 joins ``None``), so reducing changes no score. On SQLite
 :func:`semijoin_statements` produces the SQL script creating reduced

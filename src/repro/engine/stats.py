@@ -75,14 +75,14 @@ class ColumnStats:
     #: Most common values: ``((value, count), ...)``, count-descending.
     mcv: tuple[tuple[object, int], ...]
 
-    def frequency(self, code) -> float:
-        """Estimated number of rows holding ``code``.
+    def frequency(self, value) -> float:
+        """Estimated number of rows holding ``value``.
 
         Values in the MCV sketch use their exact counts; the remaining
         rows are assumed uniform over the remaining distinct values.
         """
-        for value, count in self.mcv:
-            if value == code:
+        for common, count in self.mcv:
+            if common == value:
                 return float(count)
         covered = sum(count for _, count in self.mcv)
         remaining_distinct = max(self.distinct - len(self.mcv), 1)
@@ -104,8 +104,8 @@ class SQLiteStatisticsCatalog:
     ``COUNT(*)``, per-column distinct counts and MCV sketches, computed
     on the backend's own connection over *raw* values, so a sqlite-only
     deployment never builds in-RAM encodings of its tables just to price
-    subplans. :meth:`code_of` is the identity, so :func:`scan_profile`
-    prices constants directly against the sketch.
+    subplans; :func:`scan_profile` prices constants directly against
+    the sketch.
 
     Entries are keyed by an explicit ``token`` — the executor passes
     the snapshot's per-table epoch — so a table's summary is computed
@@ -121,11 +121,6 @@ class SQLiteStatisticsCatalog:
         self.mcv_size = mcv_size
         self._stats: dict[str, tuple[object, TableStats]] = {}
         self.recomputations = 0
-
-    @staticmethod
-    def code_of(value):
-        """Raw values are their own codes under the SQL catalog."""
-        return value
 
     def table_stats(self, physical: str, token: object = None) -> TableStats:
         """The summary of the physical table ``physical`` under ``token``."""
@@ -148,9 +143,6 @@ class SQLiteStatisticsCatalog:
         self.recomputations += 1
         return stats
 
-    def cached_tables(self) -> frozenset[str]:
-        return frozenset(self._stats)
-
 
 # ----------------------------------------------------------------------
 # cardinality model
@@ -171,16 +163,13 @@ class JoinProfile:
         return frozenset(self.distinct)
 
 
-def scan_profile(
-    atom,
-    stats: TableStats,
-    code_of: Callable[[object], "int | None"],
-) -> JoinProfile:
+def scan_profile(atom, stats: TableStats) -> JoinProfile:
     """Estimated output of scanning ``atom`` against ``stats``.
 
-    Constants select by MCV-aware frequency (an un-interned constant
-    matches nothing); a variable repeated within the atom divides by the
-    *largest* distinct count among its positions — the pessimistic cap.
+    Constants select by MCV-aware frequency
+    (:meth:`ColumnStats.frequency`); a variable repeated within the
+    atom divides by the *largest* distinct count among its positions —
+    the pessimistic cap.
     """
     rows = float(stats.rows)
     positions: dict[Variable, list[int]] = {}
@@ -190,11 +179,7 @@ def scan_profile(
             if col is None or col.count == 0:
                 rows = 0.0
                 continue
-            code = code_of(term.value)
-            if code is None:
-                rows = 0.0
-            else:
-                rows *= col.frequency(code) / col.count
+            rows *= col.frequency(term.value) / col.count
         else:
             positions.setdefault(term, []).append(i)
     for ps in positions.values():
@@ -300,15 +285,13 @@ class PlanEstimate:
 def estimate_plan(
     plan: Plan,
     table_stats: Callable[[str], TableStats],
-    code_of: Callable[[object], "int | None"],
     memo: "dict[Plan, PlanEstimate] | None" = None,
 ) -> PlanEstimate:
     """Bottom-up cost/cardinality estimate of ``plan`` from the catalog.
 
-    ``table_stats`` resolves a relation name to its summary;
-    ``code_of`` resolves a constant to its interned code (``None`` for
-    values absent from the database). ``memo`` may be shared across
-    calls to avoid re-estimating common subplans of a DAG.
+    ``table_stats`` resolves a relation name to its summary. ``memo``
+    may be shared across calls to avoid re-estimating common subplans
+    of a DAG.
     """
     if memo is None:
         memo = {}
@@ -317,10 +300,10 @@ def estimate_plan(
         return cached
     if isinstance(plan, Scan):
         stats = table_stats(plan.atom.relation)
-        profile = scan_profile(plan.atom, stats, code_of)
+        profile = scan_profile(plan.atom, stats)
         estimate = PlanEstimate(profile.rows, float(stats.rows), profile)
     elif isinstance(plan, Project):
-        child = estimate_plan(plan.child, table_stats, code_of, memo)
+        child = estimate_plan(plan.child, table_stats, memo)
         bound = 1.0
         for v in plan.head:
             bound *= max(child.profile.distinct.get(v, 1.0), 1.0)
@@ -341,7 +324,7 @@ def estimate_plan(
         estimate = PlanEstimate(rows, child.cost + child.rows, profile)
     elif isinstance(plan, Join):
         children = [
-            estimate_plan(part, table_stats, code_of, memo)
+            estimate_plan(part, table_stats, memo)
             for part in plan.parts
         ]
         profiles = [c.profile for c in children]
@@ -357,7 +340,7 @@ def estimate_plan(
         estimate = PlanEstimate(profile.rows, cost, profile)
     elif isinstance(plan, MinPlan):
         children = [
-            estimate_plan(part, table_stats, code_of, memo)
+            estimate_plan(part, table_stats, memo)
             for part in plan.parts
         ]
         rows = max(c.rows for c in children)

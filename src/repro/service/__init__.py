@@ -4,7 +4,6 @@ See ``README.md`` in this package for the architecture.
 """
 
 from .batching import MicroBatcher, QueryRequest, ServiceOverloaded
-from .dag import BatchDAGStats, BatchPlanDAG
 from .faults import FaultInjector, FaultRule
 from .resilience import (
     Deadline,
@@ -17,8 +16,6 @@ from .resilience import (
 from .service import DissociationService
 
 __all__ = [
-    "BatchDAGStats",
-    "BatchPlanDAG",
     "Deadline",
     "DissociationService",
     "FaultInjector",

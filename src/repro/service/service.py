@@ -46,7 +46,6 @@ from ..core.query import ConjunctiveQuery
 from ..db.database import ProbabilisticDatabase
 from ..engine import DissociationEngine, EvaluationResult, Optimizations
 from .batching import MicroBatcher, QueryRequest, ServiceOverloaded
-from .dag import BatchPlanDAG
 from .resilience import (
     Deadline,
     RequestTimeout,
@@ -754,24 +753,33 @@ class DissociationService:
     def _record_dag(
         self, queries: Sequence[ConjunctiveQuery], opts: Optimizations
     ) -> None:
+        """Count the batch's merged plan DAG in one walk of its plan
+        trees: every node of every tree (``node_occurrences``, what an
+        evaluator without sharing computes), its distinct structural
+        nodes, and those two or more distinct queries reference."""
         engine = self.engine
-        distinct: list[ConjunctiveQuery] = []
-        seen: set[tuple] = set()
+        distinct: dict = {}  # the first query of each (query, head order)
         for query in queries:
-            key = (query, query.head_order)
-            if key not in seen:
-                seen.add(key)
-                distinct.append(query)
-        roots = [
-            [engine.single_plan(q)]
-            if opts.single_plan
-            else engine.minimal_plans(q)
-            for q in distinct
-        ]
+            distinct.setdefault((query, query.head_order), query)
+        first_query: dict = {}  # node -> index of the first query using it
+        cross_query: set = set()
+        occurrences = 0
         with self.observer.span("dag.build", queries=len(distinct)):
-            stats = BatchPlanDAG(distinct, roots).stats()
-        for name, value in stats.as_metrics().items():
-            self.metrics.inc(name, value)
+            for index, query in enumerate(distinct.values()):
+                stack = (
+                    [engine.single_plan(query)]
+                    if opts.single_plan
+                    else list(engine.minimal_plans(query))
+                )
+                while stack:
+                    node = stack.pop()
+                    occurrences += 1
+                    if first_query.setdefault(node, index) != index:
+                        cross_query.add(node)
+                    stack.extend(node.children())
+        self.metrics.inc("service.dag.node_occurrences", occurrences)
+        self.metrics.inc("service.dag.distinct_nodes", len(first_query))
+        self.metrics.inc("service.dag.cross_query_nodes", len(cross_query))
 
     # ------------------------------------------------------------------
     # observability

@@ -7,7 +7,10 @@ import pytest
 from repro.api import EngineConfig
 from repro.core import Atom, Scan, Variable, parse_query
 from repro.db import ProbabilisticDatabase
-from repro.engine import DissociationEngine, EvaluationCache, evaluate_plan
+from repro.engine import DissociationEngine, EvaluationCache, Scope, evaluate_plan
+from repro.workloads import chain_database, chain_query
+
+from .helpers import ALL_OPTIMIZATION_COMBOS
 
 X, Y = Variable("x"), Variable("y")
 
@@ -78,22 +81,16 @@ class TestLRUCap:
         with pytest.raises(ValueError):
             EvaluationCache(_db(), max_plans=-1)
 
-    def test_plan_scope_inherits_cap(self):
-        cache = EvaluationCache(_db(), max_plans=3)
-        scope = cache.plan_scope()
-        assert scope.max_plans == 3
-        assert scope.cache_stats()["hits"] == 0
-
-    def test_plan_scope_never_serves_stale_encodings(self):
-        # regression: a scope taken from an unvalidated parent after a
-        # mutation must still see the mutation (it inherits the parent's
-        # token, not a fresh snapshot that would mask the staleness)
+    def test_a_call_after_an_unvalidated_mutation_sees_it(self):
+        # regression: whatever a call's scope, the encodings it scans
+        # must not predate a mutation the cache has not validated away
         db = _db()
         cache = EvaluationCache(db)
         evaluate_plan(_scan(0), db, cache=cache)
-        db.insert("R0", (3, 0), 0.75)
-        scores = evaluate_plan(_scan(0), db, cache=cache.plan_scope())
-        assert scores[(3, 0)] == 0.75
+        for i, scope in enumerate((Scope(), Scope({}, {}), Scope({}))):
+            db.insert("R0", (3 + i, 0), 0.75)
+            scores = evaluate_plan(_scan(0), db, cache=cache, scope=scope)
+            assert scores[(3 + i, 0)] == 0.75
 
     def test_cap_zero_still_shares_dag_nodes_within_one_call(self, monkeypatch):
         # max_plans=0 bounds retained state, not intra-call sharing:
@@ -108,7 +105,7 @@ class TestLRUCap:
         calls = []
         original = ext._scan
         monkeypatch.setattr(
-            ext, "_scan", lambda plan, cache: calls.append(plan) or original(plan, cache)
+            ext, "_scan", lambda plan, *args: calls.append(plan) or original(plan, *args)
         )
         engine.propagation_score(q)
         assert len(calls) == distinct_scans
@@ -146,3 +143,27 @@ class TestEngineIntegration:
         assert first["size"] > 0
         engine.propagation_score(q)
         assert engine.cache_stats()["hits"] > first["hits"]
+
+    @pytest.mark.parametrize(
+        "opts",
+        [o for o in ALL_OPTIMIZATION_COMBOS if o.semijoin or not o.reuse_views],
+        ids=str,
+    )
+    def test_a_call_that_does_not_retain_moves_no_counter(self, opts):
+        # only Opt. 2 without Opt. 3 reads and writes the LRU: any other
+        # request leaves every counter and the size as it found them
+        db = chain_database(3, 40, seed=2, p_max=0.5)
+        constant = sorted(db.table("R1").column_values(0))[0]
+        queries = [
+            chain_query(3),
+            parse_query(f"q(x3) :- R1({constant},x1), R2(x1,x2), R3(x2,x3)"),
+        ]
+        warm = DissociationEngine(db)
+        for query in queries:
+            warm.evaluate(query)
+        for engine in (warm, DissociationEngine(db)):
+            before = engine.cache_stats()
+            for query in queries:
+                fresh = DissociationEngine(db).evaluate(query, opts)
+                assert engine.evaluate(query, opts).scores == fresh.scores
+            assert engine.cache_stats() == before

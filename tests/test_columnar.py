@@ -23,6 +23,7 @@ from repro.db import ProbabilisticDatabase
 from repro.engine import (
     DissociationEngine,
     EvaluationCache,
+    Scope,
     evaluate_plan,
     plan_scores,
     plan_scores_reference,
@@ -120,30 +121,33 @@ class TestEvaluationCache:
         with pytest.raises(ValueError):
             evaluate_plan(Scan(Atom("R", (x,))), other, cache=cache)
 
-    def test_plan_scope_shares_encodings_but_not_results(self):
+    def test_a_scope_shares_encodings_but_not_results(self):
         x, y = Variable("x"), Variable("y")
         db = ProbabilisticDatabase()
         db.add_table("R", [((1, 2), 0.5)])
         cache = EvaluationCache(db)
-        evaluate_plan(Scan(Atom("R", (x, y))), db, cache=cache)
-        scope = cache.plan_scope()
-        assert scope._tables is cache._tables
-        assert scope._plans == {}
-        evaluate_plan(Scan(Atom("R", (x, y))), db, cache=scope)
-        assert len(scope._plans) == 1
-        assert len(cache._plans) == 1  # untouched by the scope
+        scan = Scan(Atom("R", (x, y)))
+        evaluate_plan(scan, db, cache=cache)
+        encoded = cache.encoded_table("R")
+        stats = cache.cache_stats()
+        memo: dict = {}
+        evaluate_plan(scan, db, cache=cache, scope=Scope(memo, {}))
+        assert cache.encoded_table("R") is encoded
+        assert list(memo) == [scan]
+        assert cache.cache_stats() == stats  # untouched by the scope
 
-    def test_plan_scope_masks_its_scans_and_passes_them_on(self):
+    def test_a_scope_masks_its_scans_with_or_without_a_memo(self):
         x, y = Variable("x"), Variable("y")
         db = ProbabilisticDatabase()
         db.add_table("R", [((1, 2), 0.5), ((3, 4), 0.25)])
         cache = EvaluationCache(db)
         scan = Scan(Atom("R", (x, y)))
-        masked = cache.plan_scope({"R": np.array([False, True])})
-        assert evaluate_plan(scan, db, cache=masked) == {(3, 4): 0.25}
-        assert evaluate_plan(scan, db, cache=masked.plan_scope()) == {
-            (3, 4): 0.25
-        }
+        masks = {"R": np.array([False, True])}
+        for memo in ({}, None):
+            scope = Scope(memo, masks)
+            assert evaluate_plan(scan, db, cache=cache, scope=scope) == {
+                (3, 4): 0.25
+            }
         assert len(evaluate_plan(scan, db, cache=cache)) == 2
 
 

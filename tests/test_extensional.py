@@ -288,10 +288,10 @@ class TestProbe:
         scans: list = []
         real = extensional._scan
 
-        def counting_scan(plan, cache):
+        def counting_scan(plan, *args):
             if plan.selective():
                 scans.append(plan)
-            return real(plan, cache)
+            return real(plan, *args)
 
         engine = DissociationEngine(db)
         with mock.patch.object(extensional, "_scan", counting_scan):
@@ -353,13 +353,14 @@ def _shape_requests(draw):
 @settings(max_examples=60, deadline=None)
 @given(_shape_requests())
 def test_cache_admission_and_probing_change_no_score(case):
-    """Default, uncached and unbounded memory engines agree bit for bit
-    on every request of a shape, and with the row-at-a-time reference
-    within 1e-12."""
+    """Default, uncached, evicting and unbounded memory engines agree
+    bit for bit on every request of a shape, and with the row-at-a-time
+    reference within 1e-12."""
     db, texts, opts = case
     engines = [
         DissociationEngine(db),
         DissociationEngine(db, EngineConfig(cache_size=0)),
+        DissociationEngine(db, EngineConfig(cache_size=4)),
         DissociationEngine(db, EngineConfig(cache_size=None)),
     ]
     for text in texts:

@@ -821,7 +821,10 @@ class TestOverhead:
         The arms alternate (baseline, instrumented, baseline, …) and
         each takes its best round, so machine drift lands on both
         alike instead of in their difference; an absolute floor guards
-        against timer jitter on sub-microsecond differences.
+        against timer jitter on sub-microsecond differences. Both arms
+        read the process's CPU clock, not the wall clock: another
+        process competing for the CPU stretches wall time, not the CPU
+        time this loop spends.
         """
         db = chain_database()
         query = chain_query()
@@ -833,13 +836,13 @@ class TestOverhead:
             session.evaluate(query)  # warm the result cache
 
             def instrumented():
-                started = time.perf_counter()
+                started = time.process_time()
                 for _ in range(iterations):
                     session.evaluate(query)
-                return time.perf_counter() - started
+                return time.process_time() - started
 
             def baseline():
-                started = time.perf_counter()
+                started = time.process_time()
                 for _ in range(iterations):
                     resolved = session._resolve(query)
                     key = result_key(
@@ -849,7 +852,7 @@ class TestOverhead:
                         session._query_epoch(resolved),
                     )
                     assert session.results.get(key) is not None
-                return time.perf_counter() - started
+                return time.process_time() - started
 
             baseline()  # warm both code paths
             instrumented()

@@ -9,6 +9,7 @@ from repro.engine import (
     DissociationEngine,
     EvaluationCache,
     Optimizations,
+    Scope,
     plan_scores,
     semijoin_masks,
     semijoin_statements,
@@ -68,10 +69,10 @@ class TestInMemoryReducer:
             q = random_query(rng, head_vars=rng.randint(0, 2))
             db = random_database_for(q, rng, domain_size=3, fill=0.4)
             cache = EvaluationCache(db)
-            masked = cache.plan_scope(semijoin_masks(q, cache))
+            masked = Scope(None, semijoin_masks(q, cache))
             for plan in minimal_plans(q):
                 assert plan_scores(plan, q, db) == plan_scores(
-                    plan, q, db, cache=masked.plan_scope()
+                    plan, q, db, cache, scope=masked
                 ), str(q)
 
     def test_preserves_deterministic_flag(self):

@@ -28,7 +28,6 @@ from repro.core.query import ConjunctiveQuery
 from repro.core.parser import parse_query
 from repro.engine import DissociationEngine, Optimizations
 from repro.service import (
-    BatchPlanDAG,
     DissociationService,
     FaultInjector,
     MicroBatcher,
@@ -67,6 +66,23 @@ def distinct_structural_nodes(plans) -> set:
     return seen
 
 
+def batch_dag_stats(db, queries, opts=ALL_PLANS) -> dict:
+    """``stats()["dag"]`` of a service that ran ``queries`` as one batch."""
+    with DissociationService(
+        db,
+        service=ServiceConfig(
+            workers=1,
+            max_batch_size=len(queries),
+            max_batch_delay=0.5,
+            collect_dag_stats=True,
+        ),
+    ) as service:
+        service.evaluate_many(queries, opts)
+        stats = service.stats()
+    assert stats["batches"] == 1
+    return stats["dag"]
+
+
 # ----------------------------------------------------------------------
 # the cross-query shared-subplan DAG
 # ----------------------------------------------------------------------
@@ -76,55 +92,39 @@ class TestBatchPlanDAG:
         db = chain_database(5, 30, seed=3, p_max=0.5)
         engine = DissociationEngine(db)
         roots = [engine.minimal_plans(q) for q in queries]
-        dag = BatchPlanDAG(queries, roots)
-        stats = dag.stats()
-        assert stats.queries == len(queries)
-        assert stats.plans == sum(len(r) for r in roots)
-        assert stats.distinct_nodes == len(
+        dag = batch_dag_stats(db, queries)
+        assert dag["distinct_nodes"] == len(
             distinct_structural_nodes([p for r in roots for p in r])
         )
         # overlapping subchains must actually share subplans
-        assert stats.node_occurrences > stats.distinct_nodes
-        assert stats.shared_nodes > 0
-        assert stats.cross_query_nodes > 0
-        assert stats.dedup_ratio > 1.5
+        assert dag["node_occurrences"] > dag["distinct_nodes"]
+        assert dag["cross_query_nodes"] > 0
+        assert dag["dedup_ratio"] > 1.5
 
     def test_cross_query_nodes_are_in_multiple_queries(self):
         _, queries = overlapping_mix()
         db = chain_database(5, 30, seed=3, p_max=0.5)
         engine = DissociationEngine(db)
-        roots = [engine.minimal_plans(q) for q in queries]
-        dag = BatchPlanDAG(queries, roots)
-        for node in dag.cross_query_nodes():
-            assert len(dag.queries_of(node)) >= 2
+        per_query = [
+            distinct_structural_nodes(engine.minimal_plans(q))
+            for q in queries
+        ]
+        shared = {
+            node
+            for i, nodes in enumerate(per_query)
+            for node in nodes
+            if any(node in other for other in per_query[i + 1 :])
+        }
+        assert batch_dag_stats(db, queries)["cross_query_nodes"] == len(
+            shared
+        ) > 0
 
     def test_disjoint_queries_share_nothing(self):
         q1 = parse_query("q() :- R(x, y)")
         q2 = parse_query("q() :- S(x, y)")
-        e = DissociationEngine(_tiny_db())
-        dag = BatchPlanDAG(
-            [q1, q2], [e.minimal_plans(q1), e.minimal_plans(q2)]
-        )
-        stats = dag.stats()
-        assert stats.cross_query_nodes == 0
-        assert stats.dedup_ratio == 1.0
-
-    def test_reference_counts_match_engine_notion(self):
-        from repro.engine import subplan_reference_counts
-
-        _, queries = overlapping_mix()
-        db = chain_database(5, 20, seed=4, p_max=0.5)
-        engine = DissociationEngine(db)
-        roots = [engine.minimal_plans(q) for q in queries]
-        dag = BatchPlanDAG(queries, roots)
-        assert dag.reference_counts() == subplan_reference_counts(
-            [p for r in roots for p in r]
-        )
-
-    def test_root_list_mismatch_rejected(self):
-        q = parse_query("q() :- R(x, y)")
-        with pytest.raises(ValueError):
-            BatchPlanDAG([q], [])
+        dag = batch_dag_stats(_tiny_db(), [q1, q2])
+        assert dag["cross_query_nodes"] == 0
+        assert dag["dedup_ratio"] == 1.0
 
 
 def _tiny_db():

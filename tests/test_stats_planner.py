@@ -92,26 +92,20 @@ class TestCardinalityModel:
     def test_scan_profile_constant_uses_mcv(self, backend):
         catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(y) :- R(1, y)")
-        profile = scan_profile(
-            q.atoms[0], catalog.table_stats("R"), catalog.code_of
-        )
+        profile = scan_profile(q.atoms[0], catalog.table_stats("R"))
         assert profile.rows == pytest.approx(2.0)  # exact MCV count
 
     def test_scan_profile_unseen_constant_is_empty(self, backend):
         catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(y) :- R(99, y)")
-        profile = scan_profile(
-            q.atoms[0], catalog.table_stats("R"), catalog.code_of
-        )
+        profile = scan_profile(q.atoms[0], catalog.table_stats("R"))
         # the column fits its sketch: no rows are left for other values
         assert profile.rows == 0.0
 
     def test_scan_profile_repeated_variable_pessimistic_cap(self, backend):
         catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(x) :- R(x, x)")
-        profile = scan_profile(
-            q.atoms[0], catalog.table_stats("R"), catalog.code_of
-        )
+        profile = scan_profile(q.atoms[0], catalog.table_stats("R"))
         # divided by the larger distinct count of the two positions
         assert profile.rows == pytest.approx(4 / 3)
 
@@ -382,7 +376,7 @@ class TestEstimatePlan:
         catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(x, y) :- R(x, y)")
         scan = Scan(q.atoms[0])
-        estimate = estimate_plan(scan, catalog.table_stats, catalog.code_of)
+        estimate = estimate_plan(scan, catalog.table_stats)
         assert estimate.rows == 4.0
 
 
@@ -393,9 +387,7 @@ class TestSQLiteStatisticsCatalog:
     def test_identity_code_of_prices_constants(self, backend):
         catalog = SQLiteStatisticsCatalog(backend)
         q = parse_query("q(y) :- R(1, y)")
-        profile = scan_profile(
-            q.atoms[0], catalog.table_stats("R"), catalog.code_of
-        )
+        profile = scan_profile(q.atoms[0], catalog.table_stats("R"))
         # value 1 occurs twice among four rows
         assert profile.rows == pytest.approx(2.0)
 
