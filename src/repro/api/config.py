@@ -157,7 +157,7 @@ class ServiceConfig:
         backpressure bound.
     calibrate:
         Measure the SQLite temp-table write factor once at startup and
-        install it on every worker engine.
+        install it on the one engine every worker shares.
     collect_dag_stats:
         Count each batch's merged plan DAG for the sharing statistics
         of ``stats()["dag"]``: one walk over the nodes of every plan

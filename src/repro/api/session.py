@@ -100,7 +100,7 @@ def connect(
         unbounded, ``0`` disables result caching).
 
     Use the session as a context manager (or call :meth:`Session.close`)
-    to release service workers, SQLite connections, and the durable
+    to release service workers, the SQLite snapshot, and the durable
     store's journal handle.
     """
     if isinstance(db, str) and db.startswith("repro://"):
@@ -205,10 +205,10 @@ class Session:
             return
         self._closed = True
         if self._service is not None:
+            # releases the engine once its workers are gone
             self._service.close()
-        # workers released their own; this drops the closing thread's
-        # (explain() and a serial session's evaluations run in it)
-        self._engine.release()
+        else:
+            self._engine.release()
         if self._owns_db:
             # connect(path=...) opened the durable store; closing it
             # releases the journal handle (committed state is already
@@ -229,8 +229,9 @@ class Session:
         """The session's one engine — the service's in concurrent mode.
 
         ``explain()`` / ``per_plan()`` / ``lineage()`` / ``exact()``
-        run on it in the calling thread, sharing the plan memo (and, on
-        the memory backend, the subplan cache) with the serving path.
+        run on it in the calling thread, sharing the plan memo and the
+        executors' caches (memory cache or SQLite snapshot) with the
+        serving path.
         """
         self._check_open()
         return self._engine
@@ -242,7 +243,7 @@ class Session:
 
     def _check_open(self) -> None:
         # the engine property would otherwise lazily resurrect backend
-        # resources (SQLite snapshots) close() released
+        # resources (the SQLite snapshot) close() released
         if self._closed:
             raise RuntimeError("session is closed")
 

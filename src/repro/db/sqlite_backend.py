@@ -357,8 +357,12 @@ class SQLiteBackend:
         #: one ``sqlite.statement`` span per statement when enabled; the
         #: engine installs its observer here after construction.
         self.observer = NULL_OBSERVER
+        # one connection serves every thread of an engine; the SQLite
+        # executor's lock serializes its use
         self.connection = sqlite3.connect(
-            path, cached_statements=2 * MAX_STATEMENT_TEMPLATES
+            path,
+            cached_statements=2 * MAX_STATEMENT_TEMPLATES,
+            check_same_thread=False,
         )
         # Temp objects (semi-join reductions, materialized subplan views)
         # otherwise spill to a file-backed temp database even for

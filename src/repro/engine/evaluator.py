@@ -175,8 +175,8 @@ class DissociationEngine:
     value.
 
     One engine serves any number of threads on either backend (see
-    :mod:`.executors`); a thread that ran SQL drops its own snapshot
-    with :meth:`release`.
+    :mod:`.executors`): they share its plan memo, its memory cache and
+    its one SQLite snapshot, which :meth:`release` closes.
     """
 
     def __init__(
@@ -244,19 +244,19 @@ class DissociationEngine:
 
     @property
     def sqlite(self) -> SQLiteBackend:
-        """The calling thread's SQLite snapshot of ``db`` (created on
-        first use, refreshed in place when the database moved — see
+        """The engine's SQLite snapshot of ``db`` (created on first use,
+        refreshed in place when the database moved — see
         :meth:`~repro.engine.executors.SQLiteExecutor.snapshot`)."""
         return self.sqlite_executor.snapshot().backend
 
     def invalidate_sqlite(self) -> None:
-        """Drop the calling thread's SQLite snapshot; a moved database
-        only ever *refreshes* it, see :attr:`sqlite`."""
+        """Close the engine's SQLite snapshot; a moved database only
+        ever *refreshes* it, see :attr:`sqlite`."""
         self.sqlite_executor.release()
 
     def release(self) -> None:
-        """Drop the calling thread's resources of the serving executor
-        (worker threads call this in their own ``finally``)."""
+        """Drop the serving executor's resources (on SQLite: close the
+        engine's one snapshot), from any thread."""
         self.executor.release()
 
     @property
@@ -270,10 +270,10 @@ class DissociationEngine:
 
         One shape for both backends: ``hits``/``misses``/``evictions``
         (cumulative — they survive invalidation by database mutation
-        and, on SQLite, snapshots released by their threads), ``size``
-        (currently cached subplan results or materialized views, over
-        all threads) and ``max_size`` (the LRU cap, ``None`` when
-        unbounded). Zeros before the first evaluation.
+        and, on SQLite, a released snapshot), ``size`` (currently
+        cached subplan results or materialized views) and ``max_size``
+        (the LRU cap, ``None`` when unbounded). Zeros before the first
+        evaluation.
         """
         return self.executor.cache_stats()
 
@@ -289,7 +289,7 @@ class DissociationEngine:
     # plan-level API
     # ------------------------------------------------------------------
     def _template(
-        self, query: ConjunctiveQuery, flavor: str, schema_args=None
+        self, query: ConjunctiveQuery, flavor: str, schema_args=None, count=True
     ) -> "tuple[_PlanTemplate, dict | None]":
         """Enumerate (or recall) the plans of ``query``'s *shape*.
 
@@ -304,7 +304,8 @@ class DissociationEngine:
 
         Returns ``(template, numbering)``: the memo entry of the shape —
         which :meth:`_bind` rebuilds over any other query of the shape —
-        and ``query``'s own numbering.
+        and ``query``'s own numbering. ``count=False`` moves no counter
+        and stores nothing.
         """
         deterministic, fds = schema_args or self._schema_args()
         if self.config.plan_memo_size == 0:
@@ -312,7 +313,10 @@ class DissociationEngine:
             return _PlanTemplate(None, query, None, tuple(plans)), None
         shape, _, numbering = canonical_shape(query)
         key = (flavor, shape, schema_flags(query, deterministic, fds))
-        entry = self._plan_memo.get(key, count_miss=False)
+        entry = self._plan_memo.get(key, count_hit=count, count_miss=False)
+        if entry is None and not count:
+            plans = self._enumerate(query, flavor, deterministic, fds)
+            return _PlanTemplate(None, query, None, tuple(plans)), None
         if entry is None:
             # one enumeration per shape however many threads ask at
             # once: the latecomers wait, then count a hit
@@ -331,6 +335,7 @@ class DissociationEngine:
         template: _PlanTemplate,
         numbering: "dict | None",
         query: ConjunctiveQuery,
+        count=True,
     ) -> list[Plan]:
         """A template's plans over ``query`` (``numbering`` is its own).
 
@@ -348,7 +353,7 @@ class DissociationEngine:
             stored_var: inverse[index]
             for stored_var, index in template.numbering.items()
         }
-        if any(a != b for a, b in mapping.items()):
+        if count and any(a != b for a, b in mapping.items()):
             with self._plan_memo_lock:
                 self._plan_memo_renamed += 1
         return bind_plans(template.plans, mapping, query)
@@ -393,11 +398,16 @@ class DissociationEngine:
 
     def minimal_plans(self, query: ConjunctiveQuery) -> list[Plan]:
         """All minimal plans of ``query`` under the schema knowledge."""
-        return self._bind(*self._template(query, "minimal"), query)
+        return self._plans(query, "minimal")
 
     def single_plan(self, query: ConjunctiveQuery) -> Plan:
         """The Opt. 1 merged plan (a DAG with shared subplans)."""
-        return self._bind(*self._template(query, "single"), query)[0]
+        return self._plans(query, "single")[0]
+
+    def _plans(self, query: ConjunctiveQuery, flavor: str, count=True):
+        """``count=False``: read without moving :meth:`plan_memo_stats`."""
+        template, numbering = self._template(query, flavor, count=count)
+        return self._bind(template, numbering, query, count)
 
     def is_safe(self, query: ConjunctiveQuery) -> bool:
         """True iff the query has a single (exact) plan under the schema."""
@@ -579,8 +589,8 @@ class DissociationEngine:
         """Replace the materialization gate's write factor with a
         measured one.
 
-        Times temp-table writes vs. reads on the calling thread's
-        SQLite connection (see
+        Times temp-table writes vs. reads on the engine's SQLite
+        connection (see
         :meth:`~repro.db.sqlite_backend.SQLiteBackend.measure_write_factor`)
         and installs the ratio as this engine's ``write_factor`` — the
         service runs this once at startup so the Algorithm-3 cost gate
@@ -591,9 +601,9 @@ class DissociationEngine:
                 "write-factor calibration measures the SQLite backend; "
                 "construct the engine with backend='sqlite'"
             )
-        factor = self.sqlite.measure_write_factor(sample_rows, repeats)
-        self.sqlite_executor.write_factor = factor
-        return factor
+        return self.sqlite_executor.calibrate_write_factor(
+            sample_rows, repeats
+        )
 
     @property
     def runs_sql(self) -> bool:

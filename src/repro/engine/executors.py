@@ -1,7 +1,7 @@
 """The two plan executors behind the engine's one batch contract.
 
 :class:`~repro.engine.DissociationEngine` enumerates and memoizes plans;
-an *executor* runs them. The contract has four members:
+an *executor* runs them. The contract has three members:
 
 * ``run(batch, opts)`` — ``[(query, target plans), ...]`` (the engine
   already chose between the merged Opt.-1 plan and the separate minimal
@@ -11,16 +11,15 @@ an *executor* runs them. The contract has four members:
   a request whose statement it already holds without reading them;
 * ``cache_stats()`` — cumulative counters of the Opt.-2 layer, one
   shape for both executors;
-* ``release()`` — drop the *calling thread's* resources;
-* ``thread_bound`` — class attribute: resources belong to the thread
-  that created them, and only it may use and release them.
+* ``release()`` — drop the executor's resources, from any thread.
 
-Both executors are cheap to construct (no cache, no connection until
-first use), so every engine carries both — baselines read
-``engine.sqlite`` on memory engines, ``explain()`` runs columnar on
-SQLite ones — and ``config.backend`` only picks which one serves.
-Neither holds a reference back to the engine: a cycle would keep a
-dropped engine and its encoded tables alive until a gen-2 collection.
+Every thread shares an executor's one cache or snapshot. Both are cheap
+to construct (no cache, no connection until first use), so every engine
+carries both — baselines read ``engine.sqlite`` on memory engines,
+``explain()`` runs columnar on SQLite ones — and ``config.backend`` only
+picks which one serves. Neither holds a reference back to the engine: a
+cycle would keep a dropped engine and its encoded tables alive until a
+gen-2 collection.
 """
 
 from __future__ import annotations
@@ -69,8 +68,6 @@ Batch = Sequence[tuple[ConjunctiveQuery, Sequence[Plan]]]
 
 class MemoryExecutor:
     """Columnar in process: the pure-Python extensional evaluator."""
-
-    thread_bound = False
 
     def __init__(self, db: ProbabilisticDatabase, config, observer) -> None:
         self.db = db
@@ -142,7 +139,7 @@ class MemoryExecutor:
         }
 
     def release(self) -> None:
-        """Nothing is per thread: every caller shares the one cache."""
+        """Nothing to close: the cache holds no connection."""
 
 
 class _StatementKey(NamedTuple):
@@ -176,7 +173,7 @@ class _Request(NamedTuple):
 
 
 class Snapshot:
-    """One thread's SQLite copy of the database, its temp-view registry,
+    """The engine's SQLite copy of the database, its temp-view registry,
     its statistics catalog and the statement templates compiled against
     them (their text names the registry's views and is prepared on the
     connection, so they live and die with it)."""
@@ -191,17 +188,14 @@ class Snapshot:
 
 
 class SQLiteExecutor:
-    """Plans compiled to SQL on a connection — one snapshot per thread.
+    """Plans compiled to SQL on a connection — one snapshot per engine.
 
-    ``sqlite3`` connections (and the temp views on them) belong to the
-    thread that opened them, so the snapshot — connection, view
-    registry, statistics catalog — is created by, kept for, and
-    released by each calling thread. A released snapshot's registry
-    counters fold into a cumulative base, so :meth:`cache_stats` keeps
-    counting across releases like the memory cache's does.
+    Every thread shares the snapshot, so a view or a template one worker
+    builds serves every other; one lock serializes every use of it (SQL
+    from concurrent callers runs one batch at a time). A released
+    snapshot's counters fold into a cumulative base, so
+    :meth:`cache_stats` keeps counting across releases.
     """
-
-    thread_bound = True
 
     def __init__(
         self,
@@ -217,95 +211,78 @@ class SQLiteExecutor:
         self.write_factor = config.write_factor
         self.observer = observer
         self.faults = faults
-        self._lock = threading.Lock()
-        self._snapshots: dict[threading.Thread, Snapshot] = {}
+        self._lock = threading.RLock()
+        self._snapshot: Snapshot | None = None
         # what released snapshots counted
-        self._released_views = dict.fromkeys(_CUMULATIVE, 0)
-        self._released_statements = dict.fromkeys(_CUMULATIVE, 0)
+        self._released = {
+            name: dict.fromkeys(_CUMULATIVE, 0)
+            for name in ("views", "statements")
+        }
 
     # ------------------------------------------------------------------
-    # the per-thread snapshot
+    # the snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> Snapshot:
-        """The calling thread's snapshot of ``db``, created on first use.
-
-        Whenever the database's version token has moved since it was
-        built, the snapshot is *refreshed in place* — only the tables
-        whose per-table epochs moved are reloaded, and only the
-        registered subplan views scanning those tables are dropped
-        (:meth:`SQLiteBackend.refresh`), so mutating ``db`` between
-        queries can never serve stale SQLite results while views and
-        statistics over untouched relations stay warm (mirroring the
-        memory cache's per-table ``validate()``).
-        """
-        thread = threading.current_thread()
-        snapshot = self._snapshots.get(thread)
-        if snapshot is None:
-            backend = SQLiteBackend(
-                self.db,
-                view_cache_size=self.cache_size,
-                fault_injector=self.faults,
-            )
-            backend.observer = self.observer
-            snapshot = Snapshot(backend)
-            with self._lock:
-                self._snapshots[thread] = snapshot
-        else:
-            snapshot.backend.refresh()  # a no-op unless the version moved
-        return snapshot
-
-    def live_threads(self) -> list[threading.Thread]:
-        """The threads currently holding a snapshot."""
+        """The engine's snapshot of ``db``, created on first use and
+        *refreshed in place* when the database's version token moved:
+        only tables whose epochs moved are reloaded and only the views
+        scanning them dropped (:meth:`SQLiteBackend.refresh`, the memory
+        cache's per-table ``validate()``)."""
         with self._lock:
-            return list(self._snapshots)
+            if self._snapshot is None:
+                backend = SQLiteBackend(
+                    self.db,
+                    view_cache_size=self.cache_size,
+                    fault_injector=self.faults,
+                )
+                backend.observer = self.observer
+                self._snapshot = Snapshot(backend)
+            else:
+                # a no-op unless the version moved
+                self._snapshot.backend.refresh()
+            return self._snapshot
 
     def release(self) -> None:
-        """Close the calling thread's snapshot (no-op without one)."""
+        """Close the snapshot (no-op without one); its counters fold
+        into the cumulative base."""
         with self._lock:
-            snapshot = self._snapshots.pop(threading.current_thread(), None)
-        if snapshot is None:
-            return
-        views = snapshot.registry.cache_stats()
-        statements = snapshot.statements.stats()
-        with self._lock:
-            for key in _CUMULATIVE:
-                self._released_views[key] += views[key]
-                self._released_statements[key] += statements[key]
-        # closing the connection destroys the temp views with it
-        snapshot.backend.close()
+            snapshot, self._snapshot = self._snapshot, None
+            if snapshot is None:
+                return
+            for name, live in _counters(snapshot).items():
+                for key in _CUMULATIVE:
+                    self._released[name][key] += live[key]
+            # closing the connection destroys the temp views with it
+            snapshot.backend.close()
 
-    def cache_stats(self, thread: threading.Thread | None = None) -> dict:
-        """Counters over every thread, or of ``thread``'s live snapshot.
-
-        The total adds the released snapshots' counters; a single
-        thread's report covers its current snapshot only (zeros once
-        that thread released it).
-        """
-        with self._lock:
-            live = dict(self._snapshots)
-            released = dict(self._released_views)
-        if thread is not None:
-            live = {thread: live[thread]} if thread in live else {}
-            released = dict.fromkeys(released, 0)
-        return _totals(
-            released,
-            [snapshot.registry.cache_stats() for snapshot in live.values()],
-            self.cache_size,
-        )
+    def cache_stats(self) -> dict:
+        """The view registry's counters, released snapshots' included."""
+        return self._totals("views", self.cache_size)
 
     def statement_stats(self) -> dict:
         """Counters of the statement templates, in the shape of
         :meth:`cache_stats`: a hit ran a stored statement, a miss
         compiled one (requests that are not templated count as
-        neither); summed over the live snapshots and the released."""
+        neither)."""
+        return self._totals("statements", MAX_STATEMENT_TEMPLATES)
+
+    def _totals(self, name: str, max_size) -> dict:
         with self._lock:
-            live = list(self._snapshots.values())
-            released = dict(self._released_statements)
-        return _totals(
-            released,
-            [snapshot.statements.stats() for snapshot in live],
-            MAX_STATEMENT_TEMPLATES,
-        )
+            out = dict(self._released[name], size=0, max_size=max_size)
+            if self._snapshot is not None:
+                live = _counters(self._snapshot)[name]
+                for key in (*_CUMULATIVE, "size"):
+                    out[key] += live[key]
+            return out
+
+    def calibrate_write_factor(self, sample_rows: int, repeats: int) -> float:
+        """Measure the write factor on the connection and install it."""
+        with self._lock:
+            backend = self.snapshot().backend
+            self.write_factor = backend.measure_write_factor(
+                sample_rows, repeats
+            )
+        return self.write_factor
 
     # ------------------------------------------------------------------
     # Algorithm-3 pricing
@@ -415,75 +392,81 @@ class SQLiteExecutor:
 
     def explain(self, query, targets: Sequence[Plan]) -> dict:
         """What :meth:`run` would do with the request, against the
-        calling thread's current registry and template store:
+        current registry and template store:
         ``"statement_template"`` — whether a stored statement would
         serve it — and ``"materialization"`` — per shared subplan of
         ``targets``, its references, cost estimate, and whether the
         policy would materialize it."""
-        snapshot = self.snapshot()
-        registry = snapshot.registry
-        request = self._request(snapshot, query, targets)
-        estimator = self.plan_estimator()
-        policy = self._policy(estimator)
-        decisions = []
-        for node, count in subplan_reference_counts(targets).items():
-            prior = registry.request_count(hash(node))
-            estimate = estimator(node)
-            decisions.append(
-                {
-                    "subplan": str(node),
-                    "references": count,
-                    "prior_requests": prior,
-                    "estimated_rows": estimate.rows,
-                    "estimated_cost": estimate.cost,
-                    "materialize": node in registry
-                    or policy.should_materialize(node, count, prior),
-                }
-            )
-        return {
-            "statement_template": request.key in snapshot.statements,
-            "materialization": decisions,
-        }
+        with self._lock:
+            snapshot = self.snapshot()
+            registry = snapshot.registry
+            request = self._request(snapshot, query, targets)
+            estimator = self.plan_estimator()
+            policy = self._policy(estimator)
+            decisions = []
+            for node, count in subplan_reference_counts(targets).items():
+                prior = registry.request_count(hash(node))
+                estimate = estimator(node)
+                decisions.append(
+                    {
+                        "subplan": str(node),
+                        "references": count,
+                        "prior_requests": prior,
+                        "estimated_rows": estimate.rows,
+                        "estimated_cost": estimate.cost,
+                        "materialize": node in registry
+                        or policy.should_materialize(node, count, prior),
+                    }
+                )
+            return {
+                "statement_template": request.key in snapshot.statements,
+                "materialization": decisions,
+            }
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, batch: Batch, opts) -> list[tuple[dict, str]]:
-        snapshot = self.snapshot()
-        if opts.semijoin or not opts.reuse_views:
-            # Semi-join reduction rebuilds the per-query temp tables, so
-            # those queries run back to back and share nothing; without
-            # view reuse there is nothing to share by construction.
-            return [
-                self._run_query(snapshot, query, targets, opts)
-                for query, targets in batch
-            ]
-        # Requests whose statement is stored are answered first; the
-        # rest are compiled together, so what the batch shares is priced
-        # batch-wide as before.
-        out: list = []
-        pending: dict[int, _Request] = {}  # by position in the batch
-        for query, targets in batch:
-            request = self._request(snapshot, query, targets)
-            pair = None
-            if request.key is not None:
-                pair = self._run_template(snapshot, request)
-            if pair is None:
-                pending[len(out)] = request
-            out.append(pair)
-        if pending:
-            compiler = SQLCompiler(
-                self.db.schema,
-                reuse_views=True,
-                native_ior=snapshot.backend.has_math_functions,
-                estimator=self.plan_estimator(),
-            )
-            pairs = self._run_selective(
-                snapshot, compiler, list(pending.values())
-            )
-            for at, pair in zip(pending, pairs):
-                out[at] = pair
-        return out
+        # one batch at a time on the one connection: a template hit,
+        # a compile's view DDL and a semi-join request's ``_red_*``
+        # tables never interleave with another caller's
+        with self._lock:
+            snapshot = self.snapshot()
+            if opts.semijoin or not opts.reuse_views:
+                # Semi-join reduction rebuilds the per-query temp
+                # tables, so those queries run back to back and share
+                # nothing; without view reuse there is nothing to share
+                # by construction.
+                return [
+                    self._run_query(snapshot, query, targets, opts)
+                    for query, targets in batch
+                ]
+            # Requests whose statement is stored are answered first;
+            # the rest are compiled together, so what the batch shares
+            # is priced batch-wide as before.
+            out: list = []
+            pending: dict[int, _Request] = {}  # by position in the batch
+            for query, targets in batch:
+                request = self._request(snapshot, query, targets)
+                pair = None
+                if request.key is not None:
+                    pair = self._run_template(snapshot, request)
+                if pair is None:
+                    pending[len(out)] = request
+                out.append(pair)
+            if pending:
+                compiler = SQLCompiler(
+                    self.db.schema,
+                    reuse_views=True,
+                    native_ior=snapshot.backend.has_math_functions,
+                    estimator=self.plan_estimator(),
+                )
+                pairs = self._run_selective(
+                    snapshot, compiler, list(pending.values())
+                )
+                for at, pair in zip(pending, pairs):
+                    out[at] = pair
+            return out
 
     def _run_query(
         self, snapshot: Snapshot, query, targets, opts
@@ -679,13 +662,12 @@ def _execute(
     return literal
 
 
-def _totals(released: dict, live: Sequence[Mapping], max_size) -> dict:
-    """``released`` plus every live cache's counters and size."""
-    out = dict(released, size=0, max_size=max_size)
-    for stats in live:
-        for key in (*_CUMULATIVE, "size"):
-            out[key] += stats[key]
-    return out
+def _counters(snapshot: Snapshot) -> dict[str, dict]:
+    """A snapshot's view-registry and statement-template counters."""
+    return {
+        "views": snapshot.registry.cache_stats(),
+        "statements": snapshot.statements.stats(),
+    }
 
 
 def _merge_min(

@@ -23,8 +23,9 @@ Extension points the call sites need:
   re-entrant-safe and quick.
 * ``evictable(key, value) -> bool`` — cap enforcement skips entries for
   which this returns ``False`` (the view registry's pin scope).
-* ``lock=`` — share one re-entrant lock with the owner (the evaluation
-  cache's plan scopes serialize against their parent).
+* ``lock=`` — share one re-entrant lock with the owner, so its own
+  state and the LRU change together (evaluation cache, view registry,
+  plan memo).
 """
 
 from __future__ import annotations

@@ -67,9 +67,9 @@ class DissociationService:
     config:
         The engine's frozen :class:`~repro.api.EngineConfig` (backend,
         cache sizes, join ordering, ...). ``None`` uses the defaults.
-        All workers share one engine (one plan memo) on either backend;
-        on SQLite each worker thread holds its own connection (and the
-        temp views on it) and releases it when it exits.
+        All workers share one engine on either backend: one plan memo,
+        and on SQLite one connection with its views and statement
+        templates, which :meth:`close` releases.
     service:
         The serving-layer knobs as a frozen
         :class:`~repro.api.ServiceConfig` — worker count,
@@ -147,12 +147,7 @@ class DissociationService:
             and self.engine.runs_sql
             and config.write_factor is None
         ):
-            try:
-                self.engine.calibrate_write_factor()
-            finally:
-                # measured on this thread's connection, which serves
-                # no batches
-                self.engine.release()
+            self.engine.calibrate_write_factor()
         self._batcher = MicroBatcher(
             max_batch_size=service.max_batch_size,
             max_batch_delay=service.max_batch_delay,
@@ -246,6 +241,10 @@ class DissociationService:
         for thread in wedged:
             for request in self._take_in_flight(thread):
                 self._deliver(request.future, exception=closed_exc)
+        if not wedged:
+            # no worker is left to use the engine's resources (a wedged
+            # one may still be running SQL on its connection)
+            self.engine.release()
 
     def __enter__(self) -> "DissociationService":
         return self
@@ -479,32 +478,27 @@ class DissociationService:
         if self.faults is not None:
             self.faults.fire("session", thread.name)
         served = self._served[thread]
-        try:
-            while True:
-                batch = self._batcher.next_batch()
-                if not batch:
-                    break  # closed and drained
-                # record the batch BEFORE any crash point so the
-                # supervisor can requeue it (crash) or close() can fail
-                # its futures (wedged worker)
-                self._set_in_flight(thread, batch)
-                if self.faults is not None:
-                    self.faults.fire("worker", batch)
+        while True:
+            batch = self._batcher.next_batch()
+            if not batch:
+                break  # closed and drained
+            # record the batch BEFORE any crash point so the supervisor
+            # can requeue it (crash) or close() can fail its futures
+            # (wedged worker)
+            self._set_in_flight(thread, batch)
+            if self.faults is not None:
+                self.faults.fire("worker", batch)
+            with self._state:
+                while self._mutating:
+                    self._state.wait()
+                self._active_batches += 1
+            try:
+                self._process(served, batch)
+            finally:
                 with self._state:
-                    while self._mutating:
-                        self._state.wait()
-                    self._active_batches += 1
-                try:
-                    self._process(served, batch)
-                finally:
-                    with self._state:
-                        self._active_batches -= 1
-                        self._state.notify_all()
-                self._set_in_flight(thread, None)
-        finally:
-            # thread-bound executor resources (SQLite connections) can
-            # only be closed by the thread that opened them
-            self.engine.release()
+                    self._active_batches -= 1
+                    self._state.notify_all()
+            self._set_in_flight(thread, None)
 
     def _on_worker_crash(
         self, thread: threading.Thread, exc: BaseException
@@ -661,9 +655,10 @@ class DissociationService:
             size=len(live),
             worker=threading.current_thread().name,
         ):
+            results = self.engine.evaluate_batch(queries, opts)
             if self.collect_dag_stats:
                 self._record_dag(queries, opts)
-            return self.engine.evaluate_batch(queries, opts)
+            return results
 
     def _resume_traces(
         self, live: list[QueryRequest]
@@ -756,7 +751,9 @@ class DissociationService:
         """Count the batch's merged plan DAG in one walk of its plan
         trees: every node of every tree (``node_occurrences``, what an
         evaluator without sharing computes), its distinct structural
-        nodes, and those two or more distinct queries reference."""
+        nodes, and those two or more distinct queries reference. The
+        plans are read after the batch ran, without moving the plan
+        memo's counters."""
         engine = self.engine
         distinct: dict = {}  # the first query of each (query, head order)
         for query in queries:
@@ -766,10 +763,8 @@ class DissociationService:
         occurrences = 0
         with self.observer.span("dag.build", queries=len(distinct)):
             for index, query in enumerate(distinct.values()):
-                stack = (
-                    [engine.single_plan(query)]
-                    if opts.single_plan
-                    else list(engine.minimal_plans(query))
+                stack = engine._plans(
+                    query, "single" if opts.single_plan else "minimal", False
                 )
                 while stack:
                     node = stack.pop()
@@ -813,17 +808,16 @@ class DissociationService:
             }
 
     def _collect_sessions(self) -> list[dict]:
-        """What each worker thread served, plus its own cache counters
-        where the executor keeps them per thread (else the shared ones).
+        """What each worker thread served, beside the engine's cache
+        counters, which every worker shares.
 
         The observer collector is this, deliberately *not*
         :meth:`stats` — that reads the metrics registry back, and a
         collector that snapshots the registry it is registered on
         would recurse.
         """
-        executor = self.engine.executor
-        shared = None if executor.thread_bound else executor.cache_stats()
-        plan_memo = self.engine.plan_memo_stats()  # one memo, all workers
+        cache = self.engine.cache_stats()
+        plan_memo = self.engine.plan_memo_stats()
         with self._supervisor:
             served = [(t, list(c)) for t, c in self._served.items()]
         return [
@@ -831,7 +825,7 @@ class DissociationService:
                 "name": thread.name,
                 "batches": batches,
                 "queries": queries,
-                "cache": shared or executor.cache_stats(thread),
+                "cache": cache,
                 "plan_memo": plan_memo,
             }
             for thread, (batches, queries) in served

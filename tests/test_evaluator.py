@@ -1,6 +1,7 @@
 """Tests for the DissociationEngine facade."""
 
 import random
+import sqlite3
 
 import pytest
 
@@ -135,6 +136,9 @@ class TestBaselines:
         db = ProbabilisticDatabase()
         db.add_table("R", [((1,), 0.5)])
         engine = DissociationEngine(db, EngineConfig(backend="sqlite"))
-        _ = engine.sqlite
+        backend = engine.sqlite
         engine.invalidate_sqlite()
-        assert engine.sqlite_executor.live_threads() == []
+        with pytest.raises(sqlite3.ProgrammingError):
+            backend.connection.execute("SELECT 1")
+        assert engine.sqlite is not backend
+        engine.release()

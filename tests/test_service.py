@@ -17,6 +17,8 @@ The central guarantees pinned down here:
 from __future__ import annotations
 
 import random
+import sqlite3
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -39,6 +41,7 @@ from repro.workloads import chain_database, chain_query
 from .helpers import ALL_OPTIMIZATION_COMBOS, assert_scores_close
 
 ALL_PLANS = Optimizations(single_plan=False, reuse_views=True)
+CHAIN4_TAIL = "R2(x1,x2), R3(x2,x3), R4(x3,x4)"
 
 
 def subchain(full: ConjunctiveQuery, i: int, j: int) -> ConjunctiveQuery:
@@ -661,35 +664,72 @@ class TestRegressions:
                 loader.join(timeout=30)
         assert service.stats()["mutations"] == 4
 
+    def test_dag_statistics_leave_the_plan_memo_counters_alone(self):
+        """Five serial chain-4 requests (three of them renamed) read the
+        same plan-memo counters with and without DAG statistics."""
+        db = chain_database(4, 20, seed=28, p_max=0.5)
+        queries = [
+            parse_query(
+                f"q({v}0, {v}4) :- R1({v}0, {v}1), R2({v}1, {v}2), "
+                f"R3({v}2, {v}3), R4({v}3, {v}4)"
+            )
+            for v in "xxyzx"
+        ]
+        memo = {}
+        for flag in (False, True):
+            with DissociationService(
+                db,
+                service=ServiceConfig(workers=1, collect_dag_stats=flag),
+            ) as service:
+                for query in queries:
+                    service.evaluate(query)
+                memo[flag] = service.engine.plan_memo_stats()
+                dag = service.stats()["dag"]
+        assert memo[True] == memo[False]
+        assert memo[False]["renamed_hits"] > 0
+        assert dag["node_occurrences"] > dag["distinct_nodes"] > 0
+
     def test_namespace_census_exact_across_snapshot_rebuilds(self):
-        """The engine's live-view count is what the workers' registries
-        hold — across a mutation-triggered snapshot refresh, and after
-        the workers release their connections."""
+        """The engine's live-view count is what its one connection holds
+        — across a mutation-triggered snapshot refresh, from every
+        worker's report, and after close() released the connection."""
         db = chain_database(3, 20, seed=27, p_max=0.5)
         # Boolean chain: its minimal plans share projections, so the
         # zero write factor materializes views on the first call
         query = chain_query(3, boolean=True)
+
+        def census(engine) -> int:
+            [(count,)] = engine.sqlite.execute(
+                "SELECT count(*) FROM sqlite_temp_master "
+                "WHERE type = 'table' AND name LIKE 'dissoc_%'"
+            )
+            return count
+
         with DissociationService(
             db,
             EngineConfig(backend="sqlite", write_factor=0.0),
-            ServiceConfig(workers=1),
+            ServiceConfig(workers=2),
         ) as service:
             engine = service.engine
             service.evaluate(query, ALL_PLANS)
             before = engine.cache_stats()
-            assert before["size"] > 0
+            assert before["size"] == census(engine) > 0
             service.mutate(
                 lambda d: d.insert("R1", (40_000, 40_001), 0.5)
             )
             service.evaluate(query, ALL_PLANS)
             after = engine.cache_stats()
+            assert after["size"] == census(engine)
             sessions = service.stats()["sessions"]
+        # both workers report the one registry
+        assert len(sessions) == 2
+        assert all(s["cache"] == after for s in sessions)
         # the refreshed snapshot dropped the views scanning the mutated
         # table and registered them again
-        assert after["size"] == sum(s["cache"]["size"] for s in sessions)
         assert after["misses"] > before["misses"]
-        # closing the worker's connection took its views with it
+        # closing the connection took its views with it
         assert engine.cache_stats()["size"] == 0
+        assert engine.cache_stats()["misses"] == after["misses"]
 
 
 # ----------------------------------------------------------------------
@@ -737,35 +777,122 @@ class TestOneEnginePerDeployment:
         # (plan count) and the merged single plan (the target)
         assert stats["engine"]["plan_memo"]["misses"] == 2 * len(queries)
 
-    def test_sqlite_workers_release_their_own_connections(self):
-        """After close() — and after a worker holding a connection was
-        killed and replaced — no temp view and no snapshot is left."""
+    def test_sqlite_workers_share_one_connection(self):
+        """A worker killed and replaced mid-stream leaves the snapshot
+        alone: the replacement runs on the same connection, its views
+        and its templates; close() closes it and keeps the counters."""
         db = chain_database(3, 20, seed=32, p_max=0.5)
         query = chain_query(3, boolean=True)
+        serial = DissociationEngine(db, self.SQLITE)
+        for _ in range(6):
+            expected = serial.evaluate(query, ALL_PLANS).scores
         faults = FaultInjector()
+        # the third batch kills its worker: the snapshot exists by then
+        faults.on_call("worker", 3, RuntimeError("worker killed"))
         service = DissociationService(
             db, self.SQLITE, ServiceConfig(workers=2), faults=faults
         )
-        executor = service.engine.sqlite_executor
-        # kill the first worker that comes back for a batch *with* a
-        # connection of its own
-        faults.when(
-            "worker",
-            lambda _batch: threading.current_thread()
-            in executor.live_threads(),
-            RuntimeError("worker killed"),
-            times=1,
-        )
         with service:
-            for _ in range(6):
-                assert service.evaluate(query, ALL_PLANS).scores
+            engine = service.engine
+            assert service.evaluate(query, ALL_PLANS).scores == expected
+            snapshot = engine.sqlite_executor.snapshot()
+            for _ in range(5):
+                assert service.evaluate(query, ALL_PLANS).scores == expected
             assert service.health()["worker_restarts"] == 1
-            assert service.engine.cache_stats()["size"] > 0
-            assert executor.live_threads()
-        assert service.engine.cache_stats()["size"] == 0
-        assert executor.live_threads() == []
-        # the released connections' counters were folded, not lost
-        assert service.engine.cache_stats()["misses"] > 0
+            assert engine.sqlite_executor.snapshot() is snapshot
+            assert engine.cache_stats() == serial.cache_stats()
+            assert engine.statement_stats() == serial.statement_stats()
+            live = engine.cache_stats()
+            assert live["size"] > 0
+        connection = snapshot.backend.connection
+        with pytest.raises(sqlite3.ProgrammingError):
+            connection.execute("SELECT 1")
+        # the released connection's counters were folded, not lost
+        assert engine.cache_stats() == dict(live, size=0)
+        serial.release()
+
+    def test_two_clients_share_one_snapshot_while_explain_runs(
+        self, monkeypatch
+    ):
+        """Two client threads send plain and semi-join requests to a
+        2-worker SQLite service while the caller thread runs explain():
+        one ``SQLiteBackend`` is built, and its snapshot materializes and
+        compiles exactly as often as a serial engine's on the same
+        stream. One-request batches price each request as the serial
+        engine does; the constants share one frequency class, so the
+        counters do not depend on the order the workers take them in."""
+        db = chain_database(4, 200, seed=6)
+        config = EngineConfig(backend="sqlite")
+        serial = DissociationEngine(db, config)
+        snapshot = serial.sqlite_executor.snapshot()
+        columns = snapshot.catalog.table_stats(
+            "R1", snapshot.backend.table_epoch("R1")
+        ).columns
+        classes: dict = {}
+        for value in sorted(db.table("R1").column_values(0)):
+            classes.setdefault(columns[0].frequency(value), []).append(value)
+        constants = max(classes.values(), key=len)[:24]
+        semijoin = Optimizations(semijoin=True)
+        stream = [
+            (parse_query(f"q(x4) :- R1({c},x1), {CHAIN4_TAIL}"), opts)
+            for c, opts in [(c, None) for c in constants]
+            + [(c, semijoin) for c in constants[:8]]
+        ]
+        expected = [serial.evaluate(q, opts).scores for q, opts in stream]
+
+        from repro.db.sqlite_backend import SQLiteBackend
+
+        built: list = []
+        original = SQLiteBackend.__init__
+
+        def counting(backend, *args, **kwargs):
+            built.append(backend)
+            original(backend, *args, **kwargs)
+
+        monkeypatch.setattr(SQLiteBackend, "__init__", counting)
+        observed: dict = {}
+        explained = 0
+        with connect(
+            db,
+            config,
+            concurrent=True,
+            service=ServiceConfig(workers=2, max_batch_size=1),
+            result_cache_size=0,
+        ) as session:
+            engine = session.engine
+            handle = session.query(stream[0][0])
+
+            def client(start: int) -> None:
+                for at in range(start, len(stream), 2):
+                    query, opts = stream[at]
+                    observed[at] = session.evaluate(query, opts).scores
+
+            clients = [
+                threading.Thread(target=client, args=(start,))
+                for start in (0, 1)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # more interleavings per request
+            try:
+                for thread in clients:
+                    thread.start()
+                while any(thread.is_alive() for thread in clients):
+                    assert "statement_template" in handle.explain()
+                    explained += 1
+                for thread in clients:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            served = engine.cache_stats()
+            compiled = engine.statement_stats()
+        assert explained >= 1
+        assert [observed[at] for at in range(len(stream))] == expected
+        assert len(built) == 1
+        assert served["misses"] == serial.cache_stats()["misses"]
+        assert compiled["misses"] == serial.statement_stats()["misses"]
+        assert engine.cache_stats()["size"] == 0
+        serial.release()
 
     def test_concurrent_session_has_exactly_one_engine(self):
         db = chain_database(3, 20, seed=33, p_max=0.5)
@@ -780,4 +907,6 @@ class TestOneEnginePerDeployment:
             assert handle.exact()
             assert session.engine is session.service.engine
             assert "engine" in session.stats()
-        assert session.service.engine.sqlite_executor.live_threads() == []
+            backend = session.engine.sqlite
+        with pytest.raises(sqlite3.ProgrammingError):
+            backend.connection.execute("SELECT 1")
