@@ -32,7 +32,6 @@ snapshot-copy discipline.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Hashable, Mapping
 
 from ..obs import StatsLRU
@@ -88,9 +87,13 @@ class ResultCache:
             # an encoded result body (the server's wire cache): already
             # immutable, so it is shared, not copied
             return result
-        return dataclasses.replace(
-            result, scores=dict(result.scores), cached=cached
+        # a field-for-field copy with a fresh scores dict; cheaper than
+        # dataclasses.replace, which re-runs __init__ on every hit
+        served = object.__new__(type(result))
+        served.__dict__.update(
+            result.__dict__, scores=dict(result.scores), cached=cached
         )
+        return served
 
     def get(self, key: Hashable):
         """The cached result for ``key`` (marked ``cached=True``), or

@@ -27,6 +27,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .atoms import Atom
@@ -145,8 +146,20 @@ class _Parser:
         return ConjunctiveQuery(atoms, head_vars, name=name)
 
 
+#: How many distinct query texts :func:`parse_query` remembers.
+_PARSE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse_query(text: str) -> ConjunctiveQuery:
-    """Parse a query string such as ``"q(z) :- R(z,x), S(x,y), T(y)"``."""
+    """Parse a query string such as ``"q(z) :- R(z,x), S(x,y), T(y)"``.
+
+    Parses are memoised per text (LRU, :data:`_PARSE_MEMO_SIZE` texts,
+    thread-safe): a repeated text returns the *same* immutable
+    :class:`~repro.core.query.ConjunctiveQuery`, canonical scan
+    included, so a repeat pays neither the parse nor the scan. A text
+    that fails to parse raises :class:`QueryParseError` on every call.
+    """
     return _Parser(text).parse_query()
 
 

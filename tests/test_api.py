@@ -531,6 +531,29 @@ class TestResultCache:
         served.scores.clear()
         assert cache.get("k").scores  # nor must served copies
 
+    def test_a_served_copy_is_the_stored_result_marked_cached(self):
+        import dataclasses
+
+        from repro.engine import EvaluationResult
+
+        result = DissociationEngine(small_db()).evaluate(parse_query(CHAIN))
+        result.trace_id = "t-1"
+        result.sql = "SELECT 1"
+        cache = ResultCache()
+        cache.put("k", result)
+        served = cache.get("k")
+        assert type(served) is EvaluationResult and served is not result
+        assert served.cached and not result.cached
+        for field in dataclasses.fields(EvaluationResult):
+            if field.name != "cached":
+                assert getattr(served, field.name) == getattr(
+                    result, field.name
+                ), field.name
+        assert served.scores is not result.scores
+        served.scores[("injected",)] = 1.0
+        served.scores.pop(next(iter(result.scores)))
+        assert cache.get("k").scores == result.scores
+
     def test_disabled_cache(self):
         cache = ResultCache(max_entries=0)
         cache.put("k", DissociationEngine(small_db()).evaluate(
@@ -617,6 +640,30 @@ class TestSession:
             assert second.scores == first.scores  # bit-identical
             stats = session.results.stats()
             assert stats["hits"] == 1 and stats["misses"] == 1
+
+    def test_a_repeated_text_hits_without_parsing(self, monkeypatch):
+        import repro.core.parser as parser_module
+
+        text = "hit(x,y) :- R(x),  S(x,y),  T(y)"  # a text no other test sends
+        parses = []
+        original = parser_module._Parser
+        monkeypatch.setattr(
+            parser_module,
+            "_Parser",
+            lambda text: parses.append(text) or original(text),
+        )
+        with connect(small_db()) as session:
+            first = session.evaluate(text)
+            assert not first.cached and parses == [text]
+            served = [
+                session.evaluate(text),
+                session.submit(text).result(),
+                session.query(text).result(),
+                *session.evaluate_many([text, text]),
+            ]
+            assert all(r.cached and r.scores == first.scores for r in served)
+            assert session.scores(text) == first.scores
+        assert parses == [text]  # every repeat skipped the parser
 
     def test_renamed_and_reordered_repeat_hits(self):
         db = small_db()
